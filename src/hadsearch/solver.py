@@ -1,11 +1,16 @@
 """Ground-state search: exhaustive enumeration and simulated annealing.
 
-Exhaustive enumeration vectorizes over blocks of bit-packed states, so
-instances in the low twenties of variables finish in seconds with exact
-integer energies.  Annealing is single-flip Metropolis with a geometric
-inverse-temperature ladder; every read draws its randomness from a stream
-derived from (seed, read index), and the sweep's flip order comes from a
-shared dedicated stream, so serial and parallel execution aggregate to
+Exhaustive enumeration evaluates a polynomial on all 2^n states at once as a
+transform of its coefficient vector, indexed by monomial bitmask: the
+unnormalised Walsh-Hadamard (Sylvester) transform for spin polynomials, the
+subset-sum (zeta) transform for boolean ones.  Each costs O(n 2^n) int64
+operations, exact while the absolute coefficients sum below 2^63, and runs
+in chunks of 2^22 states over the high bits so memory stays bounded.
+
+Annealing is single-flip Metropolis with a geometric inverse-temperature
+ladder; every read draws its randomness from a stream derived from
+(seed, read index), and the sweep's flip order comes from a shared
+dedicated stream, so serial and parallel execution aggregate to
 byte-identical results.
 """
 
@@ -77,34 +82,27 @@ def _sorted_samples(counts: dict[tuple[int, ...], tuple[int, int]]) -> tuple[Sam
 # -- exhaustive enumeration ----------------------------------------------------
 
 
-def _poly_eval_block(
-    poly_terms: list[tuple[tuple[int, ...], int]],
-    states: np.ndarray,
-    nvars: int,
-    spin: bool,
-) -> np.ndarray:
-    bits = [((states >> i) & 1).astype(np.uint8) for i in range(nvars)]
-    energies = np.zeros(states.shape[0], dtype=np.int64)
-    for mono, coeff in poly_terms:
-        if not mono:
-            energies += coeff
-            continue
-        if spin:
-            # bit b encodes s = 2b - 1, so the monomial value is
-            # (-1)^len * (-1)^popcount over the monomial's bits
-            parity = bits[mono[0]].copy()
-            for v in mono[1:]:
-                parity ^= bits[v]
-            values = 1 - 2 * parity.astype(np.int64)
-            if len(mono) % 2:
-                values = -values
-            energies += coeff * values
-        else:
-            active = bits[mono[0]].copy()
-            for v in mono[1:]:
-                active &= bits[v]
-            energies += coeff * active.astype(np.int64)
-    return energies
+def _walsh_hadamard(a: np.ndarray) -> None:
+    """In-place unnormalised Walsh-Hadamard transform of a power-of-two vector."""
+    buf = np.empty(a.size // 2, dtype=a.dtype)
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        x, y = pairs[:, 0, :], pairs[:, 1, :]
+        diff = buf.reshape(-1, h)
+        np.subtract(x, y, out=diff)
+        x += y
+        y[...] = diff
+        h *= 2
+
+
+def _subset_sum(a: np.ndarray) -> None:
+    """In-place zeta transform: a[x] becomes the sum of a[m] over masks m within x."""
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        pairs[:, 1, :] += pairs[:, 0, :]
+        h *= 2
 
 
 def _state_values(state: int, nvars: int, spin: bool) -> tuple[int, ...]:
@@ -123,7 +121,9 @@ def exhaustive_min(
 
     With all_ground, every minimizing assignment is returned (occurrences 1
     each); otherwise only the first in state order.  Rejects instances with
-    more than `cap` variables.
+    more than `cap` variables, and instances whose absolute coefficients
+    (the Ising offset included) sum to 2^63 or more, since their energies
+    need not fit the int64 arithmetic.
     """
     if isinstance(model, IsingModel):
         poly = model.to_polynomial()
@@ -136,7 +136,6 @@ def exhaustive_min(
     if nvars > cap:
         raise ValueError(f"{nvars} variables exceed the exhaustive cap of {cap}")
     spin = domain is Domain.SPIN
-    terms = list(poly.terms.items())
 
     if nvars == 0:
         constant = poly.coeff(())
@@ -145,33 +144,59 @@ def exhaustive_min(
             domain=domain, samples=(sample,), reads=1, seed=0,
             params=(("solver", "exhaustive"),),
         )
+    # Every intermediate value of either transform is a signed sum of distinct
+    # coefficients, so this bound keeps the int64 arithmetic exact.
+    if poly.abs_coeff_sum() >= 1 << 63:
+        raise ValueError(
+            "absolute coefficients sum to 2^63 or more; energies could overflow int64"
+        )
+
+    # State bit i set means s_i = +1 (spin) or q_i = 1 (boolean).  Bit i of a
+    # monomial's mask marks variable i.  The low `low_bits` bits of a state
+    # index the transformed vector; each high-bit pattern is one chunk.
+    low_bits = min(_CHUNK_BITS, nvars)
+    terms = poly.terms
+    masks = [sum(1 << v for v in m) for m in terms]
+    low = np.array([m & ((1 << low_bits) - 1) for m in masks], dtype=np.int64)
+    high = np.array([m >> low_bits for m in masks], dtype=np.int64)
+    # s_i = -(-1)^bit_i, so a spin monomial is (-1)^|m| * (-1)^popcount(m & state)
+    coeffs = np.array(
+        [-c if spin and len(m) % 2 else c for m, c in terms.items()], dtype=np.int64
+    )
+    a = np.empty(1 << low_bits, dtype=np.int64)
 
     best_energy: int | None = None
     minima: list[int] = []
-    total = 1 << nvars
-    chunk = 1 << min(_CHUNK_BITS, nvars)
-    for start in range(0, total, chunk):
-        states = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        energies = _poly_eval_block(terms, states, nvars, spin)
-        lo = int(energies.min())
+    for pattern in range(1 << (nvars - low_bits)):
+        a.fill(0)
+        if spin:
+            # the chunk's high bits are fixed: fold their signs into the terms
+            signs = np.bitwise_count(high & pattern) % 2
+            np.add.at(a, low, np.where(signs, -coeffs, coeffs))
+            _walsh_hadamard(a)
+        else:
+            # a term counts only where the chunk's high bits cover its own
+            covered = (high & ~pattern) == 0
+            np.add.at(a, low[covered], coeffs[covered])
+            _subset_sum(a)
+        start = pattern << low_bits
+        lo = int(a.min())
         if best_energy is None or lo < best_energy:
             best_energy = lo
             minima = []
         if lo == best_energy:
-            hits = states[energies == best_energy]
             if all_ground:
-                minima.extend(int(s) for s in hits)
+                minima.extend(start + int(s) for s in np.flatnonzero(a == lo))
             elif not minima:
-                minima.append(int(hits[0]))
+                minima.append(start + int(a.argmin()))
     assert best_energy is not None
-    chosen = minima if all_ground else minima[:1]
     counts = {
-        _state_values(s, nvars, spin): (best_energy, 1) for s in chosen
+        _state_values(s, nvars, spin): (best_energy, 1) for s in minima
     }
     return SampleSet(
         domain=domain,
         samples=_sorted_samples(counts),
-        reads=len(chosen),
+        reads=len(minima),
         seed=0,
         params=(("solver", "exhaustive"), ("cap", str(cap))),
     )

@@ -111,7 +111,47 @@ class TestSearch:
         assert hm.verify(H)[0] and H.shape == (92, 92)
 
 
+    def test_auto_enumerates_24_variable_extended_search(self, tmp_path):
+        out = tmp_path / "x10"
+        assert run("search", "--method", "extended-turyn", "--n", 10, "--m", 2,
+                   "--out", out) == 0
+        manifest = read_manifest(out / "manifest.txt")
+        assert manifest["order"] == "116"
+        assert manifest["prototype_index"] == "0"
+        H = hm.load_matrix(out / "matrix.txt")
+        assert H.shape == (116, 116) and hm.verify(H)[0]
+
+    @pytest.mark.parametrize("stage", ["assemble", "verify"])
+    def test_later_ground_sample_verifies_when_first_fails(self, tmp_path, monkeypatch, stage):
+        real_assemble, real_verify = cli._assemble, hm.verify
+        tried = []
+
+        def assemble(args, values, proto):
+            tried.append(tuple(values))
+            if stage == "assemble" and len(tried) == 1:
+                raise ValueError("first ground sample rejected")
+            return real_assemble(args, values, proto)
+
+        def verify(H):
+            ok, D = real_verify(H)
+            return (ok and not (stage == "verify" and len(tried) == 1)), D
+
+        monkeypatch.setattr(cli, "_assemble", assemble)
+        monkeypatch.setattr(hm, "verify", verify)
+        out = tmp_path / "w3"
+        assert run("search", "--method", "williamson", "--k", 3, "--out", out) == 0
+        assert len(tried) == 2 and tried[0] != tried[1]
+        assert real_verify(hm.load_matrix(out / "matrix.txt"))[0]
+        assert read_manifest(out / "manifest.txt")["verified"] == "yes"
+
+
 class TestSolve:
+    def test_int64_overflow_is_usage_error(self, tmp_path):
+        path = tmp_path / "wide.poly"
+        path.write_text(f"domain spin\nnvars 2\n{2**62} 0\n{2**62} 1\n-1 0 1\n")
+        assert run("solve", path, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o" / "samples.txt").exists()
+
     def test_polynomial_file(self, tmp_path):
         out = tmp_path / "b"
         run("build", "--method", "williamson", "--k", 3, "--out", out)

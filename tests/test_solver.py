@@ -1,7 +1,12 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hadsearch import solver
 
 from hadsearch.constructions import turyn_energy, williamson_energy
 from hadsearch.ising import Convention, IsingModel, from_quadratic
@@ -73,6 +78,72 @@ class TestExhaustive:
         sset = exhaustive_min(m, all_ground=True)
         assert sset.min_energy == -1
         assert {s.values for s in sset.samples} == {(-1, 1), (1, -1)}
+
+    def test_coefficient_sum_past_int64_rejected(self):
+        # the true minimum -(2^63 + 1) at (-1, -1) does not fit int64
+        p = MultilinearPoly(Domain.SPIN, {(0,): 2**62, (1,): 2**62, (0, 1): -1})
+        with pytest.raises(ValueError, match="int64"):
+            exhaustive_min(p)
+
+    def test_ising_offset_counts_toward_int64_bound(self):
+        m = IsingModel(nvars=1, h={0: 1}, offset=2**63 - 1)
+        with pytest.raises(ValueError, match="int64"):
+            exhaustive_min(m)
+
+    @pytest.mark.parametrize("domain, terms, ground", [
+        (Domain.SPIN, {(0,): 2**62, (1,): 2**62 - 1}, (-1, -1)),
+        (Domain.BOOLEAN, {(): -(2**62), (0, 1): -(2**62 - 1)}, (1, 1)),
+    ])
+    def test_largest_exact_coefficient_sum(self, domain, terms, ground):
+        sset = exhaustive_min(MultilinearPoly(domain, terms), all_ground=True)
+        assert sset.min_energy == -(2**63 - 1)
+        assert [s.values for s in sset.samples] == [ground]
+
+
+@st.composite
+def polynomials(draw, domain: Domain) -> MultilinearPoly:
+    nvars = draw(st.integers(1, 10))
+    monomials = st.frozensets(st.integers(0, nvars - 1), max_size=min(nvars, 5))
+    # twelve coefficients of magnitude <= 2^59 keep the sum below 2^63
+    coeffs = st.one_of(st.integers(-50, 50), st.integers(-(2**59), 2**59))
+    terms = draw(st.dictionaries(monomials, coeffs, max_size=12))
+    return MultilinearPoly(domain, {tuple(sorted(m)): c for m, c in terms.items()})
+
+
+def brute_force_grounds(poly: MultilinearPoly) -> tuple[int, list[tuple[int, ...]]]:
+    """Minimum and minimizing assignments in state order (bit i = variable i)."""
+    lo, hi = poly.domain.values
+    n = poly.nvars
+    energies = []
+    for state in range(1 << n):
+        values = tuple(hi if (state >> i) & 1 else lo for i in range(n))
+        energies.append((poly.evaluate(dict(enumerate(values))), values))
+    best = min(e for e, _ in energies)
+    return best, [v for e, v in energies if e == best]
+
+
+class TestTransformMatchesBruteForce:
+    """The chunked transforms agree with term-by-term evaluation.
+
+    Chunk bits of 3 split up to ten variables into as many as 128 chunks,
+    so the high-bit folding runs as well as the single-chunk path.
+    """
+
+    @pytest.mark.parametrize("chunk_bits", [22, 3])
+    @pytest.mark.parametrize("domain", [Domain.SPIN, Domain.BOOLEAN])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_min_ground_set_and_first_ground(self, chunk_bits, domain, data):
+        poly = data.draw(polynomials(domain))
+        best, grounds = brute_force_grounds(poly)
+        with mock.patch.object(solver, "_CHUNK_BITS", chunk_bits):
+            every = exhaustive_min(poly, all_ground=True)
+            first = exhaustive_min(poly)
+        assert every.min_energy == best
+        assert sorted(s.values for s in every.samples) == sorted(grounds)
+        assert every.reads == len(grounds)
+        assert [s.values for s in first.samples] == [grounds[0]]
+        assert first.min_energy == best
 
 
 class TestAnneal:
