@@ -8,12 +8,11 @@ resulting matrices.
 
 from .polynom import Assignment, Domain, Monomial, MultilinearPoly
 from .quadratize import AncillaMap, compute_delta, quadratize, select_pair, substitute_pair
-from .ising import Convention, IsingModel, from_quadratic, normalize_for_export
+from .ising import IsingModel, from_quadratic, normalize_for_export
 from .constructions import (
     PrototypeSpec,
     TurynQuadruple,
     base_sequences,
-    baumert_hall_energy,
     enumerate_prototypes,
     extended_energy,
     nac,
@@ -33,14 +32,13 @@ from .hadamard import (
     verify,
     williamson_array,
 )
-from .solver import Sample, SampleSet, anneal, exhaustive_min, histogram
+from .solver import Sample, SampleSet, anneal, exhaustive_min
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AncillaMap",
     "Assignment",
-    "Convention",
     "Domain",
     "IsingModel",
     "Monomial",
@@ -53,7 +51,6 @@ __all__ = [
     "back_diagonal",
     "base_sequences",
     "baumert_hall_array",
-    "baumert_hall_energy",
     "circulant",
     "compute_delta",
     "enumerate_prototypes",
@@ -61,7 +58,6 @@ __all__ = [
     "extended_energy",
     "from_quadratic",
     "goethals_seidel",
-    "histogram",
     "nac",
     "nac_values",
     "normalize_for_export",

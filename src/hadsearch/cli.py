@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import constructions as cons
 from . import hadamard as hm
@@ -70,12 +70,17 @@ def _unsigned(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_unsigned, default=0, help="RNG seed (default 0)")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--reads", type=int, default=1000, help="annealing reads")
-    common.add_argument("--sweeps", type=int, default=1000, help="annealing sweeps")
-    common.add_argument("--cap", type=int, default=26, help="exhaustive bit cap")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=".", help="output directory")
+
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument("--seed", type=_unsigned, default=0, help="RNG seed (default 0)")
+    solving.add_argument("--reads", type=int, default=1000, help="annealing reads")
+    solving.add_argument("--sweeps", type=int, default=1000, help="annealing sweeps")
+    solving.add_argument("--cap", type=int, default=26, help="exhaustive bit cap")
+    solving.add_argument("--solver", choices=("auto", "exhaustive", "anneal"), default="auto")
+    solving.add_argument("--beta-start", type=float, default=None)
+    solving.add_argument("--beta-end", type=float, default=None)
 
     method = argparse.ArgumentParser(add_help=False)
     method.add_argument("--method", required=True, choices=METHODS)
@@ -94,28 +99,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", parents=[common, method], help="write the energy chain")
+    p = sub.add_parser("build", parents=[output, method], help="write the energy chain")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("search", parents=[common, method], help="solve and assemble")
-    p.add_argument("--solver", choices=("auto", "exhaustive", "anneal"), default="auto")
-    p.add_argument("--beta-start", type=float, default=None)
-    p.add_argument("--beta-end", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p = sub.add_parser("search", parents=[output, method, solving], help="solve and assemble")
     p.add_argument("--keep-failures", action="store_true",
                    help="write matrix artifacts even when verification fails")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("solve", parents=[common], help="minimise a model file")
+    p = sub.add_parser("solve", parents=[output, solving], help="minimise a model file")
     p.add_argument("model", help="polynomial or Ising text file")
-    p.add_argument("--solver", choices=("auto", "exhaustive", "anneal"), default="auto")
-    p.add_argument("--beta-start", type=float, default=None)
-    p.add_argument("--beta-end", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--all-ground", action="store_true")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("prototypes", parents=[common], help="stream filtered prototypes")
+    p = sub.add_parser("prototypes", parents=[output], help="stream filtered prototypes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_prototypes)
@@ -124,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("quadratize", parents=[common], help="reduce a boolean polynomial")
+    p = sub.add_parser("quadratize", parents=[output], help="reduce a boolean polynomial")
     p.add_argument("poly", help="boolean polynomial file")
     p.set_defaults(func=cmd_quadratize)
     return parser
@@ -249,29 +246,40 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _solve(
+    args,
+    model: MultilinearPoly | ising.IsingModel,
+    all_ground: bool,
+    to_ising: Callable[[], ising.IsingModel],
+) -> solver.SampleSet:
+    """Minimise `model` with the solver `--solver` selects.
+
+    `auto` enumerates up to AUTO_EXHAUSTIVE_LIMIT variables and anneals
+    above that; annealing runs on the Ising model `to_ising` returns.
+    """
+    mode = args.solver
+    if mode == "auto":
+        mode = "exhaustive" if model.nvars <= AUTO_EXHAUSTIVE_LIMIT else "anneal"
+    if mode == "exhaustive":
+        return solver.exhaustive_min(model, cap=args.cap, all_ground=all_ground)
+    return solver.anneal(
+        to_ising(),
+        reads=args.reads,
+        sweeps=args.sweeps,
+        beta_start=args.beta_start,
+        beta_end=args.beta_end,
+        seed=args.seed,
+    )
+
+
 def _solve_energy(args, energy: MultilinearPoly):
     """Solve one method energy.
 
     Returns the sample set and the distinct logical assignments of its
     zero-energy samples, in sample order (best first).
     """
+    sset = _solve(args, energy, all_ground=True, to_ising=lambda: _build_chain(energy)[3])
     logical = energy.nvars
-    mode = args.solver
-    if mode == "auto":
-        mode = "exhaustive" if logical <= AUTO_EXHAUSTIVE_LIMIT else "anneal"
-    if mode == "exhaustive":
-        sset = solver.exhaustive_min(energy, cap=args.cap, all_ground=True)
-    else:
-        _, _, _, model, _ = _build_chain(energy)
-        sset = solver.anneal(
-            model,
-            reads=args.reads,
-            sweeps=args.sweeps,
-            beta_start=args.beta_start,
-            beta_end=args.beta_end,
-            seed=args.seed,
-            workers=args.workers,
-        )
     return sset, list(dict.fromkeys(s.values[:logical] for s in sset.samples if s.energy == 0))
 
 
@@ -366,21 +374,7 @@ def _expected_order(args, size: int) -> int:
 
 def cmd_solve(args) -> int:
     model = _load_model(args.model)
-    mode = args.solver
-    if mode == "auto":
-        mode = "exhaustive" if model.nvars <= AUTO_EXHAUSTIVE_LIMIT else "anneal"
-    if mode == "exhaustive":
-        sset = solver.exhaustive_min(model, cap=args.cap, all_ground=args.all_ground)
-    else:
-        if isinstance(model, MultilinearPoly):
-            if model.domain is not Domain.SPIN or model.degree() > 2:
-                raise UsageError("anneal needs a quadratic spin model; quadratize first")
-            model = ising.from_quadratic(model)
-        sset = solver.anneal(
-            model, reads=args.reads, sweeps=args.sweeps,
-            beta_start=args.beta_start, beta_end=args.beta_end,
-            seed=args.seed, workers=args.workers,
-        )
+    sset = _solve(args, model, args.all_ground, lambda: _quadratic_ising(model))
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, "samples.txt")
     with open(out, "w", encoding="utf-8", newline="\n") as fp:
@@ -400,6 +394,14 @@ def _load_model(path):
     if head.startswith("domain"):
         return polynom.load_poly(path)
     return ising.load_ising(path)
+
+
+def _quadratic_ising(model: MultilinearPoly | ising.IsingModel) -> ising.IsingModel:
+    if isinstance(model, ising.IsingModel):
+        return model
+    if model.domain is not Domain.SPIN or model.degree() > 2:
+        raise UsageError("anneal needs a quadratic spin model; quadratize first")
+    return ising.from_quadratic(model)
 
 
 def cmd_prototypes(args) -> int:

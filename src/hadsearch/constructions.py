@@ -134,9 +134,6 @@ def williamson_energy(k: int) -> MultilinearPoly:
     return energy
 
 
-baumert_hall_energy = williamson_energy  # both searches share the block energy
-
-
 def williamson_first_rows(k: int, values: Sequence[int]) -> list[list[int]]:
     """First rows of the four blocks from a solved assignment vector."""
     half = (k + 1) // 2
@@ -168,10 +165,6 @@ class TurynQuadruple:
 
     def sequences(self) -> list[SymbolicSequence]:
         return [list(self.X), list(self.Y), list(self.Z), list(self.W)]
-
-
-def turyn_variable_count(n: int) -> int:
-    return 4 * n - 11
 
 
 def normalized_turyn_quadruple(n: int) -> TurynQuadruple:
@@ -256,14 +249,6 @@ class PrototypeSpec:
 
     def sides(self) -> tuple[tuple[int | None, ...], ...]:
         return (self.X, self.Y, self.Z, self.W)
-
-    @property
-    def middle_count(self) -> int:
-        return self.n - 2 * self.m
-
-    @property
-    def variable_count(self) -> int:
-        return 4 * self.middle_count
 
     def to_line(self) -> str:
         return "/".join(

@@ -1,29 +1,23 @@
-"""Two-body spin models: energies, conventions, and the text exchange format.
+"""Two-body spin models: energies, export scaling, and the text format.
 
 A model stores linear fields h, ordered-pair couplings J (keys i < j), and a
-constant offset, under one of two sign conventions:
+constant offset; its energy is
 
-  * DIRECT:              E(s) = offset + sum h_i s_i + sum J_ij s_i s_j
-  * HAMILTONIAN_NEGATED: E(s) = -sum J_ij s_i s_j - sum h_i s_i  (offset dropped)
+    E(s) = offset + sum h_i s_i + sum J_ij s_i s_j
 
-Energies built by the constructions in this package are minimised at zero in
-the DIRECT convention; the negated form mirrors the sign convention used by
-annealing hardware.  Keeping both explicit avoids silently mixing them.
+over spins s_i in {-1, +1}.  The energies built by this package's
+constructions are minimised at zero.  `normalize_for_export` drops the
+offset and scales the largest coefficient to 1, the form annealing hardware
+takes; solvers read only the exact integer model.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO
 
 from .polynom import Assignment, Domain, MultilinearPoly
-
-
-class Convention(enum.Enum):
-    DIRECT = "direct"
-    HAMILTONIAN_NEGATED = "hamiltonian-negated"
 
 
 @dataclass(frozen=True)
@@ -32,7 +26,6 @@ class IsingModel:
     h: dict[int, int] = field(default_factory=dict)
     J: dict[tuple[int, int], int] = field(default_factory=dict)
     offset: int = 0
-    convention: Convention = Convention.DIRECT
 
     def __post_init__(self):
         for i in self.h:
@@ -49,7 +42,7 @@ class IsingModel:
         return max(vals, default=0)
 
     def energy(self, assignment: Assignment) -> int:
-        """Energy at a total spin assignment, per this model's convention."""
+        """Energy at a total spin assignment."""
         s = []
         for i in range(self.nvars):
             if i not in assignment:
@@ -60,25 +53,20 @@ class IsingModel:
             s.append(v)
         lin = sum(c * s[i] for i, c in self.h.items())
         quad = sum(c * s[i] * s[j] for (i, j), c in self.J.items())
-        if self.convention is Convention.DIRECT:
-            return self.offset + lin + quad
-        return -quad - lin
+        return self.offset + lin + quad
 
     def to_polynomial(self) -> MultilinearPoly:
         """Spin polynomial with the same energy function."""
-        sign = 1 if self.convention is Convention.DIRECT else -1
-        terms: dict[tuple[int, ...], int] = {}
-        if self.convention is Convention.DIRECT and self.offset:
-            terms[()] = self.offset
+        terms: dict[tuple[int, ...], int] = {(): self.offset}
         for i, c in self.h.items():
-            terms[(i,)] = sign * c
+            terms[(i,)] = c
         for (i, j), c in self.J.items():
-            terms[(i, j)] = sign * c
+            terms[(i, j)] = c
         return MultilinearPoly(Domain.SPIN, terms)
 
 
 def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingModel:
-    """Lossless split of a quadratic spin polynomial into offset/h/J (DIRECT)."""
+    """Lossless split of a quadratic spin polynomial into offset/h/J."""
     if poly.domain is not Domain.SPIN:
         raise ValueError("from_quadratic requires a spin polynomial")
     if poly.degree() > 2:
@@ -94,12 +82,12 @@ def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingMode
             h[m[0]] = c
         else:
             J[m] = c
-    return IsingModel(nvars=n, h=h, J=J, offset=offset, convention=Convention.DIRECT)
+    return IsingModel(nvars=n, h=h, J=J, offset=offset)
 
 
 @dataclass(frozen=True)
 class NormalizedIsing:
-    """Unit-scale export image of a DIRECT model: offset dropped, coefficients
+    """Unit-scale export image of a model: offset dropped, coefficients
     divided by the largest magnitude (exact rationals)."""
 
     nvars: int
@@ -110,8 +98,6 @@ class NormalizedIsing:
 
 def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
     """Drop the offset and rescale so the largest |coefficient| becomes 1."""
-    if model.convention is not Convention.DIRECT:
-        raise ValueError("normalize_for_export requires the DIRECT convention")
     scale = model.max_abs_coeff()
     if scale == 0:
         raise ValueError("cannot normalize an all-zero model")
@@ -132,8 +118,6 @@ def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
 
 
 def write_ising(model: IsingModel, fp: IO[str]) -> None:
-    if model.convention is not Convention.DIRECT:
-        raise ValueError("only DIRECT models are serialized")
     fp.write(f"c {model.offset}\n")
     for i in sorted(model.h):
         fp.write(f"h {i} {model.h[i]}\n")
@@ -157,10 +141,12 @@ def _decimal(x: Fraction) -> str:
 
 
 def read_ising(fp: IO[str]) -> IsingModel:
-    """Parse an integer-coefficient DIRECT model.
+    """Parse an integer-coefficient model.
 
     Decimal coefficients (normalized exports) are rejected: they are a
-    hand-off artifact for external samplers, not solver input.
+    hand-off artifact for external samplers, not solver input.  So is a
+    repeated `c`, `h i` or `J i j` line.  The spin count is one past the
+    largest index with a nonzero coefficient.
     """
     def as_int(token: str, line: str) -> int:
         try:
@@ -170,32 +156,36 @@ def read_ising(fp: IO[str]) -> IsingModel:
                 f"non-integer value in {line!r}; solvers take the exact integer model"
             ) from None
 
-    offset = 0
+    offset: int | None = None
     h: dict[int, int] = {}
     J: dict[tuple[int, int], int] = {}
-    max_index = -1
     for raw in fp:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tok = line.split()
         if tok[0] == "c" and len(tok) == 2:
+            if offset is not None:
+                raise ValueError(f"duplicate offset line: {line!r}")
             offset = as_int(tok[1], line)
         elif tok[0] == "h" and len(tok) == 3:
             i = as_int(tok[1], line)
+            if i in h:
+                raise ValueError(f"duplicate field line for spin {i}: {line!r}")
             h[i] = as_int(tok[2], line)
-            max_index = max(max_index, i)
         elif tok[0] == "J" and len(tok) == 4:
             i, j = as_int(tok[1], line), as_int(tok[2], line)
             if i >= j:
                 raise ValueError(f"J indices must satisfy i < j: {line!r}")
+            if (i, j) in J:
+                raise ValueError(f"duplicate coupling line for pair ({i}, {j}): {line!r}")
             J[(i, j)] = as_int(tok[3], line)
-            max_index = max(max_index, j)
         else:
             raise ValueError(f"unrecognized line: {line!r}")
     h = {i: c for i, c in h.items() if c != 0}
     J = {k: c for k, c in J.items() if c != 0}
-    return IsingModel(nvars=max_index + 1, h=h, J=J, offset=offset)
+    nvars = max([*h, *(j for _, j in J)], default=-1) + 1
+    return IsingModel(nvars=nvars, h=h, J=J, offset=0 if offset is None else offset)
 
 
 def load_ising(path) -> IsingModel:

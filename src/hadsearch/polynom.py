@@ -11,15 +11,16 @@ polynomial has no terms.
 
 The two domain transforms are value-preserving under the bijection
 s = 2q - 1 (s=+1 <-> q=1): `spin_to_boolean` substitutes s_i = 2q_i - 1 and
-`boolean_to_spin` substitutes q_i = (1 + s_i)/2, with the halves tracked
-exactly and required to cancel.
+`boolean_to_spin` substitutes q_i = (1 + s_i)/2.  Both expand each term over
+its sub-monomials in exact integers; `boolean_to_spin` works scaled by 2^D,
+D the degree, and requires every sum to divide back exactly.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from typing import IO, Iterable, Iterator, Mapping
+import itertools
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 Monomial = tuple[int, ...]
 Assignment = Mapping[int, int]
@@ -208,52 +209,45 @@ class MultilinearPoly:
         """Substitute s_i = 2 q_i - 1 and reduce.  Value-preserving."""
         if self.domain is not Domain.SPIN:
             raise ValueError("spin_to_boolean requires a spin polynomial")
-        out: dict[Monomial, int] = {}
-        for m, c in self._terms.items():
-            expand: dict[Monomial, int] = {(): c}
-            for v in m:
-                nxt: dict[Monomial, int] = {}
-                for mm, cc in expand.items():
-                    grown = tuple(sorted(set(mm) | {v}))
-                    nxt[grown] = nxt.get(grown, 0) + 2 * cc
-                    nxt[mm] = nxt.get(mm, 0) - cc
-                expand = nxt
-            for mm, cc in expand.items():
-                s = out.get(mm, 0) + cc
-                if s:
-                    out[mm] = s
-                else:
-                    out.pop(mm, None)
+        # prod_{v in m} (2 q_v - 1) = sum_{S within m} 2^|S| (-1)^(|m|-|S|) q_S
+        out = _expand_subsets(
+            self._terms, lambda d, k: (1 << k) * (-1 if (d - k) % 2 else 1)
+        )
         return MultilinearPoly(Domain.BOOLEAN, out)
 
     def boolean_to_spin(self) -> "MultilinearPoly":
-        """Substitute q_i = (1 + s_i)/2; all intermediate halves must cancel."""
+        """Substitute q_i = (1 + s_i)/2; the halves must cancel to integers."""
         if self.domain is not Domain.BOOLEAN:
             raise ValueError("boolean_to_spin requires a boolean polynomial")
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            expand: dict[Monomial, Fraction] = {(): Fraction(c)}
-            for v in m:
-                nxt: dict[Monomial, Fraction] = {}
-                for mm, cc in expand.items():
-                    half = cc / 2
-                    grown = tuple(sorted(set(mm) | {v}))
-                    nxt[grown] = nxt.get(grown, 0) + half
-                    nxt[mm] = nxt.get(mm, 0) + half
-                expand = nxt
-            for mm, cc in expand.items():
-                out[mm] = out.get(mm, Fraction(0)) + cc
+        # prod_{v in m} (1 + s_v)/2 = 2^-|m| sum_{S within m} s_S; scale by 2^D
+        top = self.degree()
+        scaled = _expand_subsets(self._terms, lambda d, k: 1 << (top - d))
         terms: dict[Monomial, int] = {}
-        for mm, cc in out.items():
-            if cc == 0:
-                continue
-            if cc.denominator != 1:
+        for mm, cc in scaled.items():
+            if cc % (1 << top):
                 raise ValueError(
-                    f"non-integral coefficient {cc} for monomial {mm}: "
+                    f"non-integral coefficient {cc}/2^{top} for monomial {mm}: "
                     "input is not an integral image of a spin polynomial"
                 )
-            terms[mm] = int(cc)
+            terms[mm] = cc >> top
         return MultilinearPoly(Domain.SPIN, terms)
+
+
+def _expand_subsets(
+    terms: Mapping[Monomial, int], weight: Callable[[int, int], int]
+) -> dict[Monomial, int]:
+    """Sum c * weight(|m|, |S|) into S for every term c * m and every S within m."""
+    out: dict[Monomial, int] = {}
+    table: dict[int, list[int]] = {}
+    for m, c in terms.items():
+        d = len(m)
+        if d not in table:
+            table[d] = [weight(d, k) for k in range(d + 1)]
+        for k, w in enumerate(table[d]):
+            cw = c * w
+            for sub in itertools.combinations(m, k):
+                out[sub] = out.get(sub, 0) + cw
+    return out
 
 
 # -- text format ------------------------------------------------------------

@@ -7,22 +7,22 @@ subset-sum (zeta) transform for boolean ones.  Each costs O(n 2^n) int64
 operations, exact while the absolute coefficients sum below 2^63, and runs
 in chunks of 2^22 states over the high bits so memory stays bounded.
 
-Annealing is single-flip Metropolis with a geometric inverse-temperature
-ladder; every read draws its randomness from a stream derived from
-(seed, read index), and the sweep's flip order comes from a shared
-dedicated stream, so serial and parallel execution aggregate to
-byte-identical results.
+Annealing is single-flip Metropolis on an Ising model with a geometric
+inverse-temperature ladder, vectorised over reads.  Every read draws its
+start state and acceptance uniforms from a stream derived from
+(seed, read index), and each sweep's flip order comes from one dedicated
+stream, so a fixed seed gives byte-identical samples.  Fields and energies
+are int64, exact while the absolute coefficients sum below 2^62.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
-from .ising import Convention, IsingModel
+from .ising import IsingModel
 from .polynom import Domain, MultilinearPoly
 
 _CHUNK_BITS = 22  # exhaustive enumeration block size: 2^22 states at a time
@@ -269,16 +269,19 @@ def anneal(
     beta_start: float | None = None,
     beta_end: float | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> SampleSet:
-    """Seeded single-flip Metropolis annealing of a DIRECT model.
+    """Seeded single-flip Metropolis annealing of an Ising model.
 
     Each read starts from a random spin state and runs `sweeps` full passes
     with a geometric inverse-temperature schedule; identical inputs give
-    bit-identical results, independent of the worker count.
+    bit-identical results.  Rejects models whose absolute coefficients (the
+    offset included) sum to 2^62 or more: a flip's energy change is twice a
+    local field, and it must fit int64.
     """
-    if model.convention is not Convention.DIRECT:
-        raise ValueError("anneal requires the DIRECT convention")
+    if model.to_polynomial().abs_coeff_sum() >= 1 << 62:
+        raise ValueError(
+            "absolute coefficients sum to 2^62 or more; energy changes could overflow int64"
+        )
     if reads <= 0 or sweeps <= 0:
         raise ValueError("reads and sweeps must be positive")
     b0, b1 = default_beta_range(model)
@@ -299,25 +302,12 @@ def anneal(
             seed=seed, params=_anneal_params(sweeps, beta_start, beta_end),
         )
 
-    workers = max(1, min(workers, reads))
-    bounds = np.linspace(0, reads, workers + 1, dtype=int)
-    ranges = [range(bounds[w], bounds[w + 1]) for w in range(workers) if bounds[w] < bounds[w + 1]]
-    if len(ranges) == 1:
-        results = [_anneal_chunk(model, ranges[0], sweeps, betas, seed)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [
-                pool.submit(_anneal_chunk, model, rng, sweeps, betas, seed)
-                for rng in ranges
-            ]
-            results = [f.result() for f in futures]
-
+    S, energies = _anneal_chunk(model, range(reads), sweeps, betas, seed)
     counts: dict[tuple[int, ...], tuple[int, int]] = {}
-    for S, energies in results:
-        for row, e in zip(S, energies):
-            key = tuple(int(v) for v in row)
-            prev = counts.get(key)
-            counts[key] = (int(e), 1 if prev is None else prev[1] + 1)
+    for row, e in zip(S, energies):
+        key = tuple(int(v) for v in row)
+        prev = counts.get(key)
+        counts[key] = (int(e), 1 if prev is None else prev[1] + 1)
     return SampleSet(
         domain=Domain.SPIN,
         samples=_sorted_samples(counts),
@@ -336,35 +326,5 @@ def _anneal_params(sweeps: int, beta_start: float, beta_end: float) -> tuple[tup
     )
 
 
-# -- read statistics ------------------------------------------------------------
-
-
-def histogram(sampleset: SampleSet, bins: int) -> list[tuple[float, float, int]]:
-    """Equal-width energy bins over [min, max]; counts conserve total reads."""
-    if not sampleset.samples:
-        raise ValueError("cannot histogram an empty sample set")
-    if bins <= 0:
-        raise ValueError("bins must be positive")
-    energies = [s.energy for s in sampleset.samples]
-    lo, hi = min(energies), max(energies)
-    width = (hi - lo) / bins
-    counts = [0] * bins
-    for s in sampleset.samples:
-        if width == 0:
-            idx = 0
-        else:
-            idx = min(int((s.energy - lo) / width), bins - 1)
-        counts[idx] += s.occurrences
-    return [
-        (lo + b * width, lo + (b + 1) * width if width else float(hi), counts[b])
-        for b in range(bins)
-    ]
-
-
 def write_samples(sampleset: SampleSet, fp: IO[str]) -> None:
     fp.write(sampleset.to_text())
-
-
-def write_histogram(rows: Iterable[tuple[float, float, int]], fp: IO[str]) -> None:
-    for lo, hi, count in rows:
-        fp.write(f"{lo}\t{hi}\t{count}\n")

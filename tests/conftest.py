@@ -2,6 +2,7 @@ import os
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from hadsearch.polynom import Domain, MultilinearPoly, load_poly
 
@@ -30,6 +31,22 @@ def random_poly(
             coeff = rng.randint(*coeff_range)
         terms[mono] = coeff
     return MultilinearPoly(domain, terms)
+
+
+@st.composite
+def polynomials(
+    draw,
+    domain: Domain,
+    max_vars: int,
+    coeffs: st.SearchStrategy[int],
+    max_degree: int = 5,
+    max_terms: int = 12,
+) -> MultilinearPoly:
+    """Hypothesis strategy for multilinear polynomials over 1..max_vars variables."""
+    nvars = draw(st.integers(1, max_vars))
+    monomials = st.frozensets(st.integers(0, nvars - 1), max_size=min(nvars, max_degree))
+    terms = draw(st.dictionaries(monomials, coeffs, max_size=max_terms))
+    return MultilinearPoly(domain, {tuple(sorted(m)): c for m, c in terms.items()})
 
 
 def random_assignment(rng: random.Random, nvars: int, domain: Domain) -> dict[int, int]:

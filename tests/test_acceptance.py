@@ -116,7 +116,7 @@ class TestCriterion4EndToEndOrders:
         # (params tuned so the fixed seed reaches the ground state)
         reduced, amap = quadratize(cons.williamson_energy(9).spin_to_boolean())
         model = from_quadratic(reduced.boolean_to_spin())
-        sset = anneal(model, reads=1200, sweeps=300, seed=0, workers=4)
+        sset = anneal(model, reads=1200, sweeps=300, seed=0)
         assert sset.min_energy == 0
         logical = cons.williamson_variable_count(9)
         energy = cons.williamson_energy(9)
@@ -229,7 +229,9 @@ class TestCriterion9SolverConsistency:
             sset = anneal(model, reads=16, sweeps=150, seed=idx)
             assert sset.min_energy >= exact
             if idx < 5:
-                parallel = anneal(model, reads=16, sweeps=150, seed=idx, workers=3)
-                assert parallel.to_text() == sset.to_text()
-                assert parallel == sset
-        ok("9 anneal consistency on 50 instances; parallel == serial")
+                # every read has its own (seed, read index) stream, so the
+                # reads of a smaller batch are the first reads of a larger one
+                head = anneal(model, reads=6, sweeps=150, seed=idx)
+                counts = {s.values: s.occurrences for s in sset.samples}
+                assert all(counts.get(s.values, 0) >= s.occurrences for s in head.samples)
+        ok("9 anneal consistency on 50 instances; reads independent of batch size")

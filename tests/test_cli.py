@@ -152,6 +152,18 @@ class TestSolve:
         assert run("solve", path, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o" / "samples.txt").exists()
 
+    def test_anneal_int64_bound_is_usage_error(self, tmp_path):
+        path = tmp_path / "wide.ising"
+        path.write_text(f"c 0\nh 0 {2**62}\n")
+        assert run("solve", path, "--solver", "anneal", "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o" / "samples.txt").exists()
+
+    def test_duplicate_ising_line_is_usage_error(self, tmp_path):
+        path = tmp_path / "dup.ising"
+        path.write_text("c 0\nJ 0 1 1\nJ 0 1 -1\n")
+        assert run("solve", path, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o" / "samples.txt").exists()
+
     def test_polynomial_file(self, tmp_path):
         out = tmp_path / "b"
         run("build", "--method", "williamson", "--k", 3, "--out", out)

@@ -118,9 +118,6 @@ class TestWilliamsonEnergy:
         with pytest.raises(ValueError):
             cons.williamson_energy(1)
 
-    def test_shared_with_block_product_search(self):
-        assert cons.baumert_hall_energy is cons.williamson_energy
-
     def test_symbolic_matches_numeric_oracle(self, rng):
         # independent numeric oracle: build the circulant blocks and compute
         # sum of squared deviations of A^T A + ... from 4k I
@@ -141,7 +138,7 @@ class TestTurynEnergy:
     def test_variable_counts(self):
         assert cons.turyn_energy(4).nvars == 5
         assert cons.turyn_energy(6).nvars == 13
-        assert cons.turyn_variable_count(8) == 21
+        assert cons.normalized_turyn_quadruple(8).free_variable_count == 21
 
     def test_ground_set_n4(self):
         sset = exhaustive_min(cons.turyn_energy(4), all_ground=True)

@@ -6,7 +6,6 @@ import pytest
 
 from hadsearch.constructions import williamson_energy
 from hadsearch.ising import (
-    Convention,
     IsingModel,
     from_quadratic,
     normalize_for_export,
@@ -31,7 +30,6 @@ class TestFromQuadratic:
         assert m.h == {0: 912}
         assert m.J == {(0, 1): 454}
         assert m.offset == 8448
-        assert m.convention is Convention.DIRECT
 
     def test_constant_only(self):
         m = from_quadratic(MultilinearPoly.constant(Domain.SPIN, 5))
@@ -55,13 +53,6 @@ class TestEnergy:
     def test_direct(self):
         m = IsingModel(nvars=2, h={1: 2}, J={(0, 1): -1})
         assert m.energy({0: 1, 1: 1}) == 1
-
-    def test_negated_convention_flips_sign_and_drops_offset(self):
-        m = IsingModel(
-            nvars=2, h={1: 2}, J={(0, 1): -1}, offset=100,
-            convention=Convention.HAMILTONIAN_NEGATED,
-        )
-        assert m.energy({0: 1, 1: 1}) == -1
 
     def test_partial_assignment_rejected(self):
         m = IsingModel(nvars=2, h={1: 2})
@@ -172,6 +163,19 @@ class TestTextFormat:
     def test_unordered_pair_rejected(self):
         with pytest.raises(ValueError):
             read_ising(io.StringIO("J 1 0 3\n"))
+
+    @pytest.mark.parametrize("text", [
+        "c 1\nh 0 1\nc 2\n",
+        "h 0 1\nh 0 2\n",
+        "J 0 1 1\nJ 0 1 1\n",
+    ], ids=["offset", "field", "coupling"])
+    def test_repeated_line_rejected(self, text):
+        with pytest.raises(ValueError, match="duplicate"):
+            read_ising(io.StringIO(text))
+
+    def test_zero_lines_do_not_stretch_spin_count(self):
+        m = read_ising(io.StringIO("c 0\nh 1 3\nh 3 0\nJ 0 1 2\nJ 1 4 0\n"))
+        assert m == IsingModel(nvars=2, h={1: 3}, J={(0, 1): 2})
 
     def test_normalized_export_is_decimal(self):
         m = IsingModel(nvars=2, h={0: 5}, J={(0, 1): 10})

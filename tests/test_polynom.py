@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadsearch.polynom import (
     Domain,
@@ -10,7 +12,7 @@ from hadsearch.polynom import (
     write_poly,
 )
 
-from conftest import random_assignment, random_poly
+from conftest import polynomials, random_assignment, random_poly
 
 SPIN = Domain.SPIN
 BOOL = Domain.BOOLEAN
@@ -152,6 +154,44 @@ class TestTransforms:
         # (1 + s0)/2 is not an integer polynomial
         with pytest.raises(ValueError):
             bpoly({(0,): 1}).boolean_to_spin()
+
+
+WIDE = st.integers(-(2**70), 2**70)
+
+
+def spin_polys():
+    return polynomials(SPIN, max_vars=8, coeffs=WIDE)
+
+
+class TestTransformProperties:
+    """Spin polynomials of up to 8 variables, degree <= 5, |c| <= 2^70."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=spin_polys())
+    def test_round_trip(self, p):
+        assert p.spin_to_boolean().boolean_to_spin() == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=spin_polys())
+    def test_values_agree_at_every_point(self, p):
+        q = p.spin_to_boolean()
+        for state in range(1 << 8):
+            bits = {i: (state >> i) & 1 for i in range(8)}
+            assert q.evaluate(bits) == p.evaluate({i: 2 * b - 1 for i, b in bits.items()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.one_of(
+        polynomials(BOOL, max_vars=8, coeffs=WIDE),
+        # multiples of 8 are often integral images at low degree
+        polynomials(BOOL, max_vars=8, coeffs=st.integers(-4, 4).map(lambda c: 8 * c)),
+        spin_polys().map(MultilinearPoly.spin_to_boolean),
+    ))
+    def test_boolean_to_spin_is_exact_or_rejects(self, q):
+        try:
+            p = q.boolean_to_spin()
+        except ValueError:
+            return
+        assert p.spin_to_boolean() == q
 
 
 class TestMeasures:

@@ -9,17 +9,12 @@ from hypothesis import strategies as st
 from hadsearch import solver
 
 from hadsearch.constructions import turyn_energy, williamson_energy
-from hadsearch.ising import Convention, IsingModel, from_quadratic
+from hadsearch.ising import IsingModel, from_quadratic
 from hadsearch.polynom import Domain, MultilinearPoly
 from hadsearch.quadratize import quadratize
-from hadsearch.solver import (
-    Sample,
-    SampleSet,
-    anneal,
-    exhaustive_min,
-    histogram,
-    write_histogram,
-)
+from hadsearch.solver import Sample, SampleSet, anneal, exhaustive_min
+
+from conftest import polynomials
 
 
 def random_ising(rng: random.Random, nvars: int) -> IsingModel:
@@ -100,16 +95,6 @@ class TestExhaustive:
         assert [s.values for s in sset.samples] == [ground]
 
 
-@st.composite
-def polynomials(draw, domain: Domain) -> MultilinearPoly:
-    nvars = draw(st.integers(1, 10))
-    monomials = st.frozensets(st.integers(0, nvars - 1), max_size=min(nvars, 5))
-    # twelve coefficients of magnitude <= 2^59 keep the sum below 2^63
-    coeffs = st.one_of(st.integers(-50, 50), st.integers(-(2**59), 2**59))
-    terms = draw(st.dictionaries(monomials, coeffs, max_size=12))
-    return MultilinearPoly(domain, {tuple(sorted(m)): c for m, c in terms.items()})
-
-
 def brute_force_grounds(poly: MultilinearPoly) -> tuple[int, list[tuple[int, ...]]]:
     """Minimum and minimizing assignments in state order (bit i = variable i)."""
     lo, hi = poly.domain.values
@@ -134,7 +119,9 @@ class TestTransformMatchesBruteForce:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_min_ground_set_and_first_ground(self, chunk_bits, domain, data):
-        poly = data.draw(polynomials(domain))
+        # twelve coefficients of magnitude <= 2^59 keep the sum below 2^63
+        coeffs = st.one_of(st.integers(-50, 50), st.integers(-(2**59), 2**59))
+        poly = data.draw(polynomials(domain, max_vars=10, coeffs=coeffs))
         best, grounds = brute_force_grounds(poly)
         with mock.patch.object(solver, "_CHUNK_BITS", chunk_bits):
             every = exhaustive_min(poly, all_ground=True)
@@ -167,13 +154,6 @@ class TestAnneal:
         assert a == b
         assert a.to_text() == b.to_text()
 
-    def test_parallel_matches_serial(self):
-        m = IsingModel(nvars=6, h={0: 2, 5: -4}, J={(0, 1): -3, (2, 3): 1, (4, 5): 2})
-        serial = anneal(m, reads=30, sweeps=25, seed=11, workers=1)
-        parallel = anneal(m, reads=30, sweeps=25, seed=11, workers=4)
-        assert serial.to_text() == parallel.to_text()
-        assert serial == parallel
-
     def test_never_undercuts_exhaustive(self, rng):
         for _ in range(10):
             m = random_ising(rng, 10)
@@ -200,10 +180,23 @@ class TestAnneal:
         with pytest.raises(ValueError):
             anneal(m, reads=5, sweeps=0, seed=0)
 
-    def test_negated_convention_rejected(self):
-        m = IsingModel(nvars=1, h={0: 1}, convention=Convention.HAMILTONIAN_NEGATED)
-        with pytest.raises(ValueError):
+    def test_coefficient_sum_past_int64_bound_rejected(self):
+        # a flip changes the energy by twice a local field of up to 2^62
+        m = IsingModel(nvars=1, h={0: 2**62})
+        with pytest.raises(ValueError, match="int64"):
             anneal(m, reads=1, sweeps=1, seed=0)
+
+    def test_offset_counts_toward_int64_bound(self):
+        m = IsingModel(nvars=1, h={0: 1}, offset=2**62 - 1)
+        with pytest.raises(ValueError, match="int64"):
+            anneal(m, reads=1, sweeps=1, seed=0)
+
+    def test_largest_exact_coefficient_sum(self):
+        m = IsingModel(nvars=2, h={0: 2**62 - 2}, J={(0, 1): 1})
+        sset = anneal(m, reads=20, sweeps=10, seed=0)
+        for s in sset.samples:
+            assert s.energy == m.energy(dict(enumerate(s.values)))
+        assert sset.min_energy == -(2**62 - 1)
 
 
 class TestSampleSet:
@@ -223,59 +216,3 @@ class TestSampleSet:
         b = Sample(values=(1, -1), energy=5, occurrences=1)
         sset = SampleSet(domain=Domain.SPIN, samples=(a, b), reads=4, seed=0)
         assert sset.to_text() == "-2 3 -+\n5 1 +-\n"
-
-
-class TestHistogram:
-    def test_single_sample(self):
-        s = Sample(values=(1,), energy=5, occurrences=4)
-        sset = SampleSet(domain=Domain.SPIN, samples=(s,), reads=4, seed=0)
-        rows = histogram(sset, bins=3)
-        assert len(rows) == 3
-        assert sum(c for _, _, c in rows) == 4
-
-    def test_one_bin_collects_everything(self):
-        m = IsingModel(nvars=3, h={0: 1, 1: -2}, J={(1, 2): 1})
-        sset = anneal(m, reads=50, sweeps=10, seed=9)
-        rows = histogram(sset, bins=1)
-        assert rows[0][2] == 50
-
-    def test_reads_conserved_across_bins(self):
-        m = IsingModel(nvars=4, h={0: 1}, J={(0, 1): -2, (2, 3): 3})
-        sset = anneal(m, reads=200, sweeps=10, seed=13)
-        for bins in (2, 5, 7):
-            rows = histogram(sset, bins=bins)
-            assert sum(c for _, _, c in rows) == 200
-
-    def test_empty_rejected(self):
-        sset = SampleSet(domain=Domain.SPIN, samples=(), reads=0, seed=0)
-        with pytest.raises(ValueError):
-            histogram(sset, bins=2)
-
-    def test_export_rows_are_tab_separated(self):
-        import io
-
-        a = Sample(values=(1,), energy=0, occurrences=2)
-        b = Sample(values=(-1,), energy=4, occurrences=1)
-        sset = SampleSet(domain=Domain.SPIN, samples=(a, b), reads=3, seed=0)
-        buf = io.StringIO()
-        write_histogram(histogram(sset, bins=2), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines == ["0.0\t2.0\t2", "2.0\t4.0\t1"]
-
-
-class TestNegatedConvention:
-    def test_exhaustive_on_negated_model(self):
-        direct = IsingModel(nvars=2, h={0: 1}, J={(0, 1): 2}, offset=7)
-        negated = IsingModel(
-            nvars=2, h={0: 1}, J={(0, 1): 2},
-            convention=Convention.HAMILTONIAN_NEGATED,
-        )
-        exact = exhaustive_min(negated, all_ground=True)
-        states = [
-            {0: a, 1: b} for a in (-1, 1) for b in (-1, 1)
-        ]
-        best = min(negated.energy(s) for s in states)
-        assert exact.min_energy == best
-        # negated energies are the direct ones mirrored (offset aside)
-        for s in states:
-            assert negated.energy(s) == -(direct.energy(s) - direct.offset)
