@@ -24,7 +24,7 @@ from . import constructions as cons
 from . import hadamard as hm
 from . import ising
 from . import polynom
-from .quadratize import AncillaMap, compute_delta, quadratize
+from .quadratize import quadratize
 from . import solver
 from .polynom import Domain, MultilinearPoly
 
@@ -177,11 +177,8 @@ def _assemble(args, values: Sequence[int], proto: cons.PrototypeSpec | None) -> 
         if args.method == "williamson":
             return hm.williamson_array(*blocks)
         return hm.baumert_hall_array(*blocks)
-    if args.method == "turyn":
-        X, Y, Z, W = cons.turyn_sequences_from_values(args.n, values)
-    else:
-        X, Y, Z, W = cons.extended_sequences_from_values(proto, values)
-    A, B, C, D = cons.base_sequences(X, Y, Z, W)
+    quad = cons.normalized_turyn_quadruple(args.n) if proto is None else proto.quadruple()
+    A, B, C, D = cons.base_sequences(*quad.values(values))
     T = cons.t_sequences(A, B, C, D)
     seeds = cons.seed_sequences(*T)
     return hm.goethals_seidel(*[hm.circulant(s) for s in seeds])
@@ -189,10 +186,7 @@ def _assemble(args, values: Sequence[int], proto: cons.PrototypeSpec | None) -> 
 
 def _build_chain(energy: MultilinearPoly):
     ek_q = energy.spin_to_boolean()
-    if ek_q.degree() > 2:
-        e2_q, amap = quadratize(ek_q)
-    else:
-        e2_q, amap = ek_q, AncillaMap(entries=(), delta=compute_delta(ek_q))
+    e2_q, amap = quadratize(ek_q)
     e2_s = e2_q.boolean_to_spin()
     model = ising.from_quadratic(e2_s)
     return ek_q, e2_q, e2_s, model, amap

@@ -16,6 +16,13 @@ solutions.
     middles are unknown; prototypes must already satisfy the autocorrelation
     condition at the high lags that touch only filled positions.
 
+Each method has one symbolic layout, a list of `SymEntry` per block or
+sequence: its energy is built from that layout and a solved assignment is
+read back through the same layout, so the two cannot disagree on the
+variable numbering.  The Turyn normalization pins are defined once, in
+`normalized_turyn_quadruple`; the prototype enumeration takes its ends
+from that quadruple.
+
 The numeric half of the pipeline turns a solved quadruple into Goethals-
 Seidel inputs: base sequences (concatenation), T-sequences (half sums padded
 with zeros), and seed sequences (signed sums of the T-sequences).  Each step
@@ -25,6 +32,7 @@ checks its defining property at runtime rather than trusting the formulas.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -74,8 +82,8 @@ def nac(seq: SymbolicSequence, r: int) -> MultilinearPoly:
 
 
 def nac_values(seq: Sequence[int], r: int) -> int:
-    """Nonperiodic autocorrelation of a plain integer sequence at lag r."""
-    return sum(seq[t] * seq[t + r] for t in range(max(0, len(seq) - r)))
+    """Nonperiodic autocorrelation of a plain integer sequence at lag r >= 0."""
+    return sum(map(operator.mul, seq, seq[r:]))
 
 
 TT_WEIGHTS = (1, 1, 2, 2)
@@ -103,6 +111,12 @@ def williamson_variable_count(k: int) -> int:
     return 2 * (k + 1)
 
 
+def _williamson_rows(k: int) -> list[SymbolicSequence]:
+    """Symbolic first rows of the blocks A, B, C, D (layout in williamson_energy)."""
+    half = (k + 1) // 2
+    return [[plus(b * half + min(i, k - i)) for i in range(k)] for b in range(4)]
+
+
 def williamson_energy(k: int) -> MultilinearPoly:
     """Spin energy over 2(k+1) variables, zero iff the four symmetric
     circulant blocks form a Williamson quadruple.
@@ -116,11 +130,7 @@ def williamson_energy(k: int) -> MultilinearPoly:
         raise ValueError("symmetric circulant blocks require odd k")
     if k < 3:
         raise ValueError("k must be at least 3")
-    half = (k + 1) // 2
-    rows = []
-    for b in range(4):
-        base = b * half
-        rows.append([plus(base + min(i, k - i)).poly() for i in range(k)])
+    rows = [[e.poly() for e in row] for row in _williamson_rows(k)]
     # V is symmetric circulant: each diagonal offset d holds k identical cells
     energy = MultilinearPoly.zero(Domain.SPIN)
     for d in range(k):
@@ -136,14 +146,9 @@ def williamson_energy(k: int) -> MultilinearPoly:
 
 def williamson_first_rows(k: int, values: Sequence[int]) -> list[list[int]]:
     """First rows of the four blocks from a solved assignment vector."""
-    half = (k + 1) // 2
-    if len(values) < 4 * half:
-        raise ValueError(f"need {4 * half} values, got {len(values)}")
-    rows = []
-    for b in range(4):
-        base = b * half
-        rows.append([values[base + min(i, k - i)] for i in range(k)])
-    return rows
+    if len(values) < williamson_variable_count(k):
+        raise ValueError(f"need {williamson_variable_count(k)} values, got {len(values)}")
+    return [[e.value(values) for e in row] for row in _williamson_rows(k)]
 
 
 # -- Turyn --------------------------------------------------------------------
@@ -151,7 +156,7 @@ def williamson_first_rows(k: int, values: Sequence[int]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class TurynQuadruple:
-    """Normalized symbolic TT(n) quadruple: X,Y,Z of length n, W of n-1."""
+    """Symbolic TT(n) quadruple: X,Y,Z of length n, W of n-1."""
 
     n: int
     X: tuple[SymEntry, ...]
@@ -161,10 +166,15 @@ class TurynQuadruple:
 
     @property
     def free_variable_count(self) -> int:
-        return 4 * self.n - 11
+        return len({e.var for seq in self.sequences() for e in seq if e.var is not None})
 
     def sequences(self) -> list[SymbolicSequence]:
         return [list(self.X), list(self.Y), list(self.Z), list(self.W)]
+
+    def values(self, values: Sequence[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The four +/-1 sequences under a solved assignment vector."""
+        X, Y, Z, W = ([e.value(values) for e in seq] for seq in self.sequences())
+        return X, Y, Z, W
 
 
 def normalized_turyn_quadruple(n: int) -> TurynQuadruple:
@@ -188,9 +198,8 @@ def normalized_turyn_quadruple(n: int) -> TurynQuadruple:
     Y = [plus()] + [plus(take()) for _ in range(n - 3)] + [minus(y_first), minus()]
     Z = [plus()] + [plus(take()) for _ in range(n - 2)] + [plus()]
     W = [plus()] + [plus(take()) for _ in range(n - 2)]
-    quad = TurynQuadruple(n=n, X=tuple(X), Y=tuple(Y), Z=tuple(Z), W=tuple(W))
-    assert idx == quad.free_variable_count
-    return quad
+    assert idx == 4 * n - 11
+    return TurynQuadruple(n=n, X=tuple(X), Y=tuple(Y), Z=tuple(Z), W=tuple(W))
 
 
 def turyn_energy(n: int) -> MultilinearPoly:
@@ -198,16 +207,6 @@ def turyn_energy(n: int) -> MultilinearPoly:
     a TT(n) sequence (weights 1,1,2,2 on X,Y,Z,W autocorrelations)."""
     quad = normalized_turyn_quadruple(n)
     return _squared_autocorrelation_energy(quad.sequences())
-
-
-def turyn_sequences_from_values(
-    n: int, values: Sequence[int]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    quad = normalized_turyn_quadruple(n)
-    X, Y, Z, W = (
-        [e.value(values) for e in seq] for seq in (quad.X, quad.Y, quad.Z, quad.W)
-    )
-    return X, Y, Z, W
 
 
 # -- Extended Turyn (solution prototypes) --------------------------------------
@@ -250,6 +249,16 @@ class PrototypeSpec:
     def sides(self) -> tuple[tuple[int | None, ...], ...]:
         return (self.X, self.Y, self.Z, self.W)
 
+    def quadruple(self) -> TurynQuadruple:
+        """Symbolic quadruple: filled ends are constants, and the middles
+        become variables in order X, Y, Z, W, each left to right."""
+        idx = itertools.count()
+        X, Y, Z, W = (
+            tuple(plus(next(idx)) if v is None else SymEntry(v) for v in side)
+            for side in self.sides()
+        )
+        return TurynQuadruple(n=self.n, X=X, Y=Y, Z=Z, W=W)
+
     def to_line(self) -> str:
         return "/".join(
             "".join("*" if v is None else ("+" if v > 0 else "-") for v in side)
@@ -283,78 +292,35 @@ class PrototypeSpec:
 def prototype_filter(proto: PrototypeSpec) -> bool:
     """True iff the weighted autocorrelation sum vanishes at every lag
     r in [n-m, n-1].  Products at these lags touch only filled positions."""
-    n, m = proto.n, proto.m
-    for r in range(n - m, n):
-        total = 0
-        for side, w in zip(proto.sides(), TT_WEIGHTS):
-            acc = 0
-            for t in range(max(0, len(side) - r)):
-                a, b = side[t], side[t + r]
-                if a is None or b is None:
-                    raise ValueError("filter lag touched an unfilled position")
-                acc += a * b
-            total += w * acc
-        if total != 0:
-            return False
-    return True
+    return all(
+        sum(w * nac_values(side, r) for side, w in zip(proto.sides(), TT_WEIGHTS)) == 0
+        for r in range(proto.n - proto.m, proto.n)
+    )
 
 
 def enumerate_prototypes(n: int, m: int) -> Iterator[PrototypeSpec]:
-    """All +/-1 fillings of the free end positions that pass the filter.
+    """All fillings of the end positions of `normalized_turyn_quadruple(n)`
+    that pass the filter.
 
-    Normalization pins the ends it reaches: x0=y0=z0=w0=+1, x_{n-1}=y_{n-1}=-1,
-    z_{n-1}=+1, and for m >= 2 also x1=x_{n-2}=+1 and y_{n-2}=-y1.  Remaining
-    end positions are enumerated lexicographically (+1 before -1), sides in
-    X, Y, Z, W order, left block before right.
+    The ends are positions p < m and p >= n - m of every side.  Pinned
+    entries keep their values; the variables left at end positions are
+    enumerated lexicographically in ascending index order (+1 before -1),
+    which is X, Y, Z, W order, left to right.
     """
-    if n % 2 != 0 or n < 4:
-        raise ValueError("n must be even and at least 4")
+    quad = normalized_turyn_quadruple(n)
     if not 1 <= m < n / 2:
         raise ValueError(f"need 1 <= m < n/2, got m={m}")
-
-    def end_positions(length: int) -> list[int]:
-        return list(range(m)) + list(range(n - m, length))
-
-    # template[side][pos]: +/-1 pinned, "free" to enumerate, "tie" for y_{n-2}
-    sides_len = (n, n, n, n - 1)
-    template: list[dict[int, object]] = []
-    for s, length in enumerate(sides_len):
-        t: dict[int, object] = {p: "free" for p in end_positions(length)}
-        t[0] = 1
-        if s == 0:
-            t[n - 1] = -1
-            if m >= 2:
-                t[1] = 1
-                t[n - 2] = 1
-        elif s == 1:
-            t[n - 1] = -1
-            if m >= 2:
-                t[n - 2] = "tie"
-        elif s == 2:
-            t[n - 1] = 1
-        template.append(t)
-
-    free_slots = [
-        (s, p)
-        for s, t in enumerate(template)
-        for p in sorted(t)
-        if t[p] == "free"
+    ends = [
+        [e if p < m or p >= n - m else None for p, e in enumerate(seq)]
+        for seq in quad.sequences()
     ]
-    for fill in itertools.product((1, -1), repeat=len(free_slots)):
-        chosen = {slot: v for slot, v in zip(free_slots, fill)}
-        sides: list[tuple[int | None, ...]] = []
-        y1 = chosen.get((1, 1))  # present whenever the y_{n-2} tie is active
-        for s, length in enumerate(sides_len):
-            side: list[int | None] = [None] * length
-            for p, mark in template[s].items():
-                if mark == "free":
-                    side[p] = chosen[(s, p)]
-                elif mark == "tie":
-                    side[p] = -y1
-                else:
-                    side[p] = mark
-            sides.append(tuple(side))
-        proto = PrototypeSpec(n=n, m=m, X=sides[0], Y=sides[1], Z=sides[2], W=sides[3])
+    free = sorted({e.var for side in ends for e in side if e is not None and e.var is not None})
+    for fill in itertools.product((1, -1), repeat=len(free)):
+        values = dict(zip(free, fill))
+        X, Y, Z, W = (
+            tuple(None if e is None else e.value(values) for e in side) for side in ends
+        )
+        proto = PrototypeSpec(n=n, m=m, X=X, Y=Y, Z=Z, W=W)
         if prototype_filter(proto):
             yield proto
 
@@ -363,35 +329,7 @@ def extended_energy(proto: PrototypeSpec) -> MultilinearPoly:
     """Spin energy over the 4(n-2m) unknown middles of a filtered prototype."""
     if not prototype_filter(proto):
         raise ValueError("prototype fails the high-lag autocorrelation filter")
-    seqs = []
-    idx = 0
-    for side in proto.sides():
-        seq: SymbolicSequence = []
-        for v in side:
-            if v is None:
-                seq.append(plus(idx))
-                idx += 1
-            else:
-                seq.append(plus() if v > 0 else minus())
-        seqs.append(seq)
-    return _squared_autocorrelation_energy(seqs)
-
-
-def extended_sequences_from_values(
-    proto: PrototypeSpec, values: Sequence[int]
-) -> tuple[list[int], ...]:
-    out = []
-    idx = 0
-    for side in proto.sides():
-        seq = []
-        for v in side:
-            if v is None:
-                seq.append(values[idx])
-                idx += 1
-            else:
-                seq.append(v)
-        out.append(seq)
-    return tuple(out)
+    return _squared_autocorrelation_energy(proto.quadruple().sequences())
 
 
 # -- numeric pipeline: TT(n) -> Goethals-Seidel inputs --------------------------

@@ -44,8 +44,6 @@ class SampleSet:
     domain: Domain
     samples: tuple[Sample, ...]
     reads: int
-    seed: int
-    params: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if sum(s.occurrences for s in self.samples) != self.reads:
@@ -140,10 +138,7 @@ def exhaustive_min(
     if nvars == 0:
         constant = poly.coeff(())
         sample = Sample(values=(), energy=constant, occurrences=1)
-        return SampleSet(
-            domain=domain, samples=(sample,), reads=1, seed=0,
-            params=(("solver", "exhaustive"),),
-        )
+        return SampleSet(domain=domain, samples=(sample,), reads=1)
     # Every intermediate value of either transform is a signed sum of distinct
     # coefficients, so this bound keeps the int64 arithmetic exact.
     if poly.abs_coeff_sum() >= 1 << 63:
@@ -193,13 +188,7 @@ def exhaustive_min(
     counts = {
         _state_values(s, nvars, spin): (best_energy, 1) for s in minima
     }
-    return SampleSet(
-        domain=domain,
-        samples=_sorted_samples(counts),
-        reads=len(minima),
-        seed=0,
-        params=(("solver", "exhaustive"), ("cap", str(cap))),
-    )
+    return SampleSet(domain=domain, samples=_sorted_samples(counts), reads=len(minima))
 
 
 # -- simulated annealing --------------------------------------------------------
@@ -216,15 +205,15 @@ def _read_generator(seed: int, read_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _anneal_chunk(
+def _metropolis(
     model: IsingModel,
-    read_range: range,
+    reads: int,
     sweeps: int,
     betas: np.ndarray,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Final spin states (reads x nvars) and their energies."""
     n = model.nvars
-    reads = len(read_range)
     h = np.zeros(n, dtype=np.int64)
     for i, c in model.h.items():
         h[i] = c
@@ -235,7 +224,7 @@ def _anneal_chunk(
     nbr_idx = [np.array([x for x, _ in nb], dtype=np.int64) for nb in neighbors]
     nbr_val = [np.array([v for _, v in nb], dtype=np.int64) for nb in neighbors]
 
-    gens = [_read_generator(seed, r) for r in read_range]
+    gens = [_read_generator(seed, r) for r in range(reads)]
     perm_gen = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(_PERM_STREAM_KEY,)))
     )
@@ -295,35 +284,13 @@ def anneal(
         ratio = beta_end / beta_start
         betas = beta_start * ratio ** (np.arange(sweeps) / (sweeps - 1))
 
-    if model.nvars == 0:
-        counts = {(): (model.offset, reads)}
-        return SampleSet(
-            domain=Domain.SPIN, samples=_sorted_samples(counts), reads=reads,
-            seed=seed, params=_anneal_params(sweeps, beta_start, beta_end),
-        )
-
-    S, energies = _anneal_chunk(model, range(reads), sweeps, betas, seed)
+    S, energies = _metropolis(model, reads, sweeps, betas, seed)
     counts: dict[tuple[int, ...], tuple[int, int]] = {}
     for row, e in zip(S, energies):
         key = tuple(int(v) for v in row)
         prev = counts.get(key)
         counts[key] = (int(e), 1 if prev is None else prev[1] + 1)
-    return SampleSet(
-        domain=Domain.SPIN,
-        samples=_sorted_samples(counts),
-        reads=reads,
-        seed=seed,
-        params=_anneal_params(sweeps, beta_start, beta_end),
-    )
-
-
-def _anneal_params(sweeps: int, beta_start: float, beta_end: float) -> tuple[tuple[str, str], ...]:
-    return (
-        ("solver", "anneal"),
-        ("sweeps", str(sweeps)),
-        ("beta_start", repr(beta_start)),
-        ("beta_end", repr(beta_end)),
-    )
+    return SampleSet(domain=Domain.SPIN, samples=_sorted_samples(counts), reads=reads)
 
 
 def write_samples(sampleset: SampleSet, fp: IO[str]) -> None:

@@ -145,7 +145,7 @@ class TestCriterion5ExtendedReproduction:
         sset = exhaustive_min(energy, cap=16, all_ground=True)
         assert sset.min_energy == 0
         assert REFERENCE_COMPLETION in {s.values for s in sset.samples}
-        X, Y, Z, W = cons.extended_sequences_from_values(proto, REFERENCE_COMPLETION)
+        X, Y, Z, W = proto.quadruple().values(REFERENCE_COMPLETION)
         seeds = cons.seed_sequences(*cons.t_sequences(*cons.base_sequences(X, Y, Z, W)))
         H = hm.goethals_seidel(*[hm.circulant(s) for s in seeds])
         is_h, _ = hm.verify(H)
@@ -199,7 +199,7 @@ class TestCriterion8PipelineOracle:
             sset = exhaustive_min(cons.turyn_energy(n), all_ground=True)
             assert sset.min_energy == 0
             for s in sset.samples:
-                X, Y, Z, W = cons.turyn_sequences_from_values(n, list(s.values))
+                X, Y, Z, W = cons.normalized_turyn_quadruple(n).values(list(s.values))
                 A, B, C, D = cons.base_sequences(X, Y, Z, W)
                 for r in range(1, 2 * n - 1):
                     assert sum(cons.nac_values(q, r) for q in (A, B, C, D)) == 0

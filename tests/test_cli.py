@@ -202,6 +202,13 @@ class TestPrototypes:
         assert run("prototypes", "--n", 8, "--m", 0, "--out", tmp_path) == 2
         assert run("prototypes", "--n", 8, "--m", 4, "--out", tmp_path) == 2
 
+    def test_n8_m3_matches_golden_file(self, tmp_path):
+        # pins the enumeration order, the y_{n-2} = -y_1 tie included
+        assert run("prototypes", "--n", 8, "--m", 3, "--out", tmp_path) == 0
+        golden = os.path.join(os.path.dirname(__file__), "data", "prototypes_n8_m3.txt")
+        with open(golden, "rb") as fp:
+            assert (tmp_path / "prototypes_n8_m3.txt").read_bytes() == fp.read()
+
 
 class TestVerify:
     def test_order_two(self, tmp_path):

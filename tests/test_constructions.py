@@ -134,7 +134,25 @@ class TestWilliamsonEnergy:
                 assert p.evaluate(dict(enumerate(values))) == int((target * target).sum())
 
 
+def weighted_lag_energy(X, Y, Z, W) -> int:
+    """Numeric oracle: sum over lags r >= 1 of the squared weighted
+    autocorrelation sum."""
+    return sum(
+        sum(w * cons.nac_values(s, r) for s, w in zip((X, Y, Z, W), (1, 1, 2, 2))) ** 2
+        for r in range(1, len(X))
+    )
+
+
 class TestTurynEnergy:
+    def test_symbolic_matches_numeric_oracle(self, rng):
+        for n in (4, 6, 8):
+            p = cons.turyn_energy(n)
+            quad = cons.normalized_turyn_quadruple(n)
+            for _ in range(20):
+                values = [rng.choice((-1, 1)) for _ in range(p.nvars)]
+                expect = weighted_lag_energy(*quad.values(values))
+                assert p.evaluate(dict(enumerate(values))) == expect
+
     def test_variable_counts(self):
         assert cons.turyn_energy(4).nvars == 5
         assert cons.turyn_energy(6).nvars == 13
@@ -151,7 +169,7 @@ class TestTurynEnergy:
         for bits in range(1 << 5):
             values = [2 * ((bits >> i) & 1) - 1 for i in range(5)]
             energy = p.evaluate(dict(enumerate(values)))
-            X, Y, Z, W = cons.turyn_sequences_from_values(4, values)
+            X, Y, Z, W = cons.normalized_turyn_quadruple(4).values(values)
             assert (energy == 0) == cons.check_tt(X, Y, Z, W)
 
     def test_n6_ground_states_exist_and_check(self):
@@ -159,7 +177,7 @@ class TestTurynEnergy:
         assert sset.min_energy == 0
         assert len(sset.samples) > 0
         for s in sset.samples:
-            X, Y, Z, W = cons.turyn_sequences_from_values(6, list(s.values))
+            X, Y, Z, W = cons.normalized_turyn_quadruple(6).values(list(s.values))
             assert cons.check_tt(X, Y, Z, W)
 
     def test_odd_or_tiny_n_rejected(self):
@@ -175,7 +193,7 @@ class TestTurynEnergy:
         p = cons.turyn_energy(8)
         assert p.nvars == 21
         assert p.evaluate(dict(enumerate(values))) == 0
-        X, Y, Z, W = cons.turyn_sequences_from_values(8, values)
+        X, Y, Z, W = cons.normalized_turyn_quadruple(8).values(values)
         assert cons.check_tt(X, Y, Z, W)
 
 
@@ -271,6 +289,18 @@ class TestPrototypes:
 
 
 class TestExtendedEnergy:
+    def test_symbolic_matches_numeric_oracle(self, rng):
+        protos = list(cons.enumerate_prototypes(8, 2))
+        assert protos
+        for proto in protos:
+            p = cons.extended_energy(proto)
+            quad = proto.quadruple()
+            assert quad.free_variable_count == p.nvars == 16
+            for _ in range(20):
+                values = [rng.choice((-1, 1)) for _ in range(p.nvars)]
+                expect = weighted_lag_energy(*quad.values(values))
+                assert p.evaluate(dict(enumerate(values))) == expect
+
     def test_reference_prototype_energy_shape(self):
         proto = cons.PrototypeSpec.from_line(REFERENCE_PROTOTYPE, m=2)
         p = cons.extended_energy(proto)
@@ -335,7 +365,7 @@ class TestExtendedEnergy:
 
 class TestPipeline:
     def run_pipeline(self, n, values):
-        X, Y, Z, W = cons.turyn_sequences_from_values(n, values)
+        X, Y, Z, W = cons.normalized_turyn_quadruple(n).values(values)
         A, B, C, D = cons.base_sequences(X, Y, Z, W)
         T = cons.t_sequences(A, B, C, D)
         seeds = cons.seed_sequences(*T)

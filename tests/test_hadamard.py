@@ -113,7 +113,7 @@ class TestGoethalsSeidel:
         assert ok and H.shape == (4, 4)
 
     def test_pipeline_order_44(self):
-        X, Y, Z, W = cons.turyn_sequences_from_values(4, [-1, -1, -1, 1, 1])
+        X, Y, Z, W = cons.normalized_turyn_quadruple(4).values([-1, -1, -1, 1, 1])
         base = cons.base_sequences(X, Y, Z, W)
         T = cons.t_sequences(*base)
         seeds = cons.seed_sequences(*T)

@@ -140,6 +140,10 @@ class TestAnneal:
         assert all(s.energy == 42 for s in sset.samples)
         assert sset.reads == 5
 
+    def test_spinless_model_reports_offset_once(self):
+        sset = anneal(IsingModel(nvars=0, offset=42), reads=5, sweeps=3, seed=1)
+        assert sset.to_text() == "42 5 \n"
+
     def test_single_pair_ground_state(self):
         m = IsingModel(nvars=2, J={(0, 1): 1})
         sset = anneal(m, reads=100, sweeps=20, seed=3)
@@ -203,16 +207,16 @@ class TestSampleSet:
     def test_occurrence_sum_enforced(self):
         s = Sample(values=(1,), energy=0, occurrences=2)
         with pytest.raises(ValueError):
-            SampleSet(domain=Domain.SPIN, samples=(s,), reads=3, seed=0)
+            SampleSet(domain=Domain.SPIN, samples=(s,), reads=3)
 
     def test_sort_order_enforced(self):
         a = Sample(values=(1,), energy=1, occurrences=1)
         b = Sample(values=(-1,), energy=0, occurrences=1)
         with pytest.raises(ValueError):
-            SampleSet(domain=Domain.SPIN, samples=(a, b), reads=2, seed=0)
+            SampleSet(domain=Domain.SPIN, samples=(a, b), reads=2)
 
     def test_export_format(self):
         a = Sample(values=(-1, 1), energy=-2, occurrences=3)
         b = Sample(values=(1, -1), energy=5, occurrences=1)
-        sset = SampleSet(domain=Domain.SPIN, samples=(a, b), reads=4, seed=0)
+        sset = SampleSet(domain=Domain.SPIN, samples=(a, b), reads=4)
         assert sset.to_text() == "-2 3 -+\n5 1 +-\n"
