@@ -289,13 +289,19 @@ class PrototypeSpec:
         return cls(n=n, m=m, X=decoded[0], Y=decoded[1], Z=decoded[2], W=decoded[3])
 
 
+def _high_lags_vanish(sides: Sequence[Sequence[int | None]], n: int, m: int) -> bool:
+    """The check of `prototype_filter` on bare side tuples, whose free
+    middles may be None: no product at these lags reaches a middle."""
+    return all(
+        sum(w * nac_values(side, r) for side, w in zip(sides, TT_WEIGHTS)) == 0
+        for r in range(n - m, n)
+    )
+
+
 def prototype_filter(proto: PrototypeSpec) -> bool:
     """True iff the weighted autocorrelation sum vanishes at every lag
     r in [n-m, n-1].  Products at these lags touch only filled positions."""
-    return all(
-        sum(w * nac_values(side, r) for side, w in zip(proto.sides(), TT_WEIGHTS)) == 0
-        for r in range(proto.n - proto.m, proto.n)
-    )
+    return _high_lags_vanish(proto.sides(), proto.n, proto.m)
 
 
 def enumerate_prototypes(n: int, m: int) -> Iterator[PrototypeSpec]:
@@ -305,7 +311,9 @@ def enumerate_prototypes(n: int, m: int) -> Iterator[PrototypeSpec]:
     The ends are positions p < m and p >= n - m of every side.  Pinned
     entries keep their values; the variables left at end positions are
     enumerated lexicographically in ascending index order (+1 before -1),
-    which is X, Y, Z, W order, left to right.
+    which is X, Y, Z, W order, left to right.  The filter runs on the
+    filled sides, and a `PrototypeSpec` is built only for fillings that
+    pass it.
     """
     quad = normalized_turyn_quadruple(n)
     if not 1 <= m < n / 2:
@@ -317,12 +325,9 @@ def enumerate_prototypes(n: int, m: int) -> Iterator[PrototypeSpec]:
     free = sorted({e.var for side in ends for e in side if e is not None and e.var is not None})
     for fill in itertools.product((1, -1), repeat=len(free)):
         values = dict(zip(free, fill))
-        X, Y, Z, W = (
-            tuple(None if e is None else e.value(values) for e in side) for side in ends
-        )
-        proto = PrototypeSpec(n=n, m=m, X=X, Y=Y, Z=Z, W=W)
-        if prototype_filter(proto):
-            yield proto
+        sides = [tuple(None if e is None else e.value(values) for e in side) for side in ends]
+        if _high_lags_vanish(sides, n, m):
+            yield PrototypeSpec(n, m, *sides)
 
 
 def extended_energy(proto: PrototypeSpec) -> MultilinearPoly:

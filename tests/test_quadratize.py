@@ -1,8 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hadsearch.constructions import williamson_energy
+from hadsearch.constructions import turyn_energy, williamson_energy
 from hadsearch.polynom import Domain, MultilinearPoly
 from hadsearch.quadratize import (
     AncillaMap,
@@ -13,7 +16,7 @@ from hadsearch.quadratize import (
 )
 from hadsearch.solver import exhaustive_min
 
-from conftest import data_poly, random_poly
+from conftest import data_poly, polynomials, random_poly
 
 BOOL = Domain.BOOLEAN
 
@@ -208,6 +211,92 @@ class TestQuadratize:
                 first = amap.entries[0][0]
                 broken[first] = 1 - broken[first]
                 assert reduced.evaluate(broken) >= ground + margin
+
+
+def reference_quadratize(p: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
+    """The plain loop: one select_pair + substitute_pair round until degree <= 2."""
+    delta = compute_delta(p)
+    entries = []
+    nxt = p.nvars
+    while p.degree() > 2:
+        pair = select_pair(p)
+        p = substitute_pair(p, *pair, nxt, delta)
+        entries.append((nxt, pair))
+        nxt += 1
+    return p, AncillaMap(entries=tuple(entries), delta=delta)
+
+
+class TestIncrementalMatchesReference:
+    """quadratize keeps its pair counts incrementally; the rounds must be
+    exactly those of the reference loop."""
+
+    def assert_same(self, p):
+        assert quadratize(p) == reference_quadratize(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=polynomials(BOOL, max_vars=8, coeffs=st.integers(-50, 50)))
+    def test_random_polynomials(self, p):
+        assume(not p.is_zero())
+        self.assert_same(p)
+
+    def test_bare_pair_beside_higher_monomials(self):
+        # round 1 takes (0, 1): both cubics and the bare q0 q1 hold it
+        p = bpoly({(0, 1, 2): 3, (0, 1, 3): -2, (0, 1): 5, (2, 3, 4): 1})
+        delta = compute_delta(p)
+        out, amap = quadratize(p)
+        assert amap.entries[0] == (5, (0, 1))
+        # the bare pair merges into the ancilla's penalty term
+        assert out.coeff((5,)) == 5 + 3 * delta
+        assert out.coeff((0, 1)) == delta
+        self.assert_same(p)
+
+    def test_bare_pair_made_by_an_earlier_round(self):
+        # round 1 rewrites q0 q1 q2 to the bare pair (2, 5); round 2 takes
+        # (2, 5), held by (2, 3, 5) and (2, 4, 5), and merges that rewritten
+        # bare pair into ancilla 6's penalty term
+        p = bpoly({(0, 1, 2): -7, (0, 1, 2, 3): 1, (0, 1, 2, 4): 1})
+        delta = compute_delta(p)
+        out, amap = quadratize(p)
+        assert amap.entries[:2] == ((5, (0, 1)), (6, (2, 5)))
+        assert out.coeff((6,)) == -7 + 3 * delta
+        assert out.coeff((2, 5)) == delta
+        self.assert_same(p)
+
+    def test_turyn_n8(self):
+        self.assert_same(turyn_energy(8).spin_to_boolean())
+
+    def test_williamson_k9(self):
+        self.assert_same(williamson_energy(9).spin_to_boolean())
+
+
+def value_table(p: MultilinearPoly, nvars: int) -> np.ndarray:
+    """Value of a boolean polynomial at every state; bit v of the index is q_v."""
+    states = np.arange(1 << nvars, dtype=np.int64)
+    out = np.zeros(1 << nvars, dtype=np.int64)
+    for m, c in p.terms.items():
+        mask = sum(1 << v for v in m)
+        out += c * ((states & mask) == mask)
+    return out
+
+
+class TestSpectrumProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(p=polynomials(BOOL, max_vars=6, coeffs=st.integers(-50, 50), max_degree=4, max_terms=10))
+    def test_min_over_ancillas_is_original_value(self, p):
+        assume(not p.is_zero())
+        reduced, amap = quadratize(p)
+        n = p.nvars
+        k = len(amap.entries)
+        assume(n + k <= 18)
+        original = value_table(p, n)
+        table = value_table(reduced, n + k)
+        # ancillas are n .. n+k-1, the high bits of the state index
+        assert np.array_equal(table.reshape(1 << k, 1 << n).min(axis=0), original)
+        # the consistent completion a = q_i q_j reaches the original value
+        full = np.arange(1 << n, dtype=np.int64)
+        for a, (i, j) in amap.entries:
+            full |= ((full >> i) & (full >> j) & 1) << a
+        assert np.array_equal(table[full], original)
 
 
 class TestAncillaMap:
