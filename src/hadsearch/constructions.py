@@ -1,27 +1,25 @@
 """Energy functions for the four search methods and the sequence pipeline.
 
-The searches all follow one recipe: parameterize the unknown +/-1 entries of
-a structured object by spin variables, write the defining requirement as a
-sum of squares, and obtain a polynomial that is zero exactly on valid
-solutions.
+Each method parameterizes the unknown +/-1 entries of a structured object
+by spin variables through one symbolic layout, a list of `SymEntry` per
+block or sequence.  Its energy is the sum of w * R^2 over quadratic spin
+residuals R read off that layout, zero exactly on valid solutions, and
+one builder, `_sum_of_squares`, expands it for every method:
 
-  * Williamson / Baumert-Hall: four symmetric circulant blocks A,B,C,D of
-    odd order k must satisfy A^T A + B^T B + C^T C + D^T D = 4k I.  Both
-    searches share this energy; only the final block array differs.
-  * Turyn: four sequences X,Y,Z,W of lengths n,n,n,n-1 must have
-    N_X(r) + N_Y(r) + 2 N_Z(r) + 2 N_W(r) = 0 for every lag r >= 1, where
-    N is the nonperiodic autocorrelation.  Known end entries are fixed by
-    normalization, leaving 4n-11 free variables.
-  * Extended Turyn: ends are pre-filled (a solution prototype) and only the
-    middles are unknown; prototypes must already satisfy the autocorrelation
-    condition at the high lags that touch only filled positions.
+  * Williamson / Baumert-Hall: symmetric circulant blocks A,B,C,D of odd
+    order k need V = A^T A + B^T B + C^T C + D^T D = 4k I.  V is symmetric
+    circulant, so R_d = V_d - 4k [d = 0] for each diagonal offset d, with
+    weight k.  Both searches share this energy.
+  * Turyn: X,Y,Z,W of lengths n,n,n,n-1 need R_r = N_X(r) + N_Y(r) +
+    2 N_Z(r) + 2 N_W(r) = 0 for r = 1..n-1 (N the nonperiodic
+    autocorrelation), weight 1.  Normalization pins leave 4n-11 variables.
+  * Extended Turyn: the Turyn residuals of a solution prototype, whose
+    ends are filled and pass the high-lag check; only the middles are free.
 
-Each method has one symbolic layout, a list of `SymEntry` per block or
-sequence: its energy is built from that layout and a solved assignment is
-read back through the same layout, so the two cannot disagree on the
-variable numbering.  The Turyn normalization pins are defined once, in
-`normalized_turyn_quadruple`; the prototype enumeration takes its ends
-from that quadruple.
+A solved assignment is read back through the same layout, so energy and
+assembly cannot disagree on the variable numbering.  The Turyn pins are
+defined once, in `normalized_turyn_quadruple`; the prototype enumeration
+takes its ends from that quadruple.
 
 The numeric half of the pipeline turns a solved quadruple into Goethals-
 Seidel inputs: base sequences (concatenation), T-sequences (half sums padded
@@ -34,9 +32,9 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .polynom import Domain, MultilinearPoly
+from .polynom import Domain, Monomial, MultilinearPoly
 
 
 @dataclass(frozen=True)
@@ -49,11 +47,6 @@ class SymEntry:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValueError(f"entry sign must be +/-1, got {self.sign}")
-
-    def poly(self) -> MultilinearPoly:
-        if self.var is None:
-            return MultilinearPoly.constant(Domain.SPIN, self.sign)
-        return MultilinearPoly.variable(Domain.SPIN, self.var, self.sign)
 
     def value(self, values: Sequence[int]) -> int:
         return self.sign if self.var is None else self.sign * values[self.var]
@@ -70,15 +63,31 @@ def minus(var: int | None = None) -> SymEntry:
 SymbolicSequence = list[SymEntry]
 
 
-def nac(seq: SymbolicSequence, r: int) -> MultilinearPoly:
-    """Nonperiodic autocorrelation at lag r as a spin polynomial.
+def _pair_sum(pairs: Iterable[tuple[int, SymEntry, SymEntry]], constant=0) -> MultilinearPoly:
+    """Quadratic spin polynomial constant + sum of w * e * f over (w, e, f).
 
-    Zero polynomial for r >= len(seq).
+    A pair of equal variables (both constants, or the same index) gives
+    the empty monomial, since s * s = 1.
     """
-    out = MultilinearPoly.zero(Domain.SPIN)
-    for t in range(len(seq) - r):
-        out = out.add(seq[t].poly().mul(seq[t + r].poly()))
-    return out
+    terms: dict[Monomial, int] = {(): constant}
+    for w, e, f in pairs:
+        m = () if e.var == f.var else tuple(sorted(v for v in (e.var, f.var) if v is not None))
+        terms[m] = terms.get(m, 0) + w * e.sign * f.sign
+    return MultilinearPoly(Domain.SPIN, terms)
+
+
+def _sum_of_squares(weighted_residuals: Iterable[tuple[int, MultilinearPoly]]) -> MultilinearPoly:
+    """Spin energy sum of w * R^2 over (w, R)."""
+    terms: dict[Monomial, int] = {}
+    for w, residual in weighted_residuals:
+        for m, c in residual.square().terms.items():
+            terms[m] = terms.get(m, 0) + w * c
+    return MultilinearPoly(Domain.SPIN, terms)
+
+
+def nac(seq: SymbolicSequence, r: int) -> MultilinearPoly:
+    """Nonperiodic autocorrelation at lag r as a spin polynomial; zero for r >= len(seq)."""
+    return _pair_sum((1, seq[t], seq[t + r]) for t in range(len(seq) - r))
 
 
 def nac_values(seq: Sequence[int], r: int) -> int:
@@ -89,19 +98,14 @@ def nac_values(seq: Sequence[int], r: int) -> int:
 TT_WEIGHTS = (1, 1, 2, 2)
 
 
-def _weighted_lag_sum(seqs: Sequence[SymbolicSequence], r: int) -> MultilinearPoly:
-    out = MultilinearPoly.zero(Domain.SPIN)
-    for seq, w in zip(seqs, TT_WEIGHTS):
-        out = out.add(nac(seq, r).scale(w))
-    return out
-
-
-def _squared_autocorrelation_energy(seqs: Sequence[SymbolicSequence]) -> MultilinearPoly:
-    max_lag = max(len(s) for s in seqs)
-    energy = MultilinearPoly.zero(Domain.SPIN)
-    for r in range(1, max_lag):
-        energy = energy.add(_weighted_lag_sum(seqs, r).square())
-    return energy
+def _first_nonzero_lag(
+    seqs: Sequence[Sequence[int]], lags: range, weights: Sequence[int] = (1, 1, 1, 1)
+) -> int | None:
+    """First r in `lags` where sum of w * nac_values(seq, r) is nonzero, or None."""
+    for r in lags:
+        if sum(w * nac_values(seq, r) for seq, w in zip(seqs, weights)) != 0:
+            return r
+    return None
 
 
 # -- Williamson / Baumert-Hall ------------------------------------------------
@@ -130,18 +134,14 @@ def williamson_energy(k: int) -> MultilinearPoly:
         raise ValueError("symmetric circulant blocks require odd k")
     if k < 3:
         raise ValueError("k must be at least 3")
-    rows = [[e.poly() for e in row] for row in _williamson_rows(k)]
+    rows = _williamson_rows(k)
+
+    def cell(d: int) -> MultilinearPoly:  # R_d = V_d - 4k [d = 0]
+        pairs = ((1, row[t], row[(t + d) % k]) for row in rows for t in range(k))
+        return _pair_sum(pairs, -4 * k if d == 0 else 0)
+
     # V is symmetric circulant: each diagonal offset d holds k identical cells
-    energy = MultilinearPoly.zero(Domain.SPIN)
-    for d in range(k):
-        v = MultilinearPoly.zero(Domain.SPIN)
-        for row in rows:
-            for t in range(k):
-                v = v.add(row[t].mul(row[(t + d) % k]))
-        if d == 0:
-            v = v.add(MultilinearPoly.constant(Domain.SPIN, -4 * k))
-        energy = energy.add(v.square().scale(k))
-    return energy
+    return _sum_of_squares((k, cell(d)) for d in range(k))
 
 
 def williamson_first_rows(k: int, values: Sequence[int]) -> list[list[int]]:
@@ -205,11 +205,26 @@ def normalized_turyn_quadruple(n: int) -> TurynQuadruple:
 def turyn_energy(n: int) -> MultilinearPoly:
     """Spin energy over 4n-11 variables, zero iff the completed quadruple is
     a TT(n) sequence (weights 1,1,2,2 on X,Y,Z,W autocorrelations)."""
-    quad = normalized_turyn_quadruple(n)
-    return _squared_autocorrelation_energy(quad.sequences())
+    return _autocorrelation_energy(normalized_turyn_quadruple(n))
+
+
+def _autocorrelation_energy(quad: TurynQuadruple) -> MultilinearPoly:
+    """Sum over lags r = 1..n-1 of R_r^2, R_r = sum of w * N_s(r) over the
+    four sequences with `TT_WEIGHTS`."""
+    seqs = quad.sequences()
+
+    def lag(r: int) -> MultilinearPoly:
+        return _pair_sum(
+            (w, seq[t], seq[t + r]) for seq, w in zip(seqs, TT_WEIGHTS) for t in range(len(seq) - r)
+        )
+
+    return _sum_of_squares((1, lag(r)) for r in range(1, quad.n))
 
 
 # -- Extended Turyn (solution prototypes) --------------------------------------
+
+
+_PROTOTYPE_CHARS = {"*": None, "+": 1, "-": -1}
 
 
 @dataclass(frozen=True)
@@ -260,48 +275,30 @@ class PrototypeSpec:
         return TurynQuadruple(n=self.n, X=X, Y=Y, Z=Z, W=W)
 
     def to_line(self) -> str:
-        return "/".join(
-            "".join("*" if v is None else ("+" if v > 0 else "-") for v in side)
-            for side in self.sides()
-        )
+        symbol = {v: ch for ch, v in _PROTOTYPE_CHARS.items()}
+        return "/".join("".join(symbol[v] for v in side) for side in self.sides())
 
     @classmethod
     def from_line(cls, line: str, m: int) -> "PrototypeSpec":
         parts = line.strip().split("/")
         if len(parts) != 4:
             raise ValueError(f"expected four /-separated sides: {line!r}")
-        decoded = []
-        for part in parts:
-            side = []
-            for ch in part:
-                if ch == "*":
-                    side.append(None)
-                elif ch == "+":
-                    side.append(1)
-                elif ch == "-":
-                    side.append(-1)
-                else:
-                    raise ValueError(f"bad prototype character {ch!r}")
-            decoded.append(tuple(side))
+        for ch in "".join(parts):
+            if ch not in _PROTOTYPE_CHARS:
+                raise ValueError(f"bad prototype character {ch!r}")
+        decoded = [tuple(_PROTOTYPE_CHARS[ch] for ch in part) for part in parts]
         n = len(decoded[0])
         if [len(p) for p in decoded] != [n, n, n, n - 1]:
             raise ValueError(f"side lengths must be n,n,n,n-1: {line!r}")
         return cls(n=n, m=m, X=decoded[0], Y=decoded[1], Z=decoded[2], W=decoded[3])
 
 
-def _high_lags_vanish(sides: Sequence[Sequence[int | None]], n: int, m: int) -> bool:
-    """The check of `prototype_filter` on bare side tuples, whose free
-    middles may be None: no product at these lags reaches a middle."""
-    return all(
-        sum(w * nac_values(side, r) for side, w in zip(sides, TT_WEIGHTS)) == 0
-        for r in range(n - m, n)
-    )
-
-
 def prototype_filter(proto: PrototypeSpec) -> bool:
     """True iff the weighted autocorrelation sum vanishes at every lag
-    r in [n-m, n-1].  Products at these lags touch only filled positions."""
-    return _high_lags_vanish(proto.sides(), proto.n, proto.m)
+    r in [n-m, n-1].  Products at these lags touch only filled positions,
+    so the None middles are never multiplied."""
+    lags = range(proto.n - proto.m, proto.n)
+    return _first_nonzero_lag(proto.sides(), lags, TT_WEIGHTS) is None
 
 
 def enumerate_prototypes(n: int, m: int) -> Iterator[PrototypeSpec]:
@@ -323,10 +320,11 @@ def enumerate_prototypes(n: int, m: int) -> Iterator[PrototypeSpec]:
         for seq in quad.sequences()
     ]
     free = sorted({e.var for side in ends for e in side if e is not None and e.var is not None})
+    lags = range(n - m, n)
     for fill in itertools.product((1, -1), repeat=len(free)):
         values = dict(zip(free, fill))
         sides = [tuple(None if e is None else e.value(values) for e in side) for side in ends]
-        if _high_lags_vanish(sides, n, m):
+        if _first_nonzero_lag(sides, lags, TT_WEIGHTS) is None:
             yield PrototypeSpec(n, m, *sides)
 
 
@@ -334,7 +332,7 @@ def extended_energy(proto: PrototypeSpec) -> MultilinearPoly:
     """Spin energy over the 4(n-2m) unknown middles of a filtered prototype."""
     if not prototype_filter(proto):
         raise ValueError("prototype fails the high-lag autocorrelation filter")
-    return _squared_autocorrelation_energy(proto.quadruple().sequences())
+    return _autocorrelation_energy(proto.quadruple())
 
 
 # -- numeric pipeline: TT(n) -> Goethals-Seidel inputs --------------------------
@@ -347,10 +345,7 @@ def check_tt(X: Sequence[int], Y: Sequence[int], Z: Sequence[int], W: Sequence[i
         return False
     if any(v not in (-1, 1) for seq in (X, Y, Z, W) for v in seq):
         return False
-    return all(
-        nac_values(X, r) + nac_values(Y, r) + 2 * nac_values(Z, r) + 2 * nac_values(W, r) == 0
-        for r in range(1, n)
-    )
+    return _first_nonzero_lag((X, Y, Z, W), range(1, n), TT_WEIGHTS) is None
 
 
 def base_sequences(
@@ -362,9 +357,9 @@ def base_sequences(
     A = list(Z) + list(W)
     B = list(Z) + [-w for w in W]
     C, D = list(X), list(Y)
-    for r in range(1, len(A)):
-        if sum(nac_values(s, r) for s in (A, B, C, D)) != 0:
-            raise AssertionError(f"base-sequence zero-sum failed at lag {r}")
+    r = _first_nonzero_lag((A, B, C, D), range(1, len(A)))
+    if r is not None:
+        raise AssertionError(f"base-sequence zero-sum failed at lag {r}")
     return A, B, C, D
 
 
@@ -385,9 +380,9 @@ def t_sequences(
     for pos in range(length):
         if sum(1 for T in (T1, T2, T3, T4) if T[pos] != 0) != 1:
             raise AssertionError(f"T-sequence supports not disjoint/covering at {pos}")
-    for r in range(1, length):
-        if sum(nac_values(T, r) for T in (T1, T2, T3, T4)) != 0:
-            raise AssertionError(f"T-sequence zero-sum failed at lag {r}")
+    r = _first_nonzero_lag((T1, T2, T3, T4), range(1, length))
+    if r is not None:
+        raise AssertionError(f"T-sequence zero-sum failed at lag {r}")
     return T1, T2, T3, T4
 
 
@@ -403,7 +398,7 @@ def seed_sequences(
     for seq in seeds:
         if any(v not in (-1, 1) for v in seq):
             raise AssertionError("seed sequence has a non +/-1 entry")
-    for r in range(1, len(seeds[0])):
-        if sum(nac_values(s, r) for s in seeds) != 0:
-            raise AssertionError(f"seed-sequence zero-sum failed at lag {r}")
+    r = _first_nonzero_lag(seeds, range(1, len(seeds[0])))
+    if r is not None:
+        raise AssertionError(f"seed-sequence zero-sum failed at lag {r}")
     return tuple(seeds)  # type: ignore[return-value]

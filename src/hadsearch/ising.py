@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO
 
-from .polynom import Assignment, Domain, MultilinearPoly
+from .polynom import Assignment, Domain, MultilinearPoly, _parse_int
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,6 @@ def read_ising(fp: IO[str]) -> IsingModel:
     repeated `c`, `h i` or `J i j` line.  The spin count is one past the
     largest index with a nonzero coefficient.
     """
-    def as_int(token: str, line: str) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise ValueError(
-                f"non-integer value in {line!r}; solvers take the exact integer model"
-            ) from None
-
     offset: int | None = None
     h: dict[int, int] = {}
     J: dict[tuple[int, int], int] = {}
@@ -167,19 +159,19 @@ def read_ising(fp: IO[str]) -> IsingModel:
         if tok[0] == "c" and len(tok) == 2:
             if offset is not None:
                 raise ValueError(f"duplicate offset line: {line!r}")
-            offset = as_int(tok[1], line)
+            offset = _parse_int(tok[1], line)
         elif tok[0] == "h" and len(tok) == 3:
-            i = as_int(tok[1], line)
+            i = _parse_int(tok[1], line)
             if i in h:
                 raise ValueError(f"duplicate field line for spin {i}: {line!r}")
-            h[i] = as_int(tok[2], line)
+            h[i] = _parse_int(tok[2], line)
         elif tok[0] == "J" and len(tok) == 4:
-            i, j = as_int(tok[1], line), as_int(tok[2], line)
+            i, j = _parse_int(tok[1], line), _parse_int(tok[2], line)
             if i >= j:
                 raise ValueError(f"J indices must satisfy i < j: {line!r}")
             if (i, j) in J:
                 raise ValueError(f"duplicate coupling line for pair ({i}, {j}): {line!r}")
-            J[(i, j)] = as_int(tok[3], line)
+            J[(i, j)] = _parse_int(tok[3], line)
         else:
             raise ValueError(f"unrecognized line: {line!r}")
     h = {i: c for i, c in h.items() if c != 0}

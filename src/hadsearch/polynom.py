@@ -277,6 +277,7 @@ def poly_to_text(poly: MultilinearPoly, nvars: int | None = None) -> str:
 
 
 def read_poly(fp: IO[str]) -> MultilinearPoly:
+    """Parse the text format; reject a non-integer token or a negative `nvars`."""
     lines = _content_lines(fp)
     try:
         head = next(lines)
@@ -289,13 +290,13 @@ def read_poly(fp: IO[str]) -> MultilinearPoly:
         nv = next(lines)
     except StopIteration:
         raise ValueError("missing nvars line") from None
-    if len(nv) != 2 or nv[0] != "nvars":
+    if len(nv) != 2 or nv[0] != "nvars" or (nvars := _parse_int(nv[1], " ".join(nv))) < 0:
         raise ValueError(f"bad nvars line: {' '.join(nv)!r}")
-    nvars = int(nv[1])
     terms: dict[Monomial, int] = {}
     for tok in lines:
-        coeff = int(tok[0])
-        m = _canonical_monomial(int(v) for v in tok[1:])
+        line = " ".join(tok)
+        coeff = _parse_int(tok[0], line)
+        m = _canonical_monomial(_parse_int(v, line) for v in tok[1:])
         if m and m[-1] >= nvars:
             raise ValueError(f"variable {m[-1]} out of range for nvars {nvars}")
         if m in terms:
@@ -312,6 +313,16 @@ def load_poly(path) -> MultilinearPoly:
 def save_poly(poly: MultilinearPoly, path, nvars: int | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
         write_poly(poly, fp, nvars=nvars)
+
+
+def _parse_int(token: str, line: str) -> int:
+    """An integer token of a model file line (polynomial or Ising)."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(
+            f"non-integer value in {line!r}; solvers take the exact integer model"
+        ) from None
 
 
 def _content_lines(fp: IO[str]) -> Iterator[list[str]]:

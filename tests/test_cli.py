@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -30,6 +31,31 @@ def snapshot(root):
             with open(path, "rb") as fp:
                 out[os.path.relpath(path, root)] = fp.read()
     return out
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+class TestArtifactDigests:
+    # Annealed samples are left out: numpy does not promise the same
+    # Generator streams across versions.
+    RUNS = {
+        "build_t8": ("build", "--method", "turyn", "--n", 8),
+        "build_w7": ("build", "--method", "williamson", "--k", 7),
+        "build_x8_2": ("build", "--method", "extended-turyn", "--n", 8, "--m", 2),
+        "search_w5": ("search", "--method", "williamson", "--k", 5, "--solver", "exhaustive"),
+    }
+
+    def test_every_file_matches_recorded_sha256(self, tmp_path):
+        for name, args in self.RUNS.items():
+            assert run(*args, "--out", tmp_path / name) == 0
+        got = {
+            path.replace(os.sep, "/"): hashlib.sha256(data).hexdigest()
+            for path, data in snapshot(tmp_path).items()
+        }
+        with open(os.path.join(DATA, "artifact_sha256.txt"), encoding="utf-8") as fp:
+            expect = {path: digest for digest, path in (line.split() for line in fp)}
+        assert got == expect
 
 
 class TestBuild:
@@ -164,6 +190,12 @@ class TestSolve:
         assert run("solve", path, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o" / "samples.txt").exists()
 
+    def test_malformed_polynomial_is_usage_error(self, tmp_path):
+        path = tmp_path / "bad.poly"
+        path.write_text("domain spin\nnvars 2\n1.5 0 1\n")
+        assert run("solve", path, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o" / "samples.txt").exists()
+
     def test_polynomial_file(self, tmp_path):
         out = tmp_path / "b"
         run("build", "--method", "williamson", "--k", 3, "--out", out)
@@ -205,7 +237,7 @@ class TestPrototypes:
     def test_n8_m3_matches_golden_file(self, tmp_path):
         # pins the enumeration order, the y_{n-2} = -y_1 tie included
         assert run("prototypes", "--n", 8, "--m", 3, "--out", tmp_path) == 0
-        golden = os.path.join(os.path.dirname(__file__), "data", "prototypes_n8_m3.txt")
+        golden = os.path.join(DATA, "prototypes_n8_m3.txt")
         with open(golden, "rb") as fp:
             assert (tmp_path / "prototypes_n8_m3.txt").read_bytes() == fp.read()
 

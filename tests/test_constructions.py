@@ -134,6 +134,18 @@ class TestWilliamsonEnergy:
                 assert p.evaluate(dict(enumerate(values))) == int((target * target).sum())
 
 
+def reference_autocorrelation_energy(seqs) -> MultilinearPoly:
+    """Reference expansion: the square of each lag's weighted sum of
+    `nac(...).scale(w)`, accumulated with `add`."""
+    energy = MultilinearPoly.zero(SPIN)
+    for r in range(1, max(len(s) for s in seqs)):
+        lag = MultilinearPoly.zero(SPIN)
+        for s, w in zip(seqs, (1, 1, 2, 2)):
+            lag = lag.add(cons.nac(s, r).scale(w))
+        energy = energy.add(lag.square())
+    return energy
+
+
 def weighted_lag_energy(X, Y, Z, W) -> int:
     """Numeric oracle: sum over lags r >= 1 of the squared weighted
     autocorrelation sum."""
@@ -152,6 +164,14 @@ class TestTurynEnergy:
                 values = [rng.choice((-1, 1)) for _ in range(p.nvars)]
                 expect = weighted_lag_energy(*quad.values(values))
                 assert p.evaluate(dict(enumerate(values))) == expect
+
+    def test_n8_matches_golden_expansion(self):
+        assert cons.turyn_energy(8) == data_poly("turyn8_eks_golden.poly")
+
+    def test_matches_reference_expansion(self):
+        for n in range(4, 13, 2):
+            quad = cons.normalized_turyn_quadruple(n)
+            assert cons.turyn_energy(n) == reference_autocorrelation_energy(quad.sequences())
 
     def test_variable_counts(self):
         assert cons.turyn_energy(4).nvars == 5
@@ -301,6 +321,14 @@ class TestExtendedEnergy:
                 expect = weighted_lag_energy(*quad.values(values))
                 assert p.evaluate(dict(enumerate(values))) == expect
 
+    def test_matches_reference_expansion(self):
+        for m in (2, 3):
+            protos = list(cons.enumerate_prototypes(8, m))
+            assert protos
+            for proto in protos:
+                expect = reference_autocorrelation_energy(proto.quadruple().sequences())
+                assert cons.extended_energy(proto) == expect
+
     def test_reference_prototype_energy_shape(self):
         proto = cons.PrototypeSpec.from_line(REFERENCE_PROTOTYPE, m=2)
         p = cons.extended_energy(proto)
@@ -339,13 +367,7 @@ class TestExtendedEnergy:
                     else:
                         entries.append(cons.plus() if v > 0 else cons.minus())
                 seqs.append(entries)
-            energy = MultilinearPoly.zero(SPIN)
-            for r in range(1, 8):
-                lag = MultilinearPoly.zero(SPIN)
-                for s, w in zip(seqs, (1, 1, 2, 2)):
-                    lag = lag.add(cons.nac(s, r).scale(w))
-                energy = energy.add(lag.square())
-            return exhaustive_min(energy).min_energy
+            return exhaustive_min(reference_autocorrelation_energy(seqs)).min_energy
 
         rejected = 0
         for y1, z1, z6, w1, w6 in itertools.product((1, -1), repeat=5):

@@ -232,6 +232,22 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             read_poly(io.StringIO("domain spin\nnvars 1\n1 3\n"))
 
+    def test_negative_nvars_rejected(self):
+        with pytest.raises(ValueError, match="nvars -3"):
+            read_poly(io.StringIO("domain spin\nnvars -3\n"))
+
+    def test_non_integer_nvars_quotes_line(self):
+        with pytest.raises(ValueError, match="non-integer value in 'nvars 2.0'"):
+            read_poly(io.StringIO("domain spin\nnvars 2.0\n1 0\n"))
+
+    def test_non_integer_coefficient_quotes_line(self):
+        with pytest.raises(ValueError, match="non-integer value in '1.5 0 1'"):
+            read_poly(io.StringIO("domain spin\nnvars 2\n1.5 0 1\n"))
+
+    def test_non_integer_index_quotes_line(self):
+        with pytest.raises(ValueError, match="non-integer value in '3 0 x1'"):
+            read_poly(io.StringIO("domain spin\nnvars 2\n3 0 x1\n"))
+
     def test_explicit_nvars_must_cover_indices(self):
         p = spoly({(4,): 1})
         with pytest.raises(ValueError):
