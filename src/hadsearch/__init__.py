@@ -1,12 +1,12 @@
 """Spin-model search for Hadamard matrices.
 
 Builds the energy functions of the Williamson, Baumert-Hall, Turyn, and
-extended-Turyn constructions, reduces them to 2-body Ising form, minimises
-them exhaustively or by simulated annealing, and assembles and verifies the
-resulting matrices.
+extended-Turyn constructions as sums of squared residuals, reduces them to
+2-body Ising form, minimises them exhaustively or by simulated annealing,
+and assembles and verifies the resulting matrices.
 """
 
-from .polynom import Assignment, Domain, Monomial, MultilinearPoly
+from .polynom import Assignment, Domain, Monomial, MultilinearPoly, SquareSum
 from .quadratize import AncillaMap, compute_delta, quadratize, select_pair, substitute_pair
 from .ising import IsingModel, from_quadratic, normalize_for_export
 from .constructions import (
@@ -15,6 +15,7 @@ from .constructions import (
     base_sequences,
     enumerate_prototypes,
     extended_energy,
+    extended_residuals,
     nac,
     nac_values,
     normalized_turyn_quadruple,
@@ -22,7 +23,9 @@ from .constructions import (
     seed_sequences,
     t_sequences,
     turyn_energy,
+    turyn_residuals,
     williamson_energy,
+    williamson_residuals,
 )
 from .hadamard import (
     back_diagonal,
@@ -46,6 +49,7 @@ __all__ = [
     "PrototypeSpec",
     "Sample",
     "SampleSet",
+    "SquareSum",
     "TurynQuadruple",
     "anneal",
     "back_diagonal",
@@ -56,6 +60,7 @@ __all__ = [
     "enumerate_prototypes",
     "exhaustive_min",
     "extended_energy",
+    "extended_residuals",
     "from_quadratic",
     "goethals_seidel",
     "nac",
@@ -69,7 +74,9 @@ __all__ = [
     "substitute_pair",
     "t_sequences",
     "turyn_energy",
+    "turyn_residuals",
     "verify",
     "williamson_array",
     "williamson_energy",
+    "williamson_residuals",
 ]

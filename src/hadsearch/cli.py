@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import constructions as cons
 from . import hadamard as hm
@@ -26,7 +26,7 @@ from . import ising
 from . import polynom
 from .quadratize import quadratize
 from . import solver
-from .polynom import Domain, MultilinearPoly
+from .polynom import Domain, MultilinearPoly, SquareSum
 
 EXIT_OK = 0
 EXIT_NO_SOLUTION = 1
@@ -35,8 +35,10 @@ EXIT_IO = 3
 
 # Logical-variable threshold for the auto solver.  On one core of a 2-core
 # Xeon, enumeration takes about 1.3 s at 24 variables and doubles per
-# variable (4.6 s at 26), while the default 1000 x 1000 anneal of the
-# 24-variable extended-Turyn n=10 prototype 0 takes 18 s and misses energy 0.
+# variable (4.6 s at 26).  At 24 it is still both faster and complete: the
+# default 1000 x 1000 residual anneal of the extended-Turyn n=10 prototype 0
+# takes 2.7 s and reaches energy 0 on 117 reads, while enumeration returns
+# all 40 of its ground states.
 AUTO_EXHAUSTIVE_LIMIT = 24
 
 METHODS = ("williamson", "baumert-hall", "turyn", "extended-turyn")
@@ -156,6 +158,16 @@ def _energy_for(args, proto: cons.PrototypeSpec | None = None) -> MultilinearPol
     return cons.extended_energy(proto)
 
 
+def _residuals_for(args, proto: cons.PrototypeSpec | None) -> SquareSum:
+    size = _method_size(args)
+    if args.method in ("williamson", "baumert-hall"):
+        return cons.williamson_residuals(size)
+    if args.method == "turyn":
+        return cons.turyn_residuals(size)
+    assert proto is not None
+    return cons.extended_residuals(proto)
+
+
 def _prototype_list(args) -> list[cons.PrototypeSpec]:
     protos = list(cons.enumerate_prototypes(args.n, args.m))
     if not protos:
@@ -240,24 +252,17 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _solve(
-    args,
-    model: MultilinearPoly | ising.IsingModel,
-    all_ground: bool,
-    to_ising: Callable[[], ising.IsingModel],
-) -> solver.SampleSet:
-    """Minimise `model` with the solver `--solver` selects.
+def _solver_for(args, nvars: int) -> str:
+    """`--solver`, with `auto` enumerating up to AUTO_EXHAUSTIVE_LIMIT
+    variables and annealing above that."""
+    if args.solver != "auto":
+        return args.solver
+    return "exhaustive" if nvars <= AUTO_EXHAUSTIVE_LIMIT else "anneal"
 
-    `auto` enumerates up to AUTO_EXHAUSTIVE_LIMIT variables and anneals
-    above that; annealing runs on the Ising model `to_ising` returns.
-    """
-    mode = args.solver
-    if mode == "auto":
-        mode = "exhaustive" if model.nvars <= AUTO_EXHAUSTIVE_LIMIT else "anneal"
-    if mode == "exhaustive":
-        return solver.exhaustive_min(model, cap=args.cap, all_ground=all_ground)
+
+def _anneal(args, model: ising.IsingModel | SquareSum) -> solver.SampleSet:
     return solver.anneal(
-        to_ising(),
+        model,
         reads=args.reads,
         sweeps=args.sweeps,
         beta_start=args.beta_start,
@@ -266,15 +271,20 @@ def _solve(
     )
 
 
-def _solve_energy(args, energy: MultilinearPoly):
-    """Solve one method energy.
+def _solve_energy(args, proto: cons.PrototypeSpec | None):
+    """Solve one method energy: enumerate its polynomial, or anneal its
+    residuals over the logical spins.
 
-    Returns the sample set and the distinct logical assignments of its
-    zero-energy samples, in sample order (best first).
+    Returns the sample set and the distinct assignments of its zero-energy
+    samples, in sample order (best first).
     """
-    sset = _solve(args, energy, all_ground=True, to_ising=lambda: _build_chain(energy)[3])
-    logical = energy.nvars
-    return sset, list(dict.fromkeys(s.values[:logical] for s in sset.samples if s.energy == 0))
+    residuals = _residuals_for(args, proto)
+    if _solver_for(args, residuals.nvars) == "exhaustive":
+        energy = _energy_for(args, proto)
+        sset = solver.exhaustive_min(energy, cap=args.cap, all_ground=True)
+    else:
+        sset = _anneal(args, residuals)
+    return sset, list(dict.fromkeys(s.values for s in sset.samples if s.energy == 0))
 
 
 def cmd_search(args) -> int:
@@ -294,8 +304,7 @@ def cmd_search(args) -> int:
     chosen_proto = None
     proto_index = None
     for idx, proto in enumerate(candidates):
-        energy = _energy_for(args, proto)
-        sset, grounds = _solve_energy(args, energy)
+        sset, grounds = _solve_energy(args, proto)
         last_sset = sset
         first_failure = None
         for values in grounds:
@@ -368,7 +377,10 @@ def _expected_order(args, size: int) -> int:
 
 def cmd_solve(args) -> int:
     model = _load_model(args.model)
-    sset = _solve(args, model, args.all_ground, lambda: _quadratic_ising(model))
+    if _solver_for(args, model.nvars) == "exhaustive":
+        sset = solver.exhaustive_min(model, cap=args.cap, all_ground=args.all_ground)
+    else:
+        sset = _anneal(args, _quadratic_ising(model))
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, "samples.txt")
     with open(out, "w", encoding="utf-8", newline="\n") as fp:

@@ -2,9 +2,10 @@
 
 Each method parameterizes the unknown +/-1 entries of a structured object
 by spin variables through one symbolic layout, a list of `SymEntry` per
-block or sequence.  Its energy is the sum of w * R^2 over quadratic spin
-residuals R read off that layout, zero exactly on valid solutions, and
-one builder, `_sum_of_squares`, expands it for every method:
+block or sequence.  Its residuals, a `SquareSum` of weighted quadratic
+spin residuals R read off that layout, give the energy sum of w * R^2,
+zero exactly on valid solutions; each `*_energy` is its residuals'
+expansion:
 
   * Williamson / Baumert-Hall: symmetric circulant blocks A,B,C,D of odd
     order k need V = A^T A + B^T B + C^T C + D^T D = 4k I.  V is symmetric
@@ -34,7 +35,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .polynom import Domain, Monomial, MultilinearPoly
+import numpy as np
+
+from .polynom import Domain, Monomial, MultilinearPoly, SquareSum
 
 
 @dataclass(frozen=True)
@@ -76,15 +79,6 @@ def _pair_sum(pairs: Iterable[tuple[int, SymEntry, SymEntry]], constant=0) -> Mu
     return MultilinearPoly(Domain.SPIN, terms)
 
 
-def _sum_of_squares(weighted_residuals: Iterable[tuple[int, MultilinearPoly]]) -> MultilinearPoly:
-    """Spin energy sum of w * R^2 over (w, R)."""
-    terms: dict[Monomial, int] = {}
-    for w, residual in weighted_residuals:
-        for m, c in residual.square().terms.items():
-            terms[m] = terms.get(m, 0) + w * c
-    return MultilinearPoly(Domain.SPIN, terms)
-
-
 def nac(seq: SymbolicSequence, r: int) -> MultilinearPoly:
     """Nonperiodic autocorrelation at lag r as a spin polynomial; zero for r >= len(seq)."""
     return _pair_sum((1, seq[t], seq[t + r]) for t in range(len(seq) - r))
@@ -121,8 +115,8 @@ def _williamson_rows(k: int) -> list[SymbolicSequence]:
     return [[plus(b * half + min(i, k - i)) for i in range(k)] for b in range(4)]
 
 
-def williamson_energy(k: int) -> MultilinearPoly:
-    """Spin energy over 2(k+1) variables, zero iff the four symmetric
+def williamson_residuals(k: int) -> SquareSum:
+    """Residuals over 2(k+1) variables, all zero iff the four symmetric
     circulant blocks form a Williamson quadruple.
 
     Block b has first row (a_0, a_1, ..., a_{(k-1)/2}, ..., a_1) over its own
@@ -141,7 +135,13 @@ def williamson_energy(k: int) -> MultilinearPoly:
         return _pair_sum(pairs, -4 * k if d == 0 else 0)
 
     # V is symmetric circulant: each diagonal offset d holds k identical cells
-    return _sum_of_squares((k, cell(d)) for d in range(k))
+    return SquareSum(williamson_variable_count(k), tuple((k, cell(d)) for d in range(k)))
+
+
+def williamson_energy(k: int) -> MultilinearPoly:
+    """Spin energy of `williamson_residuals(k)`, zero iff the blocks form a
+    Williamson quadruple."""
+    return williamson_residuals(k).expand()
 
 
 def williamson_first_rows(k: int, values: Sequence[int]) -> list[list[int]]:
@@ -202,15 +202,21 @@ def normalized_turyn_quadruple(n: int) -> TurynQuadruple:
     return TurynQuadruple(n=n, X=tuple(X), Y=tuple(Y), Z=tuple(Z), W=tuple(W))
 
 
+def turyn_residuals(n: int) -> SquareSum:
+    """Residuals over 4n-11 variables, all zero iff the completed quadruple
+    is a TT(n) sequence (weights 1,1,2,2 on X,Y,Z,W autocorrelations)."""
+    return _autocorrelation_residuals(normalized_turyn_quadruple(n))
+
+
 def turyn_energy(n: int) -> MultilinearPoly:
-    """Spin energy over 4n-11 variables, zero iff the completed quadruple is
-    a TT(n) sequence (weights 1,1,2,2 on X,Y,Z,W autocorrelations)."""
-    return _autocorrelation_energy(normalized_turyn_quadruple(n))
+    """Spin energy of `turyn_residuals(n)`, zero iff the completed quadruple
+    is a TT(n) sequence."""
+    return turyn_residuals(n).expand()
 
 
-def _autocorrelation_energy(quad: TurynQuadruple) -> MultilinearPoly:
-    """Sum over lags r = 1..n-1 of R_r^2, R_r = sum of w * N_s(r) over the
-    four sequences with `TT_WEIGHTS`."""
+def _autocorrelation_residuals(quad: TurynQuadruple) -> SquareSum:
+    """R_r = sum of w * N_s(r) over the four sequences with `TT_WEIGHTS`,
+    weight 1, for lags r = 1..n-1."""
     seqs = quad.sequences()
 
     def lag(r: int) -> MultilinearPoly:
@@ -218,7 +224,7 @@ def _autocorrelation_energy(quad: TurynQuadruple) -> MultilinearPoly:
             (w, seq[t], seq[t + r]) for seq, w in zip(seqs, TT_WEIGHTS) for t in range(len(seq) - r)
         )
 
-    return _sum_of_squares((1, lag(r)) for r in range(1, quad.n))
+    return SquareSum(quad.free_variable_count, tuple((1, lag(r)) for r in range(1, quad.n)))
 
 
 # -- Extended Turyn (solution prototypes) --------------------------------------
@@ -301,6 +307,9 @@ def prototype_filter(proto: PrototypeSpec) -> bool:
     return _first_nonzero_lag(proto.sides(), lags, TT_WEIGHTS) is None
 
 
+_FILL_CHUNK = 1 << 14  # end fillings checked per numpy block
+
+
 def enumerate_prototypes(n: int, m: int) -> Iterator[PrototypeSpec]:
     """All fillings of the end positions of `normalized_turyn_quadruple(n)`
     that pass the filter.
@@ -308,9 +317,9 @@ def enumerate_prototypes(n: int, m: int) -> Iterator[PrototypeSpec]:
     The ends are positions p < m and p >= n - m of every side.  Pinned
     entries keep their values; the variables left at end positions are
     enumerated lexicographically in ascending index order (+1 before -1),
-    which is X, Y, Z, W order, left to right.  The filter runs on the
-    filled sides, and a `PrototypeSpec` is built only for fillings that
-    pass it.
+    which is X, Y, Z, W order, left to right.  The high-lag sums are
+    evaluated on blocks of fillings at once from the end values alone, and
+    a `PrototypeSpec` is built only for fillings that pass.
     """
     quad = normalized_turyn_quadruple(n)
     if not 1 <= m < n / 2:
@@ -320,19 +329,41 @@ def enumerate_prototypes(n: int, m: int) -> Iterator[PrototypeSpec]:
         for seq in quad.sequences()
     ]
     free = sorted({e.var for side in ends for e in side if e is not None and e.var is not None})
-    lags = range(n - m, n)
-    for fill in itertools.product((1, -1), repeat=len(free)):
-        values = dict(zip(free, fill))
-        sides = [tuple(None if e is None else e.value(values) for e in side) for side in ends]
-        if _first_nonzero_lag(sides, lags, TT_WEIGHTS) is None:
-            yield PrototypeSpec(n, m, *sides)
+    k = len(free)
+    # column k of a block of fillings is the constant 1; middles get sign 0
+    column = {v: j for j, v in enumerate(free)}
+    cols = [np.array([k if e is None or e.var is None else column[e.var] for e in side])
+            for side in ends]
+    signs = [np.array([0 if e is None else e.sign for e in side]) for side in ends]
+    # fill index f sets free variable j to -1 iff bit k-1-j of f is set,
+    # so ascending f is the lexicographic order with +1 first
+    shifts = np.arange(k - 1, -1, -1)
+    for start in range(0, 1 << k, _FILL_CHUNK):
+        f = np.arange(start, min(start + _FILL_CHUNK, 1 << k))
+        fills = np.ones((f.size, k + 1), dtype=np.int64)
+        fills[:, :k] -= 2 * ((f[:, None] >> shifts) & 1)
+        sides = [fills[:, c] * sg for c, sg in zip(cols, signs)]
+        passing = np.ones(f.size, dtype=bool)
+        for r in range(n - m, n):
+            lag = sum(w * (side[:, :-r] * side[:, r:]).sum(axis=1)
+                      for side, w in zip(sides, TT_WEIGHTS))
+            passing &= lag == 0
+        for row in np.flatnonzero(passing):
+            yield PrototypeSpec(n, m, *(
+                tuple(v if v else None for v in side[row].tolist()) for side in sides
+            ))
+
+
+def extended_residuals(proto: PrototypeSpec) -> SquareSum:
+    """Turyn residuals over the 4(n-2m) unknown middles of a filtered prototype."""
+    if not prototype_filter(proto):
+        raise ValueError("prototype fails the high-lag autocorrelation filter")
+    return _autocorrelation_residuals(proto.quadruple())
 
 
 def extended_energy(proto: PrototypeSpec) -> MultilinearPoly:
-    """Spin energy over the 4(n-2m) unknown middles of a filtered prototype."""
-    if not prototype_filter(proto):
-        raise ValueError("prototype fails the high-lag autocorrelation filter")
-    return _autocorrelation_energy(proto.quadruple())
+    """Spin energy of `extended_residuals(proto)`."""
+    return extended_residuals(proto).expand()
 
 
 # -- numeric pipeline: TT(n) -> Goethals-Seidel inputs --------------------------

@@ -14,13 +14,19 @@ s = 2q - 1 (s=+1 <-> q=1): `spin_to_boolean` substitutes s_i = 2q_i - 1 and
 `boolean_to_spin` substitutes q_i = (1 + s_i)/2.  Both expand each term over
 its sub-monomials in exact integers; `boolean_to_spin` works scaled by 2^D,
 D the degree, and requires every sum to divide back exactly.
+
+A `SquareSum` is an energy given as a weighted sum of squared quadratic
+spin residuals, sum of w * R^2.  `expand` gives the polynomial;
+`residual_values` gives the residuals of one assignment.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import IO, Callable, Iterable, Iterator, Mapping
+import re
+from dataclasses import dataclass
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 Assignment = Mapping[int, int]
@@ -233,6 +239,39 @@ class MultilinearPoly:
         return MultilinearPoly(Domain.SPIN, terms)
 
 
+@dataclass(frozen=True)
+class SquareSum:
+    """Spin energy sum of w * R^2 over `terms`, pairs (w, R) of a positive
+    integer weight and a quadratic spin residual over `nvars` variables."""
+
+    nvars: int
+    terms: tuple[tuple[int, MultilinearPoly], ...]
+
+    def __post_init__(self):
+        for w, residual in self.terms:
+            if w <= 0:
+                raise ValueError(f"residual weight must be positive, got {w}")
+            if residual.domain is not Domain.SPIN or residual.degree() > 2:
+                raise ValueError("residuals must be quadratic spin polynomials")
+            if residual.nvars > self.nvars:
+                raise ValueError(f"residual uses variables past nvars {self.nvars}")
+
+    def expand(self) -> MultilinearPoly:
+        """The energy as one spin polynomial."""
+        terms: dict[Monomial, int] = {}
+        for w, residual in self.terms:
+            for m, c in residual.square().terms.items():
+                terms[m] = terms.get(m, 0) + w * c
+        return MultilinearPoly(Domain.SPIN, terms)
+
+    def residual_values(self, values: Sequence[int]) -> list[int]:
+        """Each residual at the +/-1 assignment `values` (index i is variable i)."""
+        if len(values) != self.nvars:
+            raise ValueError(f"need {self.nvars} values, got {len(values)}")
+        assignment = dict(enumerate(values))
+        return [residual.evaluate(assignment) for _, residual in self.terms]
+
+
 def _expand_subsets(
     terms: Mapping[Monomial, int], weight: Callable[[int, int], int]
 ) -> dict[Monomial, int]:
@@ -315,14 +354,17 @@ def save_poly(poly: MultilinearPoly, path, nvars: int | None = None) -> None:
         write_poly(poly, fp, nvars=nvars)
 
 
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
 def _parse_int(token: str, line: str) -> int:
-    """An integer token of a model file line (polynomial or Ising)."""
-    try:
-        return int(token)
-    except ValueError:
+    """An integer token of a model file line (polynomial or Ising): ASCII
+    digits with an optional leading minus, as the writers emit them."""
+    if not _INT_TOKEN.fullmatch(token):
         raise ValueError(
             f"non-integer value in {line!r}; solvers take the exact integer model"
-        ) from None
+        )
+    return int(token)
 
 
 def _content_lines(fp: IO[str]) -> Iterator[list[str]]:

@@ -7,12 +7,17 @@ subset-sum (zeta) transform for boolean ones.  Each costs O(n 2^n) int64
 operations, exact while the absolute coefficients sum below 2^63, and runs
 in chunks of 2^22 states over the high bits so memory stays bounded.
 
-Annealing is single-flip Metropolis on an Ising model with a geometric
-inverse-temperature ladder, vectorised over reads.  Every read draws its
-start state and acceptance uniforms from a stream derived from
-(seed, read index), and each sweep's flip order comes from one dedicated
-stream, so a fixed seed gives byte-identical samples.  Fields and energies
-are int64, exact while the absolute coefficients sum below 2^62.
+Annealing is single-flip Metropolis with a geometric inverse-temperature
+ladder, vectorised over reads, on either model kind: an Ising model (the
+path `solve` takes) or a method's sum of squared residuals over its own
+logical spins (the path `search` takes, with no ancillas and no penalty
+weight).  One kernel serves both, since an Ising model is a single
+residual entering the energy linearly.  A flip updates every residual
+incrementally.  Every read draws its start state and acceptance uniforms
+from a stream derived from (seed, read index), and each sweep's flip order
+comes from one dedicated stream, so a fixed seed gives byte-identical
+samples.  Energies are exact integers: the models `anneal` accepts keep
+every energy and energy change below 2^62 in magnitude.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import IO
 import numpy as np
 
 from .ising import IsingModel
-from .polynom import Domain, MultilinearPoly
+from .polynom import Domain, MultilinearPoly, SquareSum
 
 _CHUNK_BITS = 22  # exhaustive enumeration block size: 2^22 states at a time
 _PERM_STREAM_KEY = 1 << 32  # spawn key for the shared flip-order stream
@@ -194,10 +199,14 @@ def exhaustive_min(
 # -- simulated annealing --------------------------------------------------------
 
 
-def default_beta_range(model: IsingModel) -> tuple[float, float]:
-    """Hot end keeps the largest coupler flippable; cold end freezes unit gaps."""
-    top = max(1, model.max_abs_coeff())
-    return 0.01 / top, 10.0
+def default_beta_range(model: IsingModel | SquareSum) -> tuple[float, float]:
+    """Hot end keeps the largest energy coefficient flippable; cold end
+    freezes unit gaps.  A `SquareSum` counts its expanded coefficients."""
+    if isinstance(model, IsingModel):
+        top = model.max_abs_coeff()
+    else:
+        top = max((abs(c) for m, c in model.expand().terms.items() if m), default=0)
+    return 0.01 / max(1, top), 10.0
 
 
 def _read_generator(seed: int, read_index: int) -> np.random.Generator:
@@ -205,71 +214,152 @@ def _read_generator(seed: int, read_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _metropolis(
-    model: IsingModel,
-    reads: int,
-    sweeps: int,
-    betas: np.ndarray,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Final spin states (reads x nvars) and their energies."""
-    n = model.nvars
-    h = np.zeros(n, dtype=np.int64)
-    for i, c in model.h.items():
-        h[i] = c
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (i, j), c in model.J.items():
-        neighbors[i].append((j, c))
-        neighbors[j].append((i, c))
-    nbr_idx = [np.array([x for x, _ in nb], dtype=np.int64) for nb in neighbors]
-    nbr_val = [np.array([v for _, v in nb], dtype=np.int64) for nb in neighbors]
+def _energy_bound(model: IsingModel | SquareSum) -> int:
+    """Bound on every |energy| and |energy change| of a model: the absolute
+    coefficient sum of an Ising model (offset included), and sum of
+    w * A^2 over a `SquareSum`, A the absolute coefficient sum of a
+    residual, which bounds |R| and |(R + delta)^2 - R^2|."""
+    if isinstance(model, IsingModel):
+        return model.to_polynomial().abs_coeff_sum()
+    return sum(w * r.abs_coeff_sum() ** 2 for w, r in model.terms)
 
+
+class _Kernel:
+    """Single-flip Metropolis moves on E = c + sum over r of
+    (u_r R_r + w_r R_r^2), each R_r a quadratic spin form.
+
+    An Ising model is the one residual sum h s + sum J s s with u = 1,
+    w = 0 and c its offset; a `SquareSum` has u = 0 and w its weights, with
+    constant residuals folded into c and identical ones merged.  States are
+    columns of S, shape (n+1, reads), whose last row is the constant 1.
+    `flips[i]`, shape (L, n+1), is -2 times the derivative of every residual
+    in s_i, so flipping s_i changes R by s_i * (flips[i] @ S).
+
+    `bound`, the model's `_energy_bound`, caps the magnitude of every
+    energy, energy change and residual, and of half of every residual
+    change.  Below 2^52 the kernel runs in float64, whose matrix products
+    use BLAS: every value it forms is then an integer below 2^53, which
+    float64 holds exactly (an Ising model's squared terms may round, but
+    enter with weight 0).  Otherwise it runs in int64, exact modulo 2^64,
+    so only the energy changes and energies, compared and returned, must
+    fit.
+    """
+
+    def __init__(self, model: IsingModel | SquareSum, bound: int):
+        if isinstance(model, IsingModel):
+            n, c = model.nvars, model.offset
+            terms = {(i,): v for i, v in model.h.items()} | dict(model.J)
+            residuals = [(1, 0, terms)] if terms else []
+        else:
+            n, c = model.nvars, 0
+            merged: dict[frozenset, list] = {}
+            for w, residual in model.terms:
+                terms = residual.terms
+                if residual.degree() == 0:
+                    c += w * terms.get((), 0) ** 2
+                else:
+                    merged.setdefault(frozenset(terms.items()), [terms, 0])[1] += w
+            residuals = [(0, w, terms) for terms, w in merged.values()]
+        self.dtype = np.float64 if bound < 1 << 52 else np.int64
+        self.nvars, self.offset = n, c
+        self.u = np.array([u for u, _, _ in residuals], dtype=self.dtype)
+        self.w = np.array([w for _, w, _ in residuals], dtype=self.dtype)
+        self.constants = np.zeros((len(residuals), 1), dtype=self.dtype)
+        self.flips = np.zeros((n, len(residuals), n + 1), dtype=self.dtype)
+        for r, (_, _, terms) in enumerate(residuals):
+            for m, v in terms.items():
+                if not m:
+                    self.constants[r] = v
+                elif len(m) == 1:
+                    self.flips[m[0], r, n] = -2 * v
+                else:
+                    self.flips[m[0], r, m[1]] = self.flips[m[1], r, m[0]] = -2 * v
+
+    def states(self, spins: np.ndarray) -> np.ndarray:
+        """S for +/-1 spins of shape (reads, n)."""
+        S = np.ones((self.nvars + 1, len(spins)), dtype=self.dtype)
+        S[: self.nvars] = spins.T
+        return S
+
+    def residuals(self, S: np.ndarray) -> np.ndarray:
+        """R, shape (L, reads), evaluated afresh from the states S."""
+        minus_twice = np.zeros((len(self.w), S.shape[1]), dtype=self.dtype)
+        for i in range(self.nvars):
+            # s_i times the part of flips[i] past column i counts every term once
+            minus_twice += S[i] * (self.flips[i, :, i + 1 :] @ S[i + 1 :])
+        return self.constants - minus_twice // 2
+
+    def energies(self, R: np.ndarray) -> list[int]:
+        return (self.offset + (self.u @ R + self.w @ (R * R)).astype(np.int64)).tolist()
+
+    def propose(self, S: np.ndarray, R: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Change of every residual and of the energy if s_i flips."""
+        delta = self.flips[i] @ S
+        delta *= S[i]
+        change = R + R
+        change += delta
+        change *= delta
+        return delta, self.w @ change + self.u @ delta
+
+    @staticmethod
+    def flip(S: np.ndarray, R: np.ndarray, i: int, delta: np.ndarray, accept: np.ndarray) -> None:
+        np.add(R, delta, out=R, where=accept)
+        np.negative(S[i], out=S[i], where=accept)
+
+
+def _metropolis_states(
+    kernel: _Kernel, reads: int, sweeps: int, betas: np.ndarray, seed: int
+) -> tuple[list[list[int]], list[int]]:
+    """Final spin states (reads x nvars) and their energies."""
+    n = kernel.nvars
     gens = [_read_generator(seed, r) for r in range(reads)]
     perm_gen = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(_PERM_STREAM_KEY,)))
     )
-    S = np.stack([g.integers(0, 2, size=n).astype(np.int64) * 2 - 1 for g in gens])
+    S = kernel.states(np.array([g.integers(0, 2, size=n) * 2 - 1 for g in gens]).reshape(reads, n))
+    R = kernel.residuals(S)
+    drawn = np.empty((reads, n))
     for t in range(sweeps):
         order = perm_gen.permutation(n)
-        uniforms = np.stack([g.random(n) for g in gens])
-        beta = betas[t]
+        for g, row in zip(gens, drawn):
+            g.random(out=row)
+        uniforms = drawn.T.copy()
+        neg_beta = -betas[t]
         for step, i in enumerate(order):
-            if nbr_idx[i].size:
-                field = h[i] + (S[:, nbr_idx[i]] * nbr_val[i]).sum(axis=1)
-            else:
-                field = np.full(reads, h[i], dtype=np.int64)
-            delta_e = -2 * S[:, i] * field
-            accept = (delta_e <= 0) | (
-                uniforms[:, step] < np.exp(np.clip(-beta * delta_e.astype(np.float64), -700.0, 0.0))
-            )
-            S[accept, i] *= -1
-
-    energies = np.full(reads, model.offset, dtype=np.int64)
-    energies += S @ h
-    for (i, j), c in model.J.items():
-        energies += c * S[:, i] * S[:, j]
-    return S, energies
+            delta, delta_e = kernel.propose(S, R, i)
+            # exponent clipped to [-700, 0]: exp neither underflows nor
+            # overflows, and a move that does not raise the energy gets
+            # exp(0) = 1 > uniform
+            exponent = neg_beta * delta_e
+            np.minimum(exponent, 0.0, out=exponent)
+            np.maximum(exponent, -700.0, out=exponent)
+            accept = uniforms[step] < np.exp(exponent, out=exponent)
+            kernel.flip(S, R, i, delta, accept)
+    return S[:n].T.astype(np.int64).tolist(), kernel.energies(R)
 
 
 def anneal(
-    model: IsingModel,
+    model: IsingModel | SquareSum,
     reads: int = 1000,
     sweeps: int = 1000,
     beta_start: float | None = None,
     beta_end: float | None = None,
     seed: int = 0,
 ) -> SampleSet:
-    """Seeded single-flip Metropolis annealing of an Ising model.
+    """Seeded single-flip Metropolis annealing of an Ising model or of a
+    sum of squared residuals over its own spins.
 
     Each read starts from a random spin state and runs `sweeps` full passes
     with a geometric inverse-temperature schedule; identical inputs give
-    bit-identical results.  Rejects models whose absolute coefficients (the
-    offset included) sum to 2^62 or more: a flip's energy change is twice a
-    local field, and it must fit int64.
+    bit-identical results.  Rejects a model whose `_energy_bound` is 2^62
+    or more: for an Ising model, absolute coefficients (the offset
+    included) summing that high; for a `SquareSum`, a sum of w * A^2 that
+    high, A the absolute coefficient sum of a residual.
     """
-    if model.to_polynomial().abs_coeff_sum() >= 1 << 62:
+    bound = _energy_bound(model)
+    if bound >= 1 << 62:
         raise ValueError(
-            "absolute coefficients sum to 2^62 or more; energy changes could overflow int64"
+            "energy bound of 2^62 or more; energies and energy changes could overflow int64"
         )
     if reads <= 0 or sweeps <= 0:
         raise ValueError("reads and sweeps must be positive")
@@ -284,12 +374,12 @@ def anneal(
         ratio = beta_end / beta_start
         betas = beta_start * ratio ** (np.arange(sweeps) / (sweeps - 1))
 
-    S, energies = _metropolis(model, reads, sweeps, betas, seed)
+    S, energies = _metropolis_states(_Kernel(model, bound), reads, sweeps, betas, seed)
     counts: dict[tuple[int, ...], tuple[int, int]] = {}
     for row, e in zip(S, energies):
-        key = tuple(int(v) for v in row)
+        key = tuple(row)
         prev = counts.get(key)
-        counts[key] = (int(e), 1 if prev is None else prev[1] + 1)
+        counts[key] = (e, 1 if prev is None else prev[1] + 1)
     return SampleSet(domain=Domain.SPIN, samples=_sorted_samples(counts), reads=reads)
 
 

@@ -196,6 +196,12 @@ class TestSolve:
         assert run("solve", path, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o" / "samples.txt").exists()
 
+    def test_non_decimal_integer_token_is_usage_error(self, tmp_path):
+        path = tmp_path / "underscore.poly"
+        path.write_text("domain spin\nnvars 2\n1_0 0 1\n", encoding="utf-8")
+        assert run("solve", path, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o" / "samples.txt").exists()
+
     def test_polynomial_file(self, tmp_path):
         out = tmp_path / "b"
         run("build", "--method", "williamson", "--k", 3, "--out", out)

@@ -1,11 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from hadsearch import constructions as cons
 from hadsearch.hadamard import circulant
-from hadsearch.polynom import Domain, MultilinearPoly
+from hadsearch.polynom import Domain, MultilinearPoly, SquareSum
 from hadsearch.solver import exhaustive_min
 
 from conftest import data_poly
@@ -226,6 +227,28 @@ REFERENCE_COMPLETION = (
 )
 
 
+def reference_prototype_lines(n: int, m: int) -> list[str]:
+    """Prototype lines by building the filled sides of every end filling
+    through `SymEntry.value` and checking the high lags one by one."""
+    quad = cons.normalized_turyn_quadruple(n)
+    ends = [
+        [e if p < m or p >= n - m else None for p, e in enumerate(seq)]
+        for seq in quad.sequences()
+    ]
+    free = sorted({e.var for side in ends for e in side if e is not None and e.var is not None})
+    lines = []
+    for fill in itertools.product((1, -1), repeat=len(free)):
+        values = dict(zip(free, fill))
+        sides = [tuple(None if e is None else e.value(values) for e in side) for side in ends]
+        if all(
+            sum(w * sum(side[t] * side[t + r] for t in range(len(side) - r))
+                for side, w in zip(sides, cons.TT_WEIGHTS)) == 0
+            for r in range(n - m, n)
+        ):
+            lines.append(cons.PrototypeSpec(n, m, *sides).to_line())
+    return lines
+
+
 class TestPrototypes:
     def test_reference_prototype_passes_filter(self):
         proto = cons.PrototypeSpec.from_line(REFERENCE_PROTOTYPE, m=2)
@@ -303,9 +326,63 @@ class TestPrototypes:
                 count += 1
         assert len(protos) == count
 
+    @pytest.mark.parametrize("chunk", [1 << 14, 7])
+    def test_enumeration_matches_reference_loop(self, chunk):
+        # a chunk of 7 fillings puts block boundaries inside every (n, m)
+        with mock.patch.object(cons, "_FILL_CHUNK", chunk):
+            for n, m in ((4, 1), (6, 1), (6, 2), (8, 1), (8, 2), (8, 3), (10, 2), (10, 3)):
+                got = [p.to_line() for p in cons.enumerate_prototypes(n, m)]
+                assert got == reference_prototype_lines(n, m), (n, m)
+
     def test_line_round_trip(self):
         proto = cons.PrototypeSpec.from_line(REFERENCE_PROTOTYPE, m=2)
         assert proto.to_line() == REFERENCE_PROTOTYPE
+
+
+def residual_instances():
+    for k in (3, 5, 7, 9, 11):
+        yield f"W{k}", cons.williamson_residuals(k), None
+    for n in range(4, 16, 2):
+        yield f"T{n}", cons.turyn_residuals(n), cons.normalized_turyn_quadruple(n)
+    for i, proto in enumerate(cons.enumerate_prototypes(8, 2)):
+        yield f"X8/{i}", cons.extended_residuals(proto), proto.quadruple()
+
+
+class TestResiduals:
+    def test_residual_values_agree_with_expansion(self, rng):
+        for name, residuals, quad in residual_instances():
+            energy = residuals.expand()
+            assert energy.nvars == residuals.nvars, name
+            for _ in range(5):
+                values = [rng.choice((-1, 1)) for _ in range(residuals.nvars)]
+                R = residuals.residual_values(values)
+                weighted = sum(w * r * r for (w, _), r in zip(residuals.terms, R))
+                assert weighted == energy.evaluate(dict(enumerate(values))), name
+                if quad is not None:  # the numeric Turyn lag sums
+                    seqs = quad.values(values)
+                    lags = [sum(w * cons.nac_values(q, r) for q, w in zip(seqs, cons.TT_WEIGHTS))
+                            for r in range(1, quad.n)]
+                    assert R == lags, name
+
+    def test_energies_are_the_expansions(self):
+        assert cons.williamson_energy(5) == cons.williamson_residuals(5).expand()
+        assert cons.turyn_energy(8) == cons.turyn_residuals(8).expand()
+        proto = next(cons.enumerate_prototypes(8, 2))
+        assert cons.extended_energy(proto) == cons.extended_residuals(proto).expand()
+
+    @pytest.mark.parametrize("terms, message", [
+        (((0, spoly({(0,): 1})),), "positive"),
+        (((1, spoly({(0, 1, 2): 1})),), "quadratic"),
+        (((1, MultilinearPoly(Domain.BOOLEAN, {(0,): 1})),), "quadratic"),
+        (((1, spoly({(5,): 1})),), "nvars"),
+    ], ids=["zero-weight", "cubic", "boolean", "past-nvars"])
+    def test_malformed_square_sum_rejected(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            SquareSum(3, terms)
+
+    def test_residual_values_need_every_variable(self):
+        with pytest.raises(ValueError, match="need 8 values"):
+            cons.williamson_residuals(3).residual_values([1] * 7)
 
 
 class TestExtendedEnergy:

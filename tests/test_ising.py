@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,12 @@ class TestTextFormat:
     def test_decimal_coefficients_rejected(self):
         with pytest.raises(ValueError):
             read_ising(io.StringIO("c 0\nh 0 0.5\n"))
+
+    @pytest.mark.parametrize("token", ["1_000", "+3", "\u0663"],
+                             ids=["underscore", "plus-sign", "non-ascii-digit"])
+    def test_int_accepted_only_in_ascii_decimal(self, token):
+        with pytest.raises(ValueError, match=re.escape(f"non-integer value in 'c {token}'")):
+            read_ising(io.StringIO(f"c {token}\nh 0 1\n"))
 
     def test_unordered_pair_rejected(self):
         with pytest.raises(ValueError):

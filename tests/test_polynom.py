@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -247,6 +248,13 @@ class TestTextFormat:
     def test_non_integer_index_quotes_line(self):
         with pytest.raises(ValueError, match="non-integer value in '3 0 x1'"):
             read_poly(io.StringIO("domain spin\nnvars 2\n3 0 x1\n"))
+
+    @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"],
+                             ids=["underscore", "plus-sign", "non-ascii-digit"])
+    def test_int_accepted_only_in_ascii_decimal(self, token):
+        line = f"{token} 0 1"
+        with pytest.raises(ValueError, match=re.escape(f"non-integer value in '{line}'")):
+            read_poly(io.StringIO(f"domain spin\nnvars 2\n{line}\n"))
 
     def test_explicit_nvars_must_cover_indices(self):
         p = spoly({(4,): 1})

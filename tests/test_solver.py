@@ -2,15 +2,21 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hadsearch import solver
+from hadsearch import cli, solver
 
-from hadsearch.constructions import turyn_energy, williamson_energy
+from hadsearch.constructions import (
+    turyn_energy,
+    turyn_residuals,
+    williamson_energy,
+    williamson_residuals,
+)
 from hadsearch.ising import IsingModel, from_quadratic
-from hadsearch.polynom import Domain, MultilinearPoly
+from hadsearch.polynom import Domain, MultilinearPoly, SquareSum
 from hadsearch.quadratize import quadratize
 from hadsearch.solver import Sample, SampleSet, anneal, exhaustive_min
 
@@ -201,6 +207,198 @@ class TestAnneal:
         for s in sset.samples:
             assert s.energy == m.energy(dict(enumerate(s.values)))
         assert sset.min_energy == -(2**62 - 1)
+
+
+def spin(terms) -> MultilinearPoly:
+    return MultilinearPoly(Domain.SPIN, terms)
+
+
+class TestAnnealResiduals:
+    def test_energies_are_exact_spin_energies(self):
+        residuals = turyn_residuals(6)
+        energy = residuals.expand()
+        sset = anneal(residuals, reads=30, sweeps=40, seed=4)
+        assert sset.reads == 30
+        for s in sset.samples:
+            assert len(s.values) == residuals.nvars == 13
+            assert s.energy == energy.evaluate(dict(enumerate(s.values)))
+
+    def test_reaches_ground_on_williamson_k5(self):
+        sset = anneal(williamson_residuals(5), reads=20, sweeps=60, seed=1)
+        assert sset.min_energy == 0
+
+    def test_constant_residuals_fold_and_identical_ones_merge(self):
+        # Williamson R_0 is the constant 0, and R_d = R_(k-d)
+        residuals = williamson_residuals(9)
+        kernel = solver._Kernel(residuals, solver._energy_bound(residuals))
+        assert kernel.offset == 0
+        assert kernel.w.tolist() == [18] * 4
+        assert kernel.u.tolist() == [0] * 4
+
+    def test_deterministic_rerun(self):
+        residuals = williamson_residuals(7)
+        a = anneal(residuals, reads=10, sweeps=20, seed=3)
+        assert a.to_text() == anneal(residuals, reads=10, sweeps=20, seed=3).to_text()
+
+    def test_beta_range_reads_the_expanded_energy(self):
+        residuals = SquareSum(2, ((3, spin({(0,): 2, (1,): 1, (): 5})),))
+        # 3 * (2 s0 + s1 + 5)^2 expands with largest non-constant term 60 s0
+        assert solver.default_beta_range(residuals) == (0.01 / 60, 10.0)
+
+    def test_first_rejected_bound(self):
+        # 1 * (2^30 s0 + (2^30 - 1) s1)^2 + (2^32 - 1) * s0^2 reaches 2^62
+        residuals = SquareSum(2, (
+            (1, spin({(0,): 2**30, (1,): 2**30 - 1})),
+            (2**32 - 1, spin({(0,): 1})),
+        ))
+        with pytest.raises(ValueError, match="int64"):
+            anneal(residuals, reads=1, sweeps=1, seed=0)
+
+    def test_largest_accepted_bound(self):
+        # as above with the second weight one lower: the bound is 2^62 - 1
+        residuals = SquareSum(2, (
+            (1, spin({(0,): 2**30, (1,): 2**30 - 1})),
+            (2**32 - 2, spin({(0,): 1})),
+        ))
+        energy = residuals.expand()
+        sset = anneal(residuals, reads=40, sweeps=5, beta_start=1e-30, beta_end=1e-30, seed=0)
+        energies = {s.energy for s in sset.samples}
+        for s in sset.samples:
+            assert s.energy == energy.evaluate(dict(enumerate(s.values)))
+        # at an infinite temperature every state shows up, the top one at 2^62 - 1
+        assert energies == {2**62 - 1, 2**32 - 1}
+
+    def test_cli_search_anneals_logical_spins(self, tmp_path):
+        out = tmp_path / "w5"
+        assert cli.main(["search", "--method", "williamson", "--k", "5", "--solver", "anneal",
+                         "--reads", "20", "--sweeps", "60", "--seed", "1",
+                         "--out", str(out)]) == 0
+        energy = williamson_energy(5)
+        for line in (out / "samples.txt").read_text().splitlines():
+            e, _, values = line.split()
+            assert len(values) == 12
+            spins = {i: 1 if ch == "+" else -1 for i, ch in enumerate(values)}
+            assert int(e) == energy.evaluate(spins)
+
+
+def quadratic_polys(nvars: int, coeffs):
+    return st.dictionaries(
+        st.frozensets(st.integers(0, nvars - 1), max_size=2), coeffs, max_size=8
+    ).map(lambda terms: spin({tuple(sorted(m)): c for m, c in terms.items()}))
+
+
+@st.composite
+def annealable_models(draw):
+    """Small Ising models and sums of squares, some past float64's exact range."""
+    nvars = draw(st.integers(1, 6))
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**28), 2**28))
+    if draw(st.booleans()):
+        return from_quadratic(draw(quadratic_polys(nvars, coeffs)), nvars=nvars)
+    terms = draw(st.lists(st.tuples(st.integers(1, 5), quadratic_polys(nvars, coeffs)),
+                          min_size=1, max_size=4))
+    # repeated residuals exercise the merge
+    return SquareSum(nvars, tuple(terms + terms[: draw(st.integers(0, len(terms)))]))
+
+
+class TestKernelProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(model=annealable_models(), data=st.data())
+    def test_incremental_state_matches_full_evaluation(self, model, data):
+        bound = solver._energy_bound(model)
+        assume(bound < 2**62)
+        kernel = solver._Kernel(model, bound)
+        energy = model.to_polynomial() if isinstance(model, IsingModel) else model.expand()
+        n = model.nvars
+        reads = data.draw(st.integers(1, 4))
+        spins = st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)
+        S = kernel.states(np.array(data.draw(st.lists(spins, min_size=reads, max_size=reads))))
+        R = kernel.residuals(S)
+
+        def exact(S):
+            return [energy.evaluate(dict(enumerate(col))) for col in S[:n].T.astype(int).tolist()]
+
+        before = exact(S)
+        flips = st.tuples(st.integers(0, n - 1), st.lists(st.booleans(), min_size=reads,
+                                                          max_size=reads))
+        for i, accept in data.draw(st.lists(flips, max_size=10)):
+            delta, delta_e = kernel.propose(S, R, i)
+            kernel.flip(S, R, i, delta, np.array(accept))
+            after = exact(S)
+            for k in range(reads):
+                assert after[k] - before[k] == (int(delta_e[k]) if accept[k] else 0)
+            assert np.array_equal(R, kernel.residuals(S))
+            assert kernel.energies(R) == after
+            before = after
+
+
+def reference_metropolis(model: IsingModel, reads: int, sweeps: int, betas, seed: int):
+    """The Ising-only Metropolis loop that the residual kernel replaced:
+    final states (reads x nvars) and energies."""
+    n = model.nvars
+    h = np.zeros(n, dtype=np.int64)
+    for i, c in model.h.items():
+        h[i] = c
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (i, j), c in model.J.items():
+        neighbors[i].append((j, c))
+        neighbors[j].append((i, c))
+    nbr_idx = [np.array([x for x, _ in nb], dtype=np.int64) for nb in neighbors]
+    nbr_val = [np.array([v for _, v in nb], dtype=np.int64) for nb in neighbors]
+
+    gens = [solver._read_generator(seed, r) for r in range(reads)]
+    perm_gen = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(solver._PERM_STREAM_KEY,))))
+    S = np.stack([g.integers(0, 2, size=n).astype(np.int64) * 2 - 1 for g in gens])
+    for t in range(sweeps):
+        order = perm_gen.permutation(n)
+        uniforms = np.stack([g.random(n) for g in gens])
+        beta = betas[t]
+        for step, i in enumerate(order):
+            if nbr_idx[i].size:
+                field = h[i] + (S[:, nbr_idx[i]] * nbr_val[i]).sum(axis=1)
+            else:
+                field = np.full(reads, h[i], dtype=np.int64)
+            delta_e = -2 * S[:, i] * field
+            accept = (delta_e <= 0) | (
+                uniforms[:, step] < np.exp(np.clip(-beta * delta_e.astype(np.float64), -700.0, 0.0))
+            )
+            S[accept, i] *= -1
+
+    energies = np.full(reads, model.offset, dtype=np.int64)
+    energies += S @ h
+    for (i, j), c in model.J.items():
+        energies += c * S[:, i] * S[:, j]
+    return S, energies
+
+
+@pytest.fixture(scope="module")
+def paper_ising_models():
+    def chain(energy):
+        return from_quadratic(quadratize(energy.spin_to_boolean())[0].boolean_to_spin())
+
+    return {"W7": chain(williamson_energy(7)), "W9": chain(williamson_energy(9)),
+            "T6": chain(turyn_energy(6)), "T12": chain(turyn_energy(12))}
+
+
+class TestIsingMatchesReferenceLoop:
+    @pytest.mark.parametrize("name", ["W7", "W9", "T6", "T12"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_states_and_energies(self, paper_ising_models, name, seed):
+        model = paper_ising_models[name]
+        reads, sweeps = 12, 30
+        b0, b1 = solver.default_beta_range(model)
+        betas = b0 * (b1 / b0) ** (np.arange(sweeps) / (sweeps - 1))
+        S, energies = reference_metropolis(model, reads, sweeps, betas, seed)
+        counts = {}
+        for row, e in zip(S.tolist(), energies.tolist()):
+            prev = counts.get(tuple(row), (e, 0))
+            counts[tuple(row)] = (e, prev[1] + 1)
+        expected = sorted(
+            (Sample(values=v, energy=e, occurrences=c) for v, (e, c) in counts.items()),
+            key=lambda s: (s.energy, s.value_string()),
+        )
+        got = anneal(model, reads=reads, sweeps=sweeps, seed=seed)
+        assert got == SampleSet(domain=Domain.SPIN, samples=tuple(expected), reads=reads)
 
 
 class TestSampleSet:
