@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -258,11 +259,24 @@ class SquareSum:
 
     def expand(self) -> MultilinearPoly:
         """The energy as one spin polynomial."""
-        terms: dict[Monomial, int] = {}
-        for w, residual in self.terms:
-            for m, c in residual.square().terms.items():
-                terms[m] = terms.get(m, 0) + w * c
+        terms = {
+            tuple(v for v in range(mask.bit_length()) if mask >> v & 1): c
+            for mask, c in self.expanded_masks().items()
+        }
         return MultilinearPoly(Domain.SPIN, terms)
+
+    def expanded_masks(self) -> dict[int, int]:
+        """The expansion's coefficients keyed by monomial bitmask (bit i is
+        variable i), zeros included: w * c1 * c2 summed into m1 XOR m2 over
+        the term pairs of each residual, since s_i * s_i = 1."""
+        acc: dict[int, int] = {}
+        for w, residual in self.terms:
+            items = [(sum(1 << v for v in m), c) for m, c in residual._terms.items()]
+            for k, (m1, c1) in enumerate(items):
+                acc[0] = acc.get(0, 0) + w * c1 * c1
+                for m2, c2 in items[k + 1:]:
+                    acc[m1 ^ m2] = acc.get(m1 ^ m2, 0) + 2 * w * c1 * c2
+        return acc
 
     def residual_values(self, values: Sequence[int]) -> list[int]:
         """Each residual at the +/-1 assignment `values` (index i is variable i)."""
@@ -359,12 +373,20 @@ _INT_TOKEN = re.compile(r"-?[0-9]+")
 
 def _parse_int(token: str, line: str) -> int:
     """An integer token of a model file line (polynomial or Ising): ASCII
-    digits with an optional leading minus, as the writers emit them."""
+    digits with an optional leading minus, as the writers emit them, and
+    no more digits than the interpreter converts."""
     if not _INT_TOKEN.fullmatch(token):
         raise ValueError(
             f"non-integer value in {line!r}; solvers take the exact integer model"
         )
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        quoted = line if len(line) <= 60 else line[:60] + "..."
+        raise ValueError(
+            f"integer of {len(token.lstrip('-'))} digits in {quoted!r} exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit conversion limit"
+        ) from None
 
 
 def _content_lines(fp: IO[str]) -> Iterator[list[str]]:

@@ -2,10 +2,16 @@
 
 Exhaustive enumeration evaluates a polynomial on all 2^n states at once as a
 transform of its coefficient vector, indexed by monomial bitmask: the
-unnormalised Walsh-Hadamard (Sylvester) transform for spin polynomials, the
-subset-sum (zeta) transform for boolean ones.  Each costs O(n 2^n) int64
-operations, exact while the absolute coefficients sum below 2^63, and runs
-in chunks of 2^22 states over the high bits so memory stays bounded.
+unnormalised Walsh-Hadamard transform (Kronecker powers of the Sylvester
+block [[1, 1], [1, -1]]) for spin polynomials, the subset-sum transform
+(powers of the zeta block [[1, 0], [1, 1]]) for boolean ones.  One function
+computes both as a product of small Kronecker factors (Fino and Algazi,
+IEEE Trans. Comput. 1976): a few matrix products over the whole vector, each
+applying 2^4 x 2^4 factors, instead of one pass over memory per bit.  The
+arithmetic is float64, whose products run on BLAS, while the absolute
+coefficients sum below 2^53, and int64 below 2^63; both are exact there.
+The states run in chunks of 2^22 over the high bits so memory stays
+bounded.  The ground states are decoded and ordered as arrays.
 
 Annealing is single-flip Metropolis with a geometric inverse-temperature
 ladder, vectorised over reads, on either model kind: an Ising model (the
@@ -22,6 +28,7 @@ every energy and energy change below 2^62 in magnitude.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import IO
 
@@ -31,6 +38,9 @@ from .ising import IsingModel
 from .polynom import Domain, MultilinearPoly, SquareSum
 
 _CHUNK_BITS = 22  # exhaustive enumeration block size: 2^22 states at a time
+_RADIX = 4  # index bits per matrix product of the exhaustive transform
+_SYLVESTER = np.array([[1, 1], [1, -1]])  # spin: s = +1 or -1 per bit
+_ZETA = np.array([[1, 0], [1, 1]])  # boolean: a term counts where its bits are set
 _PERM_STREAM_KEY = 1 << 32  # spawn key for the shared flip-order stream
 
 
@@ -40,8 +50,13 @@ class Sample:
     energy: int
     occurrences: int
 
+    def __post_init__(self):
+        # computed once: the sort, the sort check and the export all read it
+        string = "".join(["+" if v > 0 else "-" for v in self.values])
+        object.__setattr__(self, "_value_string", string)
+
     def value_string(self) -> str:
-        return "".join("+" if v > 0 else "-" for v in self.values)
+        return self._value_string
 
 
 @dataclass(frozen=True)
@@ -85,34 +100,30 @@ def _sorted_samples(counts: dict[tuple[int, ...], tuple[int, int]]) -> tuple[Sam
 # -- exhaustive enumeration ----------------------------------------------------
 
 
-def _walsh_hadamard(a: np.ndarray) -> None:
-    """In-place unnormalised Walsh-Hadamard transform of a power-of-two vector."""
-    buf = np.empty(a.size // 2, dtype=a.dtype)
+def _transform(a: np.ndarray, block: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """The Kronecker power of a 2x2 block applied to a power-of-two vector.
+
+    Output x is the sum over inputs m of a[m] times the product over bits i
+    of block[x_i, m_i].  Each pass applies the block's power to _RADIX index
+    bits at once (the lowest pass takes the remainder) as one matrix product
+    per stack of `a.reshape(-1, 2^r, h)`, writing to the other of `a` and
+    `spare`; returns whichever buffer holds the result.
+    """
+    n = a.size.bit_length() - 1
     h = 1
     while h < a.size:
-        pairs = a.reshape(-1, 2, h)
-        x, y = pairs[:, 0, :], pairs[:, 1, :]
-        diff = buf.reshape(-1, h)
-        np.subtract(x, y, out=diff)
-        x += y
-        y[...] = diff
-        h *= 2
-
-
-def _subset_sum(a: np.ndarray) -> None:
-    """In-place zeta transform: a[x] becomes the sum of a[m] over masks m within x."""
-    h = 1
-    while h < a.size:
-        pairs = a.reshape(-1, 2, h)
-        pairs[:, 1, :] += pairs[:, 0, :]
-        h *= 2
-
-
-def _state_values(state: int, nvars: int, spin: bool) -> tuple[int, ...]:
-    bits = [(state >> i) & 1 for i in range(nvars)]
-    if spin:
-        return tuple(2 * b - 1 for b in bits)
-    return tuple(bits)
+        r = (n - 1) % _RADIX + 1 if h == 1 else _RADIX
+        power = functools.reduce(np.kron, [block] * r).astype(a.dtype)
+        x = a.reshape(-1, 1 << r, h)
+        y = spare.reshape(-1, 1 << r, h)
+        if h == 1:
+            # one product over all rows rather than a matrix-vector product per row
+            np.matmul(x[..., 0], power.T, out=y[..., 0])
+        else:
+            np.matmul(power, x, out=y)
+        a, spare = spare, a
+        h <<= r
+    return a
 
 
 def exhaustive_min(
@@ -126,7 +137,8 @@ def exhaustive_min(
     each); otherwise only the first in state order.  Rejects instances with
     more than `cap` variables, and instances whose absolute coefficients
     (the Ising offset included) sum to 2^63 or more, since their energies
-    need not fit the int64 arithmetic.
+    need not fit the int64 arithmetic.  States are enumerated 2^22 at a
+    time, in two float64 or int64 buffers of 32 MB each.
     """
     if isinstance(model, IsingModel):
         poly = model.to_polynomial()
@@ -144,12 +156,15 @@ def exhaustive_min(
         constant = poly.coeff(())
         sample = Sample(values=(), energy=constant, occurrences=1)
         return SampleSet(domain=domain, samples=(sample,), reads=1)
-    # Every intermediate value of either transform is a signed sum of distinct
-    # coefficients, so this bound keeps the int64 arithmetic exact.
-    if poly.abs_coeff_sum() >= 1 << 63:
+    # Every partial sum the transform forms, in any order, is a signed sum of
+    # distinct coefficients: below 2^53 float64 (and its BLAS products) holds
+    # them exactly, below 2^63 int64 does.
+    bound = poly.abs_coeff_sum()
+    if bound >= 1 << 63:
         raise ValueError(
             "absolute coefficients sum to 2^63 or more; energies could overflow int64"
         )
+    dtype = np.float64 if bound < 1 << 53 else np.int64
 
     # State bit i set means s_i = +1 (spin) or q_i = 1 (boolean).  Bit i of a
     # monomial's mask marks variable i.  The low `low_bits` bits of a state
@@ -161,39 +176,44 @@ def exhaustive_min(
     high = np.array([m >> low_bits for m in masks], dtype=np.int64)
     # s_i = -(-1)^bit_i, so a spin monomial is (-1)^|m| * (-1)^popcount(m & state)
     coeffs = np.array(
-        [-c if spin and len(m) % 2 else c for m, c in terms.items()], dtype=np.int64
+        [-c if spin and len(m) % 2 else c for m, c in terms.items()], dtype=dtype
     )
-    a = np.empty(1 << low_bits, dtype=np.int64)
+    block = _SYLVESTER if spin else _ZETA
+    a = np.empty(1 << low_bits, dtype=dtype)
+    spare = np.empty_like(a)
 
     best_energy: int | None = None
-    minima: list[int] = []
+    minima: list[np.ndarray] = []
     for pattern in range(1 << (nvars - low_bits)):
         a.fill(0)
         if spin:
             # the chunk's high bits are fixed: fold their signs into the terms
             signs = np.bitwise_count(high & pattern) % 2
             np.add.at(a, low, np.where(signs, -coeffs, coeffs))
-            _walsh_hadamard(a)
         else:
             # a term counts only where the chunk's high bits cover its own
             covered = (high & ~pattern) == 0
             np.add.at(a, low[covered], coeffs[covered])
-            _subset_sum(a)
+        values = _transform(a, block, spare)
         start = pattern << low_bits
-        lo = int(a.min())
+        lo = int(values.min())
         if best_energy is None or lo < best_energy:
             best_energy = lo
             minima = []
         if lo == best_energy:
             if all_ground:
-                minima.extend(start + int(s) for s in np.flatnonzero(a == lo))
+                minima.append(start + np.flatnonzero(values == lo))
             elif not minima:
-                minima.append(start + int(a.argmin()))
+                minima.append(start + np.array([values.argmin()]))
     assert best_energy is not None
-    counts = {
-        _state_values(s, nvars, spin): (best_energy, 1) for s in minima
-    }
-    return SampleSet(domain=domain, samples=_sorted_samples(counts), reads=len(minima))
+    states = np.concatenate(minima)
+    bits = (states[:, None] >> np.arange(nvars)) & 1
+    # samples sort by value string, in which "+" (bit 1) precedes "-" (bit 0)
+    # and variable 0 comes first
+    order = np.argsort(((1 - bits) << np.arange(nvars - 1, -1, -1)).sum(axis=1))
+    rows = (2 * bits - 1 if spin else bits)[order].tolist()
+    samples = tuple(Sample(values=tuple(v), energy=best_energy, occurrences=1) for v in rows)
+    return SampleSet(domain=domain, samples=samples, reads=len(samples))
 
 
 # -- simulated annealing --------------------------------------------------------
@@ -205,7 +225,7 @@ def default_beta_range(model: IsingModel | SquareSum) -> tuple[float, float]:
     if isinstance(model, IsingModel):
         top = model.max_abs_coeff()
     else:
-        top = max((abs(c) for m, c in model.expand().terms.items() if m), default=0)
+        top = max((abs(c) for m, c in model.expanded_masks().items() if m), default=0)
     return 0.01 / max(1, top), 10.0
 
 

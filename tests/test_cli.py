@@ -202,6 +202,13 @@ class TestSolve:
         assert run("solve", path, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o" / "samples.txt").exists()
 
+    def test_integer_past_conversion_limit_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "long.poly"
+        path.write_text(f"domain spin\nnvars 2\n{'1' * 5000} 0 1\n", encoding="utf-8")
+        assert run("solve", path, "--out", tmp_path / "o") == 2
+        assert "integer of 5000 digits" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "samples.txt").exists()
+
     def test_polynomial_file(self, tmp_path):
         out = tmp_path / "b"
         run("build", "--method", "williamson", "--k", 3, "--out", out)

@@ -167,6 +167,11 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=re.escape(f"non-integer value in 'c {token}'")):
             read_ising(io.StringIO(f"c {token}\nh 0 1\n"))
 
+    def test_integer_past_conversion_limit_quotes_line(self):
+        line = f"J 0 1 -{'9' * 4301}"
+        with pytest.raises(ValueError, match=re.escape(f"integer of 4301 digits in '{line[:60]}...'")):
+            read_ising(io.StringIO(f"c 0\n{line}\n"))
+
     def test_unordered_pair_rejected(self):
         with pytest.raises(ValueError):
             read_ising(io.StringIO("J 1 0 3\n"))

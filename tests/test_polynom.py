@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hadsearch.polynom import (
     Domain,
     MultilinearPoly,
+    SquareSum,
     poly_to_text,
     read_poly,
     write_poly,
@@ -209,6 +210,29 @@ class TestMeasures:
         assert spoly({(0, 1, 2, 3): 1, (0,): 2}).degree() == 4
 
 
+@st.composite
+def square_sums(draw):
+    nvars = draw(st.integers(1, 6))
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))
+    residuals = st.tuples(st.integers(1, 5),
+                          polynomials(SPIN, max_vars=nvars, coeffs=coeffs, max_degree=2))
+    return SquareSum(nvars, tuple(draw(st.lists(residuals, max_size=4))))
+
+
+class TestSquareSum:
+    @settings(max_examples=100, deadline=None)
+    @given(model=square_sums())
+    def test_expansion_is_the_weighted_sum_of_products(self, model):
+        expected = MultilinearPoly.zero(SPIN)
+        for w, residual in model.terms:
+            expected = expected.add(residual.mul(residual).scale(w))
+        assert model.expand() == expected
+        masks = model.expanded_masks()
+        assert {m: c for m, c in masks.items() if c} == {
+            sum(1 << v for v in m): c for m, c in expected.terms.items()
+        }
+
+
 class TestTextFormat:
     def test_round_trip(self, rng):
         for domain in (SPIN, BOOL):
@@ -254,6 +278,11 @@ class TestTextFormat:
     def test_int_accepted_only_in_ascii_decimal(self, token):
         line = f"{token} 0 1"
         with pytest.raises(ValueError, match=re.escape(f"non-integer value in '{line}'")):
+            read_poly(io.StringIO(f"domain spin\nnvars 2\n{line}\n"))
+
+    def test_integer_past_conversion_limit_quotes_line(self):
+        line = f"{'7' * 5000} 0 1"
+        with pytest.raises(ValueError, match=re.escape(f"integer of 5000 digits in '{line[:60]}...'")):
             read_poly(io.StringIO(f"domain spin\nnvars 2\n{line}\n"))
 
     def test_explicit_nvars_must_cover_indices(self):

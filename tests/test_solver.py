@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hadsearch import cli, solver
 
@@ -100,6 +101,25 @@ class TestExhaustive:
         assert sset.min_energy == -(2**63 - 1)
         assert [s.values for s in sset.samples] == [ground]
 
+    @pytest.mark.parametrize("excess", [-1, 1], ids=["last-float64", "first-int64"])
+    @pytest.mark.parametrize("domain", [Domain.SPIN, Domain.BOOLEAN])
+    def test_float64_edge(self, domain, excess):
+        # absolute coefficients sum to 2^53 - 1 or 2^53 + 1; the minimum is
+        # minus that sum, which float64 cannot hold in the second case
+        if domain is Domain.SPIN:
+            poly = MultilinearPoly(domain, {(0,): 2**52, (1,): 2**52 + excess})
+            ground = (-1, -1)
+        else:
+            poly = MultilinearPoly(domain, {(): -(2**52), (0, 1): -(2**52 + excess)})
+            ground = (1, 1)
+        assert poly.abs_coeff_sum() == 2**53 + excess
+        best, grounds = brute_force_grounds(poly)
+        assert (best, grounds) == (-(2**53 + excess), [ground])
+        for every in (True, False):
+            sset = exhaustive_min(poly, all_ground=every)
+            assert sset.min_energy == best
+            assert [s.values for s in sset.samples] == grounds
+
 
 def brute_force_grounds(poly: MultilinearPoly) -> tuple[int, list[tuple[int, ...]]]:
     """Minimum and minimizing assignments in state order (bit i = variable i)."""
@@ -117,10 +137,11 @@ class TestTransformMatchesBruteForce:
     """The chunked transforms agree with term-by-term evaluation.
 
     Chunk bits of 3 split up to ten variables into as many as 128 chunks,
-    so the high-bit folding runs as well as the single-chunk path.
+    so the high-bit folding runs as well as the single-chunk path.  Chunk
+    bits of 5 put a chunk boundary where no radix boundary falls.
     """
 
-    @pytest.mark.parametrize("chunk_bits", [22, 3])
+    @pytest.mark.parametrize("chunk_bits", [22, 5, 3])
     @pytest.mark.parametrize("domain", [Domain.SPIN, Domain.BOOLEAN])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -137,6 +158,58 @@ class TestTransformMatchesBruteForce:
         assert every.reads == len(grounds)
         assert [s.values for s in first.samples] == [grounds[0]]
         assert first.min_energy == best
+
+
+def reference_walsh_hadamard(a: np.ndarray) -> None:
+    """In-place unnormalised Walsh-Hadamard transform of a power-of-two vector."""
+    buf = np.empty(a.size // 2, dtype=a.dtype)
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        x, y = pairs[:, 0, :], pairs[:, 1, :]
+        diff = buf.reshape(-1, h)
+        np.subtract(x, y, out=diff)
+        x += y
+        y[...] = diff
+        h *= 2
+
+
+def reference_subset_sum(a: np.ndarray) -> None:
+    """In-place zeta transform: a[x] becomes the sum of a[m] over masks m within x."""
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        pairs[:, 1, :] += pairs[:, 0, :]
+        h *= 2
+
+
+@st.composite
+def transform_inputs(draw):
+    """A vector of 2^0 to 2^12 entries, with the dtype exhaustive_min would
+    pick for it: absolute values summing below 2^53 or below 2^63."""
+    bits = draw(st.integers(0, 12))
+    dtype = draw(st.sampled_from([np.float64, np.int64]))
+    top = (2**53 if dtype is np.float64 else 2**63) >> 12
+    magnitude = draw(st.sampled_from([9, top - 1]))
+    return dtype, draw(arrays(np.int64, 1 << bits, elements=st.integers(-magnitude, magnitude)))
+
+
+class TestTransformMatchesButterflies:
+    """`_transform` equals the one-bit-per-pass butterflies it replaced."""
+
+    @pytest.mark.parametrize("block, reference", [
+        (solver._SYLVESTER, reference_walsh_hadamard),
+        (solver._ZETA, reference_subset_sum),
+    ], ids=["sylvester", "zeta"])
+    @settings(max_examples=80, deadline=None)
+    @given(case=transform_inputs())
+    def test_equal_on_every_bit_count(self, block, reference, case):
+        dtype, values = case
+        expected = values.copy()
+        reference(expected)
+        got = solver._transform(values.astype(dtype), block, np.empty(values.size, dtype=dtype))
+        assert got.dtype == dtype
+        assert np.array_equal(got.astype(np.int64), expected)
 
 
 class TestAnneal:
