@@ -149,8 +149,8 @@ def report_line(H) -> str:
 def write_matrix(H, fp: IO[str]) -> None:
     """One row per line of +/- characters."""
     H = _as_sign_matrix(H, "matrix")
-    for row in H:
-        fp.write("".join("+" if v > 0 else "-" for v in row) + "\n")
+    chars = np.frombuffer(b"+-", dtype=np.uint8)[(H < 0).astype(np.intp)]
+    fp.write("".join(row.tobytes().decode("ascii") + "\n" for row in chars))
 
 
 def read_matrix(fp: IO[str]) -> SignMatrix:
@@ -190,8 +190,7 @@ def write_pbm(H, fp: IO[str]) -> None:
     H = _as_sign_matrix(H, "matrix")
     M = H.shape[0]
     fp.write(f"P1\n{M} {M}\n")
-    for row in H:
-        fp.write(" ".join("0" if v > 0 else "1" for v in row) + "\n")
+    fp.write("".join(" ".join(row) + "\n" for row in np.where(H > 0, "0", "1").tolist()))
 
 
 def write_pgm(D: np.ndarray, fp: IO[str]) -> None:
@@ -202,5 +201,4 @@ def write_pgm(D: np.ndarray, fp: IO[str]) -> None:
     maxval = max(1, int(D.max()))
     M, N = D.shape
     fp.write(f"P2\n{N} {M}\n{maxval}\n")
-    for row in D:
-        fp.write(" ".join(str(int(v)) for v in row) + "\n")
+    fp.write("".join(" ".join(map(str, row)) + "\n" for row in D.tolist()))

@@ -44,11 +44,11 @@ class Domain(enum.Enum):
 
 def _canonical_monomial(vars_: Iterable[int]) -> Monomial:
     m = tuple(sorted(vars_))
+    if not m or (m[0] >= 0 and len(set(m)) == len(m)):
+        return m
     if any(v < 0 for v in m):
         raise ValueError(f"negative variable index in monomial {m}")
-    if any(a == b for a, b in zip(m, m[1:])):
-        raise ValueError(f"repeated variable in monomial {m}")
-    return m
+    raise ValueError(f"repeated variable in monomial {m}")
 
 
 def term_sort_key(monomial: Monomial) -> tuple[int, Monomial]:
@@ -259,10 +259,7 @@ class SquareSum:
 
     def expand(self) -> MultilinearPoly:
         """The energy as one spin polynomial."""
-        terms = {
-            tuple(v for v in range(mask.bit_length()) if mask >> v & 1): c
-            for mask, c in self.expanded_masks().items()
-        }
+        terms = {_mask_monomial(mask): c for mask, c in self.expanded_masks().items()}
         return MultilinearPoly(Domain.SPIN, terms)
 
     def expanded_masks(self) -> dict[int, int]:
@@ -284,6 +281,16 @@ class SquareSum:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
         assignment = dict(enumerate(values))
         return [residual.evaluate(assignment) for _, residual in self.terms]
+
+
+def _mask_monomial(mask: int) -> Monomial:
+    """The variables of a monomial bitmask, read off its lowest set bits."""
+    m = []
+    while mask:
+        low = mask & -mask
+        m.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(m)
 
 
 def _expand_subsets(
@@ -312,8 +319,9 @@ def _expand_subsets(
 
 
 def write_poly(poly: MultilinearPoly, fp: IO[str], nvars: int | None = None) -> None:
-    n = poly.nvars if nvars is None else nvars
-    if n < poly.nvars:
+    top = poly.nvars
+    n = top if nvars is None else nvars
+    if n < top:
         raise ValueError(f"nvars {n} smaller than largest index in polynomial")
     fp.write(f"domain {poly.domain.value}\n")
     fp.write(f"nvars {n}\n")

@@ -14,10 +14,10 @@ the original value at every assignment of the original variables.
 The pair of a round is the one held by the most degree >= 3 monomials, the
 lexicographically smallest on a tie.  `select_pair` and `substitute_pair`
 state one round on an immutable polynomial.  `quadratize` makes exactly the
-same rounds, but keeps one mutable term dict, a pair -> count table over the
-degree >= 3 monomials and, per pair, the set of monomials that hold it; a
-round then touches only the holders of its pair, the bare pair and the
-penalty terms, instead of copying and recounting every term.
+same rounds, but gives each degree >= 3 monomial a stable id and keeps one
+table from a pair to the ids that hold it; a round then touches only the
+pairs of its holders, the bare pair and the penalty terms, instead of
+copying and recounting every term.
 """
 
 from __future__ import annotations
@@ -114,14 +114,16 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
     """Reduce to degree <= 2 by repeated pair substitution with one global delta.
 
     The rounds are exactly those of looping `select_pair` and
-    `substitute_pair` until the degree is at most 2, but the pair counts are
-    kept incrementally: a round pops the degree >= 3 monomials that hold its
-    pair (and the bare pair monomial), re-inserts them with the pair
-    replaced by the ancilla, adds the penalty, and updates the counts of
-    only the monomials it inserted or removed.  The pair with the highest
-    count comes off a heap of (-count, pair) entries; an entry whose count
-    is stale is re-pushed with the current count, or dropped, when it
-    reaches the top.
+    `substitute_pair` until the degree is at most 2.  Each degree >= 3
+    monomial keeps a stable id, and `holders` maps a pair to the ids that
+    hold it, so a pair's count is the size of its set.  A round on (i, j)
+    rewrites each holder m to (m - {i, j}) + (a,): it leaves the holders of
+    (i, x) and (j, x) for x in the rest, joins those of (x, a), and leaves
+    the pairs inside the rest alone, whose counts do not change.  A rest of
+    one variable x becomes the quadratic term (x, a).  Only pairs with the
+    new ancilla gain count, so only they are pushed on a heap of
+    (-count, pair) entries; an entry whose count is stale is re-pushed with
+    the current count, or dropped, when it reaches the top.
 
     Ancilla indices are fresh: allocation starts one past the largest input
     index and follows substitution order.
@@ -131,72 +133,61 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
     if poly.is_zero():
         raise ValueError("cannot quadratize the zero polynomial")
     delta = compute_delta(poly)
-    terms = poly.terms
-    counts: dict[tuple[int, int], int] = {}
-    holders: dict[tuple[int, int], set[Monomial]] = {}
-    # (-count, pair) entries; a pair's entries hold at least its current
-    # count, and an entry above it is re-pushed when it reaches the top
-    heap: list[tuple[int, tuple[int, int]]] = []
-    counts_before: dict[tuple[int, int], int] = {}
-
-    def track(m: Monomial, step: int) -> None:
-        # count (step=1) or uncount (step=-1) a degree >= 3 monomial
+    terms: dict[Monomial, int] = {}  # the degree <= 2 terms
+    mono: list[Monomial] = []  # by id, the degree >= 3 monomials
+    coef: list[int] = []
+    holders: dict[tuple[int, int], set[int]] = {}
+    for m, c in poly.terms.items():
+        if len(m) < 3:
+            terms[m] = c
+            continue
         for pair in itertools.combinations(m, 2):
-            n = counts.get(pair, 0)
-            counts_before.setdefault(pair, n)
-            if n + step:
-                counts[pair] = n + step
-            else:
-                del counts[pair]
-            if step > 0:
-                holders.setdefault(pair, set()).add(m)
-            else:
-                holders[pair].discard(m)
+            holders.setdefault(pair, set()).add(len(mono))
+        mono.append(m)
+        coef.append(c)
+    heap = [(-len(ids), pair) for pair, ids in holders.items()]
+    heapq.heapify(heap)
 
     def add(m: Monomial, c: int) -> None:
         # terms[m] += c, dropping a zero sum as MultilinearPoly does
-        old = terms.get(m, 0)
-        new = old + c
-        if new:
-            terms[m] = new
+        c += terms.get(m, 0)
+        if c:
+            terms[m] = c
         else:
             del terms[m]
-        if len(m) >= 3 and (old == 0) != (new == 0):
-            track(m, 1 if new else -1)
 
-    def push_increases() -> None:
-        for pair, n in counts_before.items():
-            if counts.get(pair, 0) > n:
-                heapq.heappush(heap, (-counts[pair], pair))
-        counts_before.clear()
-
-    for m in terms:
-        if len(m) >= 3:
-            track(m, 1)
-    push_increases()
-    next_index = poly.nvars
+    a = poly.nvars  # larger than every index in use, so m + (a,) stays sorted
     entries: list[tuple[int, tuple[int, int]]] = []
-    while counts:
-        while True:
-            top, pair = heap[0]
-            n = counts.get(pair, 0)
-            if n == -top:
-                break
+    while heap:
+        top, pair = heap[0]
+        n = len(holders[pair])
+        if n != -top:
             if n:
                 heapq.heapreplace(heap, (-n, pair))
             else:
                 heapq.heappop(heap)
+            continue
+        heapq.heappop(heap)  # a pair has one entry, and is never chosen again
         i, j = pair
-        a = next_index  # larger than every index in use, so m + (a,) stays sorted
-        rewritten = []
-        for m in list(holders[pair]):
-            track(m, -1)
-            rewritten.append((tuple(v for v in m if v != i and v != j) + (a,), terms.pop(m)))
+        grown: dict[tuple[int, int], set[int]] = {}
+        for k in holders.pop(pair):
+            rest = tuple(v for v in mono[k] if v != i and v != j)
+            for x in rest:
+                holders[(i, x) if i < x else (x, i)].discard(k)
+                holders[(j, x) if j < x else (x, j)].discard(k)
+            if len(rest) >= 2:
+                mono[k] = rest + (a,)
+                for x in rest:
+                    grown.setdefault((x, a), set()).add(k)
+            else:
+                terms[rest + (a,)] = coef[k]
+        holders.update(grown)
+        for pair_a, ids in grown.items():
+            heapq.heappush(heap, (-len(ids), pair_a))
         if pair in terms:
-            rewritten.append(((a,), terms.pop(pair)))
-        for m, c in rewritten + list(_penalty(i, j, a, delta)):
+            add((a,), terms.pop(pair))
+        for m, c in _penalty(i, j, a, delta):
             add(m, c)
-        push_increases()
         entries.append((a, pair))
-        next_index += 1
+        a += 1
     return MultilinearPoly(Domain.BOOLEAN, terms), AncillaMap(entries=tuple(entries), delta=delta)

@@ -8,10 +8,12 @@ block [[1, 1], [1, -1]]) for spin polynomials, the subset-sum transform
 computes both as a product of small Kronecker factors (Fino and Algazi,
 IEEE Trans. Comput. 1976): a few matrix products over the whole vector, each
 applying 2^4 x 2^4 factors, instead of one pass over memory per bit.  The
-arithmetic is float64, whose products run on BLAS, while the absolute
-coefficients sum below 2^53, and int64 below 2^63; both are exact there.
-The states run in chunks of 2^22 over the high bits so memory stays
-bounded.  The ground states are decoded and ordered as arrays.
+products run in float64 on BLAS.  While the absolute coefficients sum
+below 2^53 every partial sum is exact there; below 2^63 each chunk is
+split into 26-bit high and low halves, each transformed exactly in float64
+and joined in int64.  The states run in chunks of 2^22 over the high bits
+so memory stays bounded.  The ground states are decoded and ordered as
+arrays.
 
 Annealing is single-flip Metropolis with a geometric inverse-temperature
 ladder, vectorised over reads, on either model kind: an Ising model (the
@@ -39,6 +41,7 @@ from .polynom import Domain, MultilinearPoly, SquareSum
 
 _CHUNK_BITS = 22  # exhaustive enumeration block size: 2^22 states at a time
 _RADIX = 4  # index bits per matrix product of the exhaustive transform
+_SPLIT_BITS = 26  # low-half width of an int64 chunk transformed in two halves
 _SYLVESTER = np.array([[1, 1], [1, -1]])  # spin: s = +1 or -1 per bit
 _ZETA = np.array([[1, 0], [1, 1]])  # boolean: a term counts where its bits are set
 _PERM_STREAM_KEY = 1 << 32  # spawn key for the shared flip-order stream
@@ -126,6 +129,31 @@ def _transform(a: np.ndarray, block: np.ndarray, spare: np.ndarray) -> np.ndarra
     return a
 
 
+def _split_transform(
+    a: np.ndarray, block: np.ndarray, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray
+) -> np.ndarray:
+    """`_transform` of an int64 chunk whose results lie below 2^63 in
+    magnitude, as two float64 transforms; returns `a`, overwritten.
+
+    With a = 2^26 hi + lo and 0 <= lo < 2^26, a chunk of at most 2^22
+    entries has sum |lo| < 2^48 and sum |hi| < 2^37 + 2^22, so both halves
+    transform exactly in float64 (in the float64 buffers f0, f1 and f2).
+    2^26 T(hi) + T(lo) is then formed in int64: it wraps modulo 2^64 on the
+    way, but the true result fits, so it comes out exact.
+    """
+    np.bitwise_and(a, (1 << _SPLIT_BITS) - 1, out=f0, casting="unsafe")
+    low = _transform(f0, block, f1)
+    free = f1 if low is f0 else f0
+    np.right_shift(a, _SPLIT_BITS, out=free, casting="unsafe")
+    high = _transform(free, block, f2)
+    np.copyto(a, high, casting="unsafe")
+    a <<= _SPLIT_BITS
+    low_int = high.view(np.int64)  # high is copied out: reuse its memory
+    np.copyto(low_int, low, casting="unsafe")
+    a += low_int
+    return a
+
+
 def exhaustive_min(
     model: MultilinearPoly | IsingModel,
     cap: int = 26,
@@ -138,7 +166,9 @@ def exhaustive_min(
     more than `cap` variables, and instances whose absolute coefficients
     (the Ising offset included) sum to 2^63 or more, since their energies
     need not fit the int64 arithmetic.  States are enumerated 2^22 at a
-    time, in two float64 or int64 buffers of 32 MB each.
+    time, in two float64 buffers of 32 MB each while the absolute sum is
+    below 2^53; past it, in one int64 and three float64 buffers of 32 MB
+    each for the split transform (128 MB, the peak measured at 23 variables).
     """
     if isinstance(model, IsingModel):
         poly = model.to_polynomial()
@@ -158,13 +188,14 @@ def exhaustive_min(
         return SampleSet(domain=domain, samples=(sample,), reads=1)
     # Every partial sum the transform forms, in any order, is a signed sum of
     # distinct coefficients: below 2^53 float64 (and its BLAS products) holds
-    # them exactly, below 2^63 int64 does.
+    # them exactly; below 2^63 the split transform is exact.
     bound = poly.abs_coeff_sum()
     if bound >= 1 << 63:
         raise ValueError(
             "absolute coefficients sum to 2^63 or more; energies could overflow int64"
         )
-    dtype = np.float64 if bound < 1 << 53 else np.int64
+    split = bound >= 1 << 53
+    dtype = np.int64 if split else np.float64
 
     # State bit i set means s_i = +1 (spin) or q_i = 1 (boolean).  Bit i of a
     # monomial's mask marks variable i.  The low `low_bits` bits of a state
@@ -180,7 +211,7 @@ def exhaustive_min(
     )
     block = _SYLVESTER if spin else _ZETA
     a = np.empty(1 << low_bits, dtype=dtype)
-    spare = np.empty_like(a)
+    spares = [np.empty(a.size) for _ in range(3 if split else 1)]
 
     best_energy: int | None = None
     minima: list[np.ndarray] = []
@@ -194,7 +225,7 @@ def exhaustive_min(
             # a term counts only where the chunk's high bits cover its own
             covered = (high & ~pattern) == 0
             np.add.at(a, low[covered], coeffs[covered])
-        values = _transform(a, block, spare)
+        values = _split_transform(a, block, *spares) if split else _transform(a, block, *spares)
         start = pattern << low_bits
         lo = int(values.min())
         if best_energy is None or lo < best_energy:

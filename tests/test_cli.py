@@ -44,6 +44,8 @@ class TestArtifactDigests:
         "build_w7": ("build", "--method", "williamson", "--k", 7),
         "build_x8_2": ("build", "--method", "extended-turyn", "--n", 8, "--m", 2),
         "search_w5": ("search", "--method", "williamson", "--k", 5, "--solver", "exhaustive"),
+        "build_t12": ("build", "--method", "turyn", "--n", 12),
+        "search_bh9": ("search", "--method", "baumert-hall", "--k", 9, "--solver", "exhaustive"),
     }
 
     def test_every_file_matches_recorded_sha256(self, tmp_path):

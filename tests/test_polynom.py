@@ -43,8 +43,20 @@ class TestBasics:
         assert p.terms == {}
 
     def test_repeated_variable_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("repeated variable in monomial (1, 1)")):
             MultilinearPoly(SPIN, {(1, 1): 2})
+
+    @pytest.mark.parametrize("monomial", [(2, -1), (-1, -1)],
+                             ids=["negative", "negative-repeated"])
+    def test_negative_variable_rejected(self, monomial):
+        message = f"negative variable index in monomial {tuple(sorted(monomial))}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultilinearPoly(SPIN, {monomial: 2})
+
+    def test_unsorted_monomial_is_sorted(self):
+        p = bpoly({(3, 0, 2): 5, (1, 0): 2, (4,): 1, (): 7})
+        assert p.terms == {(0, 2, 3): 5, (0, 1): 2, (4,): 1, (): 7}
+        assert p.coeff((2, 3, 0)) == 5
 
     def test_domain_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -284,6 +296,18 @@ class TestTextFormat:
         line = f"{'7' * 5000} 0 1"
         with pytest.raises(ValueError, match=re.escape(f"integer of 5000 digits in '{line[:60]}...'")):
             read_poly(io.StringIO(f"domain spin\nnvars 2\n{line}\n"))
+
+    @pytest.mark.parametrize("line, message", [
+        ("5 2 -1", "negative variable index in monomial (-1, 2)"),
+        ("5 1 0 1", "repeated variable in monomial (0, 1, 1)"),
+    ], ids=["negative", "repeated"])
+    def test_bad_monomial_rejected(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_poly(io.StringIO(f"domain spin\nnvars 3\n{line}\n"))
+
+    def test_unsorted_indices_read_sorted(self):
+        p = read_poly(io.StringIO("domain boolean\nnvars 3\n5 2 0 1\n-4 1 0\n"))
+        assert p.terms == {(0, 1, 2): 5, (0, 1): -4}
 
     def test_explicit_nvars_must_cover_indices(self):
         p = spoly({(4,): 1})

@@ -227,8 +227,8 @@ def reference_quadratize(p: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMa
 
 
 class TestIncrementalMatchesReference:
-    """quadratize keeps its pair counts incrementally; the rounds must be
-    exactly those of the reference loop."""
+    """quadratize keeps one pair -> holder-id table and rewrites holders in
+    place; the rounds must be exactly those of the reference loop."""
 
     def assert_same(self, p):
         assert quadratize(p) == reference_quadratize(p)
@@ -237,6 +237,39 @@ class TestIncrementalMatchesReference:
     @given(p=polynomials(BOOL, max_vars=8, coeffs=st.integers(-50, 50)))
     def test_random_polynomials(self, p):
         assume(not p.is_zero())
+        self.assert_same(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=polynomials(BOOL, max_vars=10, coeffs=st.integers(-50, 50),
+                         max_degree=8, max_terms=30))
+    def test_deep_rewrites(self, p):
+        # degrees up to 8 take a holder through several rounds, and later
+        # rounds pick pairs that contain earlier ancillas
+        assume(not p.is_zero())
+        self.assert_same(p)
+
+    def test_later_round_picks_an_ancilla_pair(self):
+        # round 1 rewrites both quartics to (2, 3, 5) and (2, 4, 5); the pair
+        # (2, 5) they share now outcounts every pair of original variables
+        p = bpoly({(0, 1, 2, 3): 1, (0, 1, 2, 4): 1, (2, 4): 3})
+        out, amap = quadratize(p)
+        assert amap.entries == ((5, (0, 1)), (6, (2, 5)))
+        assert out.coeff((3, 6)) == 1
+        assert out.coeff((4, 6)) == 1
+        assert out.coeff((2, 4)) == 3
+        self.assert_same(p)
+
+    def test_holder_rewritten_three_times(self):
+        # q0..q4 becomes (2, 3, 4, 5), then (4, 5, 6), then the quadratic
+        # (6, 7); round 2 also closes the cubic (2, 3, 4) to (4, 6)
+        p = bpoly({(0, 1, 2, 3, 4): 3, (2, 3, 4): 5, (0, 1, 3): -2})
+        delta = compute_delta(p)
+        out, amap = quadratize(p)
+        assert amap.entries == ((5, (0, 1)), (6, (2, 3)), (7, (4, 5)))
+        assert out.coeff((6, 7)) == 3
+        assert out.coeff((4, 6)) == 5
+        assert out.coeff((3, 5)) == -2
+        assert out.coeff((4, 5)) == delta
         self.assert_same(p)
 
     def test_bare_pair_beside_higher_monomials(self):

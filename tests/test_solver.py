@@ -101,11 +101,12 @@ class TestExhaustive:
         assert sset.min_energy == -(2**63 - 1)
         assert [s.values for s in sset.samples] == [ground]
 
-    @pytest.mark.parametrize("excess", [-1, 1], ids=["last-float64", "first-int64"])
+    @pytest.mark.parametrize("excess", [-1, 1, 2**63 - 1 - 2**53],
+                             ids=["last-float64", "first-int64", "last-int64"])
     @pytest.mark.parametrize("domain", [Domain.SPIN, Domain.BOOLEAN])
     def test_float64_edge(self, domain, excess):
-        # absolute coefficients sum to 2^53 - 1 or 2^53 + 1; the minimum is
-        # minus that sum, which float64 cannot hold in the second case
+        # absolute coefficients sum to 2^53 - 1, 2^53 + 1 or 2^63 - 1; the
+        # minimum is minus that sum, which float64 cannot hold past the first
         if domain is Domain.SPIN:
             poly = MultilinearPoly(domain, {(0,): 2**52, (1,): 2**52 + excess})
             ground = (-1, -1)
@@ -195,7 +196,8 @@ def transform_inputs(draw):
 
 
 class TestTransformMatchesButterflies:
-    """`_transform` equals the one-bit-per-pass butterflies it replaced."""
+    """`_transform` (float64) and `_split_transform` (int64, past 2^53) equal
+    the one-bit-per-pass butterflies they replaced."""
 
     @pytest.mark.parametrize("block, reference", [
         (solver._SYLVESTER, reference_walsh_hadamard),
@@ -207,9 +209,29 @@ class TestTransformMatchesButterflies:
         dtype, values = case
         expected = values.copy()
         reference(expected)
-        got = solver._transform(values.astype(dtype), block, np.empty(values.size, dtype=dtype))
+        if dtype is np.float64:
+            got = solver._transform(values.astype(dtype), block, np.empty(values.size))
+        else:
+            spares = [np.empty(values.size) for _ in range(3)]
+            got = solver._split_transform(values.copy(), block, *spares)
         assert got.dtype == dtype
         assert np.array_equal(got.astype(np.int64), expected)
+
+    @pytest.mark.parametrize("block, reference", [
+        (solver._SYLVESTER, reference_walsh_hadamard),
+        (solver._ZETA, reference_subset_sum),
+    ], ids=["sylvester", "zeta"])
+    def test_split_on_a_wide_vector_near_the_bound(self, block, reference):
+        # 2^16 entries whose absolute values sum just below 2^63: a low
+        # half much wider than 26 bits would sum past float64's exact range
+        rng = np.random.default_rng(0)
+        values = rng.integers(2**46, 2**47, size=1 << 16) * rng.choice([-1, 1], size=1 << 16)
+        assert int(np.abs(values).sum()) < 2**63
+        expected = values.copy()
+        reference(expected)
+        spares = [np.empty(values.size) for _ in range(3)]
+        got = solver._split_transform(values.copy(), block, *spares)
+        assert np.array_equal(got, expected)
 
 
 class TestAnneal:
