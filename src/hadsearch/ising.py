@@ -8,7 +8,8 @@ constant offset; its energy is
 over spins s_i in {-1, +1}.  The energies built by this package's
 constructions are minimised at zero.  `normalize_for_export` drops the
 offset and scales the largest coefficient to 1, the form annealing hardware
-takes; solvers read only the exact integer model.
+takes; it keeps the integer model and divides only when read (exact
+`Fraction`s) or written.  Solvers read only the exact integer model.
 """
 
 from __future__ import annotations
@@ -87,13 +88,24 @@ def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingMode
 
 @dataclass(frozen=True)
 class NormalizedIsing:
-    """Unit-scale export image of a model: offset dropped, coefficients
-    divided by the largest magnitude (exact rationals)."""
+    """Unit-scale export image of an integer `model`: its offset dropped and
+    every coefficient divided by `scale`, the largest magnitude.  Only the
+    integer model is stored; `h` and `J` build exact `Fraction`s on access."""
 
-    nvars: int
-    h: dict[int, Fraction]
-    J: dict[tuple[int, int], Fraction]
+    model: IsingModel
     scale: int
+
+    @property
+    def nvars(self) -> int:
+        return self.model.nvars
+
+    @property
+    def h(self) -> dict[int, Fraction]:
+        return {i: Fraction(c, self.scale) for i, c in self.model.h.items()}
+
+    @property
+    def J(self) -> dict[tuple[int, int], Fraction]:
+        return {k: Fraction(c, self.scale) for k, c in self.model.J.items()}
 
 
 def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
@@ -101,13 +113,7 @@ def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
     scale = model.max_abs_coeff()
     if scale == 0:
         raise ValueError("cannot normalize an all-zero model")
-    normalized = NormalizedIsing(
-        nvars=model.nvars,
-        h={i: Fraction(c, scale) for i, c in model.h.items()},
-        J={k: Fraction(c, scale) for k, c in model.J.items()},
-        scale=scale,
-    )
-    return normalized, scale
+    return NormalizedIsing(model, scale), scale
 
 
 # -- text format --------------------------------------------------------------
@@ -118,26 +124,23 @@ def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
 
 
 def write_ising(model: IsingModel, fp: IO[str]) -> None:
-    fp.write(f"c {model.offset}\n")
-    for i in sorted(model.h):
-        fp.write(f"h {i} {model.h[i]}\n")
-    for (i, j) in sorted(model.J):
-        fp.write(f"J {i} {j} {model.J[(i, j)]}\n")
+    h, J = model.h, model.J
+    lines = [f"c {model.offset}\n"]
+    lines += [f"h {i} {h[i]}\n" for i in sorted(h)]
+    lines += [f"J {i} {j} {J[i, j]}\n" for i, j in sorted(J)]
+    fp.write("".join(lines))
 
 
 def write_normalized(norm: NormalizedIsing, fp: IO[str]) -> None:
-    fp.write(f"# scale {norm.scale}\n")
-    fp.write("c 0\n")
-    for i in sorted(norm.h):
-        fp.write(f"h {i} {_decimal(norm.h[i])}\n")
-    for (i, j) in sorted(norm.J):
-        fp.write(f"J {i} {j} {_decimal(norm.J[(i, j)])}\n")
-
-
-def _decimal(x: Fraction) -> str:
-    if x.denominator == 1:
-        return f"{int(x)}.0"
-    return repr(float(x))
+    """Each distinct c as `<q>.0` when scale divides it, else as the repr of
+    c / scale: int / int true division rounds correctly, as float(Fraction)."""
+    scale, h, J = norm.scale, norm.model.h, norm.model.J
+    text = {c: repr(c / scale) if c % scale else f"{c // scale}.0"
+            for c in {*h.values(), *J.values()}}
+    lines = [f"# scale {scale}\nc 0\n"]
+    lines += [f"h {i} {text[h[i]]}\n" for i in sorted(h)]
+    lines += [f"J {i} {j} {text[J[i, j]]}\n" for i, j in sorted(J)]
+    fp.write("".join(lines))
 
 
 def read_ising(fp: IO[str]) -> IsingModel:

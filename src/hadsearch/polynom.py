@@ -51,9 +51,9 @@ def _canonical_monomial(vars_: Iterable[int]) -> Monomial:
     raise ValueError(f"repeated variable in monomial {m}")
 
 
-def term_sort_key(monomial: Monomial) -> tuple[int, Monomial]:
+def _canonical_order(monomials: Iterable[Monomial]) -> list[Monomial]:
     """Canonical term order: by monomial length, then lexicographic."""
-    return (len(monomial), monomial)
+    return sorted(sorted(monomials), key=len)
 
 
 class MultilinearPoly:
@@ -112,7 +112,7 @@ class MultilinearPoly:
         return sum(abs(c) for c in self._terms.values())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self._terms.items(), key=lambda t: term_sort_key(t[0]))
+        return [(m, self._terms[m]) for m in _canonical_order(self._terms)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultilinearPoly):
@@ -315,7 +315,8 @@ def _expand_subsets(
 # line 1: `domain spin|boolean`
 # line 2: `nvars <N>`
 # then one term per line: `<coeff> <i1> <i2> ...` (ascending indices;
-# the constant term has no indices).  `#` begins a comment line.
+# the constant term has no indices), by degree then lexicographic, one `%d`
+# template per degree, the file written in one call.  `#` begins a comment.
 
 
 def write_poly(poly: MultilinearPoly, fp: IO[str], nvars: int | None = None) -> None:
@@ -323,10 +324,12 @@ def write_poly(poly: MultilinearPoly, fp: IO[str], nvars: int | None = None) -> 
     n = top if nvars is None else nvars
     if n < top:
         raise ValueError(f"nvars {n} smaller than largest index in polynomial")
-    fp.write(f"domain {poly.domain.value}\n")
-    fp.write(f"nvars {n}\n")
-    for m, c in poly.sorted_terms():
-        fp.write(" ".join([str(c)] + [str(v) for v in m]) + "\n")
+    terms = poly._terms
+    lines = [f"domain {poly.domain.value}\nnvars {n}\n"]
+    for d, group in itertools.groupby(_canonical_order(terms), len):
+        line = "%d" + " %d" * d + "\n"
+        lines += [line % (terms[m], *m) for m in group]
+    fp.write("".join(lines))
 
 
 def poly_to_text(poly: MultilinearPoly, nvars: int | None = None) -> str:

@@ -405,7 +405,9 @@ def anneal(
     bit-identical results.  Rejects a model whose `_energy_bound` is 2^62
     or more: for an Ising model, absolute coefficients (the offset
     included) summing that high; for a `SquareSum`, a sum of w * A^2 that
-    high, A the absolute coefficient sum of a residual.
+    high, A the absolute coefficient sum of a residual.  An n-spin Ising
+    model holds a dense n x (n+1) flip matrix, sparse or not: a 3000-spin
+    chain used +74 MB peak RSS, against +9 MB for a neighbour-list loop.
     """
     bound = _energy_bound(model)
     if bound >= 1 << 62:

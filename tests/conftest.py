@@ -1,3 +1,4 @@
+import io
 import os
 import random
 
@@ -52,6 +53,18 @@ def polynomials(
 def random_assignment(rng: random.Random, nvars: int, domain: Domain) -> dict[int, int]:
     lo, hi = domain.values
     return {i: rng.choice((lo, hi)) for i in range(nvars)}
+
+
+class CountingWriter(io.StringIO):
+    """A text buffer that counts its `write` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
 
 
 @pytest.fixture

@@ -46,6 +46,8 @@ class TestArtifactDigests:
         "search_w5": ("search", "--method", "williamson", "--k", 5, "--solver", "exhaustive"),
         "build_t12": ("build", "--method", "turyn", "--n", 12),
         "search_bh9": ("search", "--method", "baumert-hall", "--k", 9, "--solver", "exhaustive"),
+        "build_t10": ("build", "--method", "turyn", "--n", 10),
+        "build_w9": ("build", "--method", "williamson", "--k", 9),
     }
 
     def test_every_file_matches_recorded_sha256(self, tmp_path):

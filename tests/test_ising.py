@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadsearch.constructions import williamson_energy
 from hadsearch.ising import (
@@ -17,7 +19,7 @@ from hadsearch.ising import (
 from hadsearch.polynom import Domain, MultilinearPoly
 from hadsearch.quadratize import quadratize
 
-from conftest import random_poly
+from conftest import CountingWriter, random_poly
 
 
 def spoly(terms):
@@ -198,3 +200,98 @@ class TestTextFormat:
         assert "h 0 0.5" in text
         assert "J 0 1 1.0" in text
         assert "c 0" in text
+
+
+# The line-by-line writers the bulk `write_ising` and `write_normalized`
+# replaced, kept verbatim: the current writers must give the same text.
+
+
+def reference_write_ising(model: IsingModel, fp) -> None:
+    fp.write(f"c {model.offset}\n")
+    for i in sorted(model.h):
+        fp.write(f"h {i} {model.h[i]}\n")
+    for (i, j) in sorted(model.J):
+        fp.write(f"J {i} {j} {model.J[(i, j)]}\n")
+
+
+def reference_write_normalized(norm, fp) -> None:
+    fp.write(f"# scale {norm.scale}\n")
+    fp.write("c 0\n")
+    for i in sorted(norm.h):
+        fp.write(f"h {i} {reference_decimal(norm.h[i])}\n")
+    for (i, j) in sorted(norm.J):
+        fp.write(f"J {i} {j} {reference_decimal(norm.J[(i, j)])}\n")
+
+
+def reference_decimal(x: Fraction) -> str:
+    if x.denominator == 1:
+        return f"{int(x)}.0"
+    return repr(float(x))
+
+
+def texts(write, obj) -> tuple[str, int]:
+    """The text `write` gives for `obj` and its number of `write` calls."""
+    buf = CountingWriter()
+    write(obj, buf)
+    return buf.getvalue(), buf.calls
+
+
+@st.composite
+def models(draw, coeffs: st.SearchStrategy[int], offsets=st.integers(-(2**70), 2**70)):
+    nvars = draw(st.integers(1, 10))
+    index = st.integers(0, nvars - 1)
+    h = draw(st.dictionaries(index, coeffs.filter(bool), max_size=nvars))
+    pairs = st.tuples(index, index).filter(lambda p: p[0] < p[1])
+    J = draw(st.dictionaries(pairs, coeffs.filter(bool), max_size=20))
+    return IsingModel(nvars=nvars, h=h, J=J, offset=draw(offsets))
+
+
+@st.composite
+def scaled_models(draw):
+    """Models whose largest |coefficient| is `scale` = u * 2^e, up to 2^80
+    and often past 2^53, holding one of +-scale, quotients that are dyadic
+    (exactly representable) and quotients that do not terminate."""
+    u = draw(st.one_of(st.integers(1, 999), st.integers(2**40, 2**60)))
+    e = draw(st.integers(0, 80 - u.bit_length()))
+    scale = u << e
+    dyadic = st.integers(0, e).flatmap(
+        lambda j: st.integers(1, 1 << j).map(lambda a: (scale >> j) * a))
+    thirds = st.sampled_from([scale // 3, 2 * scale // 3]).filter(bool)
+    magnitude = st.one_of(st.just(scale), dyadic, thirds, st.integers(1, scale))
+    signed = st.builds(lambda c, sign: sign * c, magnitude, st.sampled_from([-1, 1]))
+    model = draw(models(signed))
+    top = draw(st.sampled_from([scale, -scale]))
+    if draw(st.booleans()) or model.nvars == 1:
+        h = {**model.h, 0: top}
+        return IsingModel(model.nvars, h, model.J, model.offset), scale
+    return IsingModel(model.nvars, model.h, {**model.J, (0, 1): top}, model.offset), scale
+
+
+class TestWritersMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(model=models(st.integers(-(2**70), 2**70)))
+    def test_integer_model(self, model):
+        text, calls = texts(write_ising, model)
+        assert text == texts(reference_write_ising, model)[0]
+        assert calls == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scaled_models())
+    def test_normalized_export(self, case):
+        model, scale = case
+        norm, got_scale = normalize_for_export(model)
+        assert got_scale == norm.scale == scale
+        assert norm.nvars == model.nvars
+        assert norm.h == {i: Fraction(c, scale) for i, c in model.h.items()}
+        assert norm.J == {k: Fraction(c, scale) for k, c in model.J.items()}
+        text, calls = texts(write_normalized, norm)
+        assert text == texts(reference_write_normalized, norm)[0]
+        assert calls == 1
+
+    @pytest.mark.parametrize("scale", [1, 3, 2**53 + 1, 3 * 2**60, 2**80])
+    def test_normalized_edge_quotients(self, scale):
+        cs = {scale, -scale, scale // 2, scale // 3, 1, -1, scale - 1}
+        h = {i: c for i, c in enumerate(sorted(c for c in cs if c))}
+        model = IsingModel(nvars=len(h) + 1, h=h, J={(0, len(h)): -scale})
+        norm, _ = normalize_for_export(model)
+        assert texts(write_normalized, norm)[0] == texts(reference_write_normalized, norm)[0]

@@ -14,7 +14,7 @@ from hadsearch.polynom import (
     write_poly,
 )
 
-from conftest import polynomials, random_assignment, random_poly
+from conftest import CountingWriter, polynomials, random_assignment, random_poly
 
 SPIN = Domain.SPIN
 BOOL = Domain.BOOLEAN
@@ -313,3 +313,58 @@ class TestTextFormat:
         p = spoly({(4,): 1})
         with pytest.raises(ValueError):
             write_poly(p, io.StringIO(), nvars=2)
+
+
+def reference_write_poly(poly, fp, nvars=None):
+    """The line-by-line writer the bulk `write_poly` replaced, kept verbatim
+    apart from the sort, which inlines the old `term_sort_key` order so the
+    reference does not read the order under test."""
+    top = poly.nvars
+    n = top if nvars is None else nvars
+    if n < top:
+        raise ValueError(f"nvars {n} smaller than largest index in polynomial")
+    fp.write(f"domain {poly.domain.value}\n")
+    fp.write(f"nvars {n}\n")
+    for m, c in sorted(poly.terms.items(), key=lambda t: (len(t[0]), t[0])):
+        fp.write(" ".join([str(c)] + [str(v) for v in m]) + "\n")
+
+
+def reference_poly_text(poly, nvars=None):
+    buf = io.StringIO()
+    reference_write_poly(poly, buf, nvars=nvars)
+    return buf.getvalue()
+
+
+def written_polys():
+    """Both domains, degree <= 6, |c| <= 2^70, plus the zero and a
+    constant-only polynomial."""
+    return st.one_of(
+        polynomials(SPIN, max_vars=9, coeffs=WIDE, max_degree=6, max_terms=40),
+        polynomials(BOOL, max_vars=9, coeffs=WIDE, max_degree=6, max_terms=40),
+        st.sampled_from([MultilinearPoly.zero(SPIN), MultilinearPoly.zero(BOOL)]),
+        st.builds(MultilinearPoly.constant, st.sampled_from([SPIN, BOOL]), WIDE),
+    )
+
+
+class TestWriterMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(p=written_polys(), pad=st.none() | st.integers(0, 3))
+    def test_same_text(self, p, pad):
+        nvars = None if pad is None else p.nvars + pad
+        assert poly_to_text(p, nvars=nvars) == reference_poly_text(p, nvars=nvars)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=written_polys())
+    def test_sorted_terms_in_canonical_order(self, p):
+        assert p.sorted_terms() == sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0]))
+
+    @pytest.mark.parametrize("p", [
+        MultilinearPoly.zero(SPIN),
+        MultilinearPoly.constant(BOOL, -(2**70)),
+        spoly({(0, 1, 2, 3, 4, 5): 2**70, (7,): -1, (): 3}),
+    ], ids=["zero", "constant", "mixed"])
+    def test_file_written_in_one_call(self, p):
+        buf = CountingWriter()
+        write_poly(p, buf, nvars=p.nvars + 2)
+        assert buf.calls == 1
+        assert buf.getvalue() == reference_poly_text(p, nvars=p.nvars + 2)
