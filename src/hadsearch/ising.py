@@ -88,9 +88,11 @@ def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingMode
 
 @dataclass(frozen=True)
 class NormalizedIsing:
-    """Unit-scale export image of an integer `model`: its offset dropped and
+    """Unit-scale export image of an integer model: its offset dropped and
     every coefficient divided by `scale`, the largest magnitude.  Only the
-    integer model is stored; `h` and `J` build exact `Fraction`s on access."""
+    numerators are stored, as an offset-free copy `model`, so equality and
+    repr are those of the image; `h` and `J` build exact `Fraction`s on
+    access."""
 
     model: IsingModel
     scale: int
@@ -113,7 +115,7 @@ def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
     scale = model.max_abs_coeff()
     if scale == 0:
         raise ValueError("cannot normalize an all-zero model")
-    return NormalizedIsing(model, scale), scale
+    return NormalizedIsing(IsingModel(model.nvars, dict(model.h), dict(model.J)), scale), scale
 
 
 # -- text format --------------------------------------------------------------

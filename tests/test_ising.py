@@ -114,6 +114,14 @@ class TestNormalize:
         assert scale == model.max_abs_coeff()
         assert max(abs(v) for v in list(norm.h.values()) + list(norm.J.values())) == 1
 
+    def test_image_drops_offset_and_owns_its_coefficients(self):
+        h, J = {0: 4, 1: -2}, {(0, 1): 8}
+        norm, _ = normalize_for_export(IsingModel(nvars=2, h=h, J=J, offset=5))
+        assert norm == normalize_for_export(IsingModel(nvars=2, h=h, J=J))[0]
+        h[0], J[0, 1] = 1, 1
+        assert norm.h == {0: Fraction(1, 2), 1: Fraction(-1, 4)}
+        assert norm.J == {(0, 1): Fraction(1)}
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             normalize_for_export(IsingModel(nvars=1, offset=3))
