@@ -20,12 +20,15 @@ ladder, vectorised over reads, on either model kind: an Ising model (the
 path `solve` takes) or a method's sum of squared residuals over its own
 logical spins (the path `search` takes, with no ancillas and no penalty
 weight).  One kernel serves both, since an Ising model is a single
-residual entering the energy linearly.  A flip updates every residual
+residual entering the energy linearly.  The state keeps every residual
+doubled, X = 2R, so that the sum X + delta a proposal forms for a sum of
+squares also serves the accepted flip; a flip updates every residual
 incrementally.  Every read draws its start state and acceptance uniforms
-from a stream derived from (seed, read index), and each sweep's flip order
-comes from one dedicated stream, so a fixed seed gives byte-identical
-samples.  Energies are exact integers: the models `anneal` accepts keep
-every energy and energy change below 2^62 in magnitude.
+from a stream derived from (seed, read index), the uniforms of a block of
+sweeps in one call, and each sweep's flip order comes from one dedicated
+stream, so a fixed seed gives byte-identical samples.  Energies are exact
+integers: the models `anneal` accepts keep every energy and energy change
+below 2^62 in magnitude.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ _SPLIT_BITS = 26  # low-half width of an int64 chunk transformed in two halves
 _SYLVESTER = np.array([[1, 1], [1, -1]])  # spin: s = +1 or -1 per bit
 _ZETA = np.array([[1, 0], [1, 1]])  # boolean: a term counts where its bits are set
 _PERM_STREAM_KEY = 1 << 32  # spawn key for the shared flip-order stream
+_UNIFORM_BLOCK = 1 << 18  # acceptance uniforms drawn at once over all reads (2 MB)
 
 
 @dataclass(frozen=True)
@@ -284,16 +288,22 @@ class _Kernel:
     constant residuals folded into c and identical ones merged.  States are
     columns of S, shape (n+1, reads), whose last row is the constant 1.
     `flips[i]`, shape (L, n+1), is -2 times the derivative of every residual
-    in s_i, so flipping s_i changes R by s_i * (flips[i] @ S).
+    in s_i, so flipping s_i changes R by delta = s_i * (flips[i] @ S).  The
+    loop keeps X = 2R: the energy change is w @ ((X + delta) * delta) for a
+    sum of squares (`squares`), since (R + delta)^2 - R^2 = (2R + delta)
+    delta, and u @ delta for an Ising model; an accepted flip sets X to
+    (X + delta) + delta.
 
     `bound`, the model's `_energy_bound`, caps the magnitude of every
     energy, energy change and residual, and of half of every residual
     change.  Below 2^52 the kernel runs in float64, whose matrix products
     use BLAS: every value it forms is then an integer below 2^53, which
-    float64 holds exactly (an Ising model's squared terms may round, but
-    enter with weight 0).  Otherwise it runs in int64, exact modulo 2^64,
-    so only the energy changes and energies, compared and returned, must
-    fit.
+    float64 holds exactly.  That includes X + delta = R + R', R' the
+    residual after the flip, and each (X + delta) * delta = R'^2 - R^2;
+    an Ising model's squares are formed only by `energies`, where they may
+    round but enter with weight 0.  Otherwise it runs in int64, exact
+    modulo 2^64, so only the energy changes and energies, compared and
+    returned, must fit.
     """
 
     def __init__(self, model: IsingModel | SquareSum, bound: int):
@@ -312,6 +322,7 @@ class _Kernel:
                     merged.setdefault(frozenset(terms.items()), [terms, 0])[1] += w
             residuals = [(0, w, terms) for terms, w in merged.values()]
         self.dtype = np.float64 if bound < 1 << 52 else np.int64
+        self.squares = isinstance(model, SquareSum)
         self.nvars, self.offset = n, c
         self.u = np.array([u for u, _, _ in residuals], dtype=self.dtype)
         self.w = np.array([w for _, w, _ in residuals], dtype=self.dtype)
@@ -340,21 +351,31 @@ class _Kernel:
             minus_twice += S[i] * (self.flips[i, :, i + 1 :] @ S[i + 1 :])
         return self.constants - minus_twice // 2
 
-    def energies(self, R: np.ndarray) -> list[int]:
+    def energies(self, X: np.ndarray) -> list[int]:
+        """Energies of the states whose doubled residuals are X = 2R."""
+        R = X // 2
         return (self.offset + (self.u @ R + self.w @ (R * R)).astype(np.int64)).tolist()
 
-    def propose(self, S: np.ndarray, R: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Change of every residual and of the energy if s_i flips."""
+    def propose(
+        self, S: np.ndarray, X: np.ndarray, i: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For the doubled residuals X = 2R: the change delta of every
+        residual if s_i flips, X + delta and the energy change."""
         delta = self.flips[i] @ S
         delta *= S[i]
-        change = R + R
-        change += delta
-        change *= delta
-        return delta, self.w @ change + self.u @ delta
+        moved = X + delta
+        if self.squares:
+            # w (R + delta)^2 - w R^2 = w (2R + delta) delta
+            return delta, moved, self.w @ (moved * delta)
+        return delta, moved, self.u @ delta
 
     @staticmethod
-    def flip(S: np.ndarray, R: np.ndarray, i: int, delta: np.ndarray, accept: np.ndarray) -> None:
-        np.add(R, delta, out=R, where=accept)
+    def flip(
+        S: np.ndarray, X: np.ndarray, i: int, delta: np.ndarray, moved: np.ndarray,
+        accept: np.ndarray,
+    ) -> None:
+        """Flip s_i where accept holds: X becomes 2(R + delta)."""
+        np.add(moved, delta, out=X, where=accept)
         np.negative(S[i], out=S[i], where=accept)
 
 
@@ -368,25 +389,31 @@ def _metropolis_states(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(_PERM_STREAM_KEY,)))
     )
     S = kernel.states(np.array([g.integers(0, 2, size=n) * 2 - 1 for g in gens]).reshape(reads, n))
-    R = kernel.residuals(S)
-    drawn = np.empty((reads, n))
-    for t in range(sweeps):
-        order = perm_gen.permutation(n)
-        for g, row in zip(gens, drawn):
-            g.random(out=row)
-        uniforms = drawn.T.copy()
-        neg_beta = -betas[t]
-        for step, i in enumerate(order):
-            delta, delta_e = kernel.propose(S, R, i)
-            # exponent clipped to [-700, 0]: exp neither underflows nor
-            # overflows, and a move that does not raise the energy gets
-            # exp(0) = 1 > uniform
-            exponent = neg_beta * delta_e
-            np.minimum(exponent, 0.0, out=exponent)
-            np.maximum(exponent, -700.0, out=exponent)
-            accept = uniforms[step] < np.exp(exponent, out=exponent)
-            kernel.flip(S, R, i, delta, accept)
-    return S[:n].T.astype(np.int64).tolist(), kernel.energies(R)
+    X = 2 * kernel.residuals(S)
+    # Generator.random fills doubles in stream order, so drawing `block`
+    # sweeps' uniforms in one call gives each sweep the values it would get
+    # from a call of its own
+    block = max(1, _UNIFORM_BLOCK // max(1, reads * n))
+    drawn = np.empty((reads, block * n))
+    # a move that does not raise the energy has exponent >= 0 and
+    # exp >= 1 > uniform: accepted, also where exp overflows to inf
+    with np.errstate(over="ignore"):
+        for t in range(sweeps):
+            if t % block == 0:
+                count = min(block, sweeps - t)
+                for g, row in zip(gens, drawn):
+                    g.random(out=row[: count * n])
+                uniforms = drawn[:, : count * n].T.copy().reshape(count, n, reads)
+            order = perm_gen.permutation(n).tolist()
+            neg_beta = -betas[t]
+            for i, uniform in zip(order, uniforms[t % block]):
+                delta, moved, delta_e = kernel.propose(S, X, i)
+                # exponent clipped below at -700, where exp does not underflow
+                exponent = neg_beta * delta_e
+                np.maximum(exponent, -700.0, out=exponent)
+                accept = uniform < np.exp(exponent, out=exponent)
+                kernel.flip(S, X, i, delta, moved, accept)
+    return S[:n].T.astype(np.int64).tolist(), kernel.energies(X)
 
 
 def anneal(
@@ -402,10 +429,14 @@ def anneal(
 
     Each read starts from a random spin state and runs `sweeps` full passes
     with a geometric inverse-temperature schedule; identical inputs give
-    bit-identical results.  Rejects a model whose `_energy_bound` is 2^62
-    or more: for an Ising model, absolute coefficients (the offset
-    included) summing that high; for a `SquareSum`, a sum of w * A^2 that
-    high, A the absolute coefficient sum of a residual.  An n-spin Ising
+    bit-identical results.  Each read draws the acceptance uniforms of
+    several sweeps in one call, as many as keep all reads' uniforms within
+    `_UNIFORM_BLOCK` doubles (at least one sweep), and the loop keeps every
+    residual doubled, 2R, so one flip attempt takes at most eleven numpy
+    calls.  Rejects a model whose `_energy_bound` is 2^62 or more: for an
+    Ising model, absolute coefficients (the offset included) summing that
+    high; for a `SquareSum`, a sum of w * A^2 that high, A the absolute
+    coefficient sum of a residual.  An n-spin Ising
     model holds a dense n x (n+1) flip matrix, sparse or not: a 3000-spin
     chain used +74 MB peak RSS, against +9 MB for a neighbour-list loop.
     """

@@ -383,11 +383,11 @@ def quadratic_polys(nvars: int, coeffs):
 
 
 @st.composite
-def annealable_models(draw):
-    """Small Ising models and sums of squares, some past float64's exact range."""
+def annealable_models(draw, ising: bool):
+    """Small Ising models or sums of squares, some past float64's exact range."""
     nvars = draw(st.integers(1, 6))
     coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**28), 2**28))
-    if draw(st.booleans()):
+    if ising:
         return from_quadratic(draw(quadratic_polys(nvars, coeffs)), nvars=nvars)
     terms = draw(st.lists(st.tuples(st.integers(1, 5), quadratic_polys(nvars, coeffs)),
                           min_size=1, max_size=4))
@@ -396,18 +396,27 @@ def annealable_models(draw):
 
 
 class TestKernelProperty:
+    """The step `_metropolis_states` runs keeps X = 2R and reports each
+    accepted flip's exact energy change, on both kernel kinds."""
+
     @settings(max_examples=150, deadline=None)
-    @given(model=annealable_models(), data=st.data())
-    def test_incremental_state_matches_full_evaluation(self, model, data):
-        bound = solver._energy_bound(model)
-        assume(bound < 2**62)
-        kernel = solver._Kernel(model, bound)
-        energy = model.to_polynomial() if isinstance(model, IsingModel) else model.expand()
-        n = model.nvars
+    @given(data=st.data())
+    def test_incremental_state_matches_full_evaluation(self, data):
+        for ising in (True, False):
+            model = data.draw(annealable_models(ising))
+            bound = solver._energy_bound(model)
+            assume(bound < 2**62)
+            kernel = solver._Kernel(model, bound)
+            assert kernel.squares is not ising
+            self.check_steps(kernel, model.to_polynomial() if ising else model.expand(), data)
+
+    @staticmethod
+    def check_steps(kernel, energy, data):
+        n = kernel.nvars
         reads = data.draw(st.integers(1, 4))
         spins = st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)
         S = kernel.states(np.array(data.draw(st.lists(spins, min_size=reads, max_size=reads))))
-        R = kernel.residuals(S)
+        X = 2 * kernel.residuals(S)
 
         def exact(S):
             return [energy.evaluate(dict(enumerate(col))) for col in S[:n].T.astype(int).tolist()]
@@ -416,13 +425,13 @@ class TestKernelProperty:
         flips = st.tuples(st.integers(0, n - 1), st.lists(st.booleans(), min_size=reads,
                                                           max_size=reads))
         for i, accept in data.draw(st.lists(flips, max_size=10)):
-            delta, delta_e = kernel.propose(S, R, i)
-            kernel.flip(S, R, i, delta, np.array(accept))
+            delta, moved, delta_e = kernel.propose(S, X, i)
+            kernel.flip(S, X, i, delta, moved, np.array(accept))
             after = exact(S)
             for k in range(reads):
                 assert after[k] - before[k] == (int(delta_e[k]) if accept[k] else 0)
-            assert np.array_equal(R, kernel.residuals(S))
-            assert kernel.energies(R) == after
+            assert np.array_equal(X, 2 * kernel.residuals(S))
+            assert kernel.energies(X) == after
             before = after
 
 
@@ -493,6 +502,88 @@ class TestIsingMatchesReferenceLoop:
             key=lambda s: (s.energy, s.value_string()),
         )
         got = anneal(model, reads=reads, sweeps=sweeps, seed=seed)
+        assert got == SampleSet(domain=Domain.SPIN, samples=tuple(expected), reads=reads)
+
+
+def reference_residual_metropolis(kernel, reads: int, sweeps: int, betas, seed: int):
+    """The kernel loop before uniforms were drawn in blocks and the state
+    became 2R: per-sweep uniforms, and the residuals R updated by a
+    proposal that forms R + R + delta and u @ delta.  Final states
+    (reads x nvars) and energies."""
+    n = kernel.nvars
+    gens = [solver._read_generator(seed, r) for r in range(reads)]
+    perm_gen = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(solver._PERM_STREAM_KEY,))))
+    S = kernel.states(np.array([g.integers(0, 2, size=n) * 2 - 1 for g in gens]).reshape(reads, n))
+    R = kernel.residuals(S)
+    drawn = np.empty((reads, n))
+    for t in range(sweeps):
+        order = perm_gen.permutation(n)
+        for g, row in zip(gens, drawn):
+            g.random(out=row)
+        uniforms = drawn.T.copy()
+        neg_beta = -betas[t]
+        for step, i in enumerate(order):
+            delta = kernel.flips[i] @ S
+            delta *= S[i]
+            change = R + R
+            change += delta
+            change *= delta
+            delta_e = kernel.w @ change + kernel.u @ delta
+            exponent = neg_beta * delta_e
+            np.minimum(exponent, 0.0, out=exponent)
+            np.maximum(exponent, -700.0, out=exponent)
+            accept = uniforms[step] < np.exp(exponent, out=exponent)
+            np.add(R, delta, out=R, where=accept)
+            np.negative(S[i], out=S[i], where=accept)
+    energies = kernel.offset + (kernel.u @ R + kernel.w @ (R * R)).astype(np.int64)
+    return S[:n].T.astype(np.int64).tolist(), energies.tolist()
+
+
+def int64_square_sum() -> SquareSum:
+    """A sum of squares with energy bound in [2^52, 2^62): the int64 kernel."""
+    residuals = SquareSum(3, (
+        (3, spin({(0,): 2**26, (1,): 2**26 - 5, (0, 2): 7, (): 3})),
+        (2, spin({(1, 2): 2**23, (2,): -(2**22), (0,): 1})),
+    ))
+    assert 2**52 <= solver._energy_bound(residuals) < 2**62
+    return residuals
+
+
+class TestResidualMatchesReferenceLoop:
+    """`anneal` equals the per-sweep, residual-state loop it replaced, also
+    when the uniforms of a run span several blocks and end in a partial one."""
+
+    @pytest.fixture(scope="class")
+    def models(self, paper_ising_models):
+        return {"W7": williamson_residuals(7), "W9": williamson_residuals(9),
+                "T6": turyn_residuals(6), "T12": turyn_residuals(12),
+                "int64": int64_square_sum(),
+                **{f"{name} Ising": m for name, m in paper_ising_models.items()}}
+
+    @pytest.mark.parametrize("block_sweeps", [None, 4], ids=["default-block", "4-sweep-block"])
+    @pytest.mark.parametrize("name", ["W7", "W9", "T6", "T12", "int64",
+                                      "W7 Ising", "W9 Ising", "T6 Ising", "T12 Ising"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_sample_set(self, models, name, seed, block_sweeps):
+        model = models[name]
+        reads, sweeps = 7, 33
+        kernel = solver._Kernel(model, solver._energy_bound(model))
+        b0, b1 = solver.default_beta_range(model)
+        betas = b0 * (b1 / b0) ** (np.arange(sweeps) / (sweeps - 1))
+        states, energies = reference_residual_metropolis(kernel, reads, sweeps, betas, seed)
+        counts = {}
+        for row, e in zip(states, energies):
+            prev = counts.get(tuple(row), (e, 0))
+            counts[tuple(row)] = (e, prev[1] + 1)
+        expected = sorted(
+            (Sample(values=v, energy=e, occurrences=c) for v, (e, c) in counts.items()),
+            key=lambda s: (s.energy, s.value_string()),
+        )
+        # 33 sweeps in blocks of 4: eight full blocks, then one of a single sweep
+        block = solver._UNIFORM_BLOCK if block_sweeps is None else block_sweeps * reads * model.nvars
+        with mock.patch.object(solver, "_UNIFORM_BLOCK", block):
+            got = anneal(model, reads=reads, sweeps=sweeps, seed=seed)
         assert got == SampleSet(domain=Domain.SPIN, samples=tuple(expected), reads=reads)
 
 
