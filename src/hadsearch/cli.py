@@ -105,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("search", parents=[output, method, solving], help="solve and assemble")
-    p.add_argument("--keep-failures", action="store_true",
-                   help="write matrix artifacts even when verification fails")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("solve", parents=[output, solving], help="minimise a model file")
@@ -130,60 +128,67 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # -- method plumbing -----------------------------------------------------------
+#
+# The constructions check the size (parity, range, m < n/2) and raise
+# ValueError, which `main` reports as a usage error.
+
+BLOCK_METHODS = ("williamson", "baumert-hall")
+
+
+def _size_name(args) -> str:
+    return "k" if args.method in BLOCK_METHODS else "n"
 
 
 def _method_size(args) -> int:
-    if args.method in ("williamson", "baumert-hall"):
-        if args.k is None:
-            raise UsageError(f"--k is required for method {args.method}")
-        if args.k % 2 == 0 or args.k < 3:
-            raise UsageError(f"method {args.method} needs odd k >= 3, got {args.k}")
-        return args.k
-    if args.n is None:
-        raise UsageError(f"--n is required for method {args.method}")
-    if args.n % 2 or args.n < 4:
-        raise UsageError(f"method {args.method} needs even n >= 4, got {args.n}")
-    if args.method == "extended-turyn" and not 1 <= args.m < args.n / 2:
-        raise UsageError(f"extended-turyn needs 1 <= m < n/2, got m={args.m}")
-    return args.n
+    name = _size_name(args)
+    size = getattr(args, name)
+    if size is None:
+        raise UsageError(f"--{name} is required for method {args.method}")
+    return size
 
 
-def _energy_for(args, proto: cons.PrototypeSpec | None = None) -> MultilinearPoly:
-    size = _method_size(args)
-    if args.method in ("williamson", "baumert-hall"):
-        return cons.williamson_energy(size)
+def _energy_for(args, proto: cons.PrototypeSpec | None) -> MultilinearPoly:
+    if args.method in BLOCK_METHODS:
+        return cons.williamson_energy(args.k)
     if args.method == "turyn":
-        return cons.turyn_energy(size)
-    assert proto is not None
+        return cons.turyn_energy(args.n)
     return cons.extended_energy(proto)
 
 
 def _residuals_for(args, proto: cons.PrototypeSpec | None) -> SquareSum:
-    size = _method_size(args)
-    if args.method in ("williamson", "baumert-hall"):
-        return cons.williamson_residuals(size)
+    if args.method in BLOCK_METHODS:
+        return cons.williamson_residuals(args.k)
     if args.method == "turyn":
-        return cons.turyn_residuals(size)
-    assert proto is not None
+        return cons.turyn_residuals(args.n)
     return cons.extended_residuals(proto)
 
 
-def _prototype_list(args) -> list[cons.PrototypeSpec]:
+def _candidates(args, default_index: int | None):
+    """(prototype index, prototype) pairs to solve, in order: the one at
+    `--prototype-index`, else at `default_index`, else every filtered
+    prototype.  A method without prototypes has the one pair (None, None)."""
+    if args.method != "extended-turyn":
+        return [(None, None)]
     protos = list(cons.enumerate_prototypes(args.n, args.m))
     if not protos:
         raise UsageError(f"no prototypes pass the filter for n={args.n}, m={args.m}")
-    if args.prototype_index is not None:
-        if not 0 <= args.prototype_index < len(protos):
-            raise UsageError(
-                f"prototype index {args.prototype_index} out of range 0..{len(protos) - 1}"
-            )
-        return [protos[args.prototype_index]]
-    return protos
+    index = default_index if args.prototype_index is None else args.prototype_index
+    if index is None:
+        return list(enumerate(protos))
+    if not 0 <= index < len(protos):
+        raise UsageError(f"prototype index {index} out of range 0..{len(protos) - 1}")
+    return [(index, protos[index])]
+
+
+def _prototype_fields(args, index, proto) -> list[tuple[str, object]]:
+    if proto is None:
+        return []
+    return [("m", args.m), ("prototype_index", index), ("prototype", proto.to_line())]
 
 
 def _assemble(args, values: Sequence[int], proto: cons.PrototypeSpec | None) -> hm.SignMatrix:
     """Matrix for one method from a solved logical assignment."""
-    if args.method in ("williamson", "baumert-hall"):
+    if args.method in BLOCK_METHODS:
         rows = cons.williamson_first_rows(args.k, values)
         blocks = [hm.circulant(r) for r in rows]
         if args.method == "williamson":
@@ -215,11 +220,7 @@ def _write_manifest(path, pairs: list[tuple[str, object]]) -> None:
 
 def cmd_build(args) -> int:
     size = _method_size(args)
-    proto = None
-    if args.method == "extended-turyn":
-        index = 0 if args.prototype_index is None else args.prototype_index
-        args.prototype_index = index
-        proto = _prototype_list(args)[0]
+    [(index, proto)] = _candidates(args, 0)
     energy = _energy_for(args, proto)
     ek_q, e2_q, e2_s, model, amap = _build_chain(energy)
     os.makedirs(args.out, exist_ok=True)
@@ -233,13 +234,8 @@ def cmd_build(args) -> int:
     with open(join("model_normalized.ising"), "w", encoding="utf-8", newline="\n") as fp:
         ising.write_normalized(normalized, fp)
     logical = energy.nvars
-    pairs: list[tuple[str, object]] = [
-        ("method", args.method),
-        ("k" if args.method in ("williamson", "baumert-hall") else "n", size),
-    ]
-    if proto is not None:
-        pairs += [("m", args.m), ("prototype_index", args.prototype_index),
-                  ("prototype", proto.to_line())]
+    pairs = [("method", args.method), (_size_name(args), size)]
+    pairs += _prototype_fields(args, index, proto)
     pairs += [
         ("logical", logical),
         ("ancillas", len(amap.entries)),
@@ -254,10 +250,10 @@ def cmd_build(args) -> int:
 
 def _solver_for(args, nvars: int) -> str:
     """`--solver`, with `auto` enumerating up to AUTO_EXHAUSTIVE_LIMIT
-    variables and annealing above that."""
+    variables (`--cap` if lower) and annealing above that."""
     if args.solver != "auto":
         return args.solver
-    return "exhaustive" if nvars <= AUTO_EXHAUSTIVE_LIMIT else "anneal"
+    return "exhaustive" if nvars <= min(AUTO_EXHAUSTIVE_LIMIT, args.cap) else "anneal"
 
 
 def _anneal(args, model: ising.IsingModel | SquareSum) -> solver.SampleSet:
@@ -287,67 +283,43 @@ def _solve_energy(args, proto: cons.PrototypeSpec | None):
     return sset, list(dict.fromkeys(s.values for s in sset.samples if s.energy == 0))
 
 
+def _first_verified(args, grounds, proto: cons.PrototypeSpec | None) -> hm.SignMatrix | None:
+    """The matrix of the first ground assignment that assembles and
+    passes `hm.verify`, or None."""
+    for values in grounds:
+        try:
+            matrix = _assemble(args, values, proto)
+        except (ValueError, AssertionError):
+            continue  # this sample does not complete to a valid pipeline input
+        if hm.verify(matrix)[0]:
+            return matrix
+    return None
+
+
 def cmd_search(args) -> int:
     size = _method_size(args)
-    os.makedirs(args.out, exist_ok=True)
-    join = lambda name: os.path.join(args.out, name)
-
-    candidates: list[cons.PrototypeSpec | None]
-    if args.method == "extended-turyn":
-        candidates = list(_prototype_list(args))
-    else:
-        candidates = [None]
-
-    last_sset = None
-    failed_candidate = None
-    matrix = None
-    chosen_proto = None
-    proto_index = None
-    for idx, proto in enumerate(candidates):
+    for index, proto in _candidates(args, None):
         sset, grounds = _solve_energy(args, proto)
-        last_sset = sset
-        first_failure = None
-        for values in grounds:
-            try:
-                candidate = _assemble(args, values, proto)
-            except (ValueError, AssertionError):
-                continue  # this sample does not complete to a valid pipeline input
-            ok, _D = hm.verify(candidate)
-            if ok:
-                matrix = candidate
-                chosen_proto = proto
-                proto_index = idx
-                break
-            if first_failure is None:
-                first_failure = candidate
+        matrix = _first_verified(args, grounds, proto)
         if matrix is not None:
             break
-        if first_failure is not None:
-            failed_candidate = first_failure
 
-    assert last_sset is not None
+    os.makedirs(args.out, exist_ok=True)
+    join = lambda name: os.path.join(args.out, name)
     with open(join("samples.txt"), "w", encoding="utf-8", newline="\n") as fp:
-        solver.write_samples(last_sset, fp)
+        solver.write_samples(sset, fp)
 
     order = _expected_order(args, size)
-    manifest: list[tuple[str, object]] = [
+    manifest = [
         ("method", args.method),
-        ("k" if args.method in ("williamson", "baumert-hall") else "n", size),
+        (_size_name(args), size),
         ("order", order),
         ("seed", args.seed),
-        ("min_energy", last_sset.min_energy),
+        ("min_energy", sset.min_energy),
     ]
-    if chosen_proto is not None:
-        manifest += [("m", args.m), ("prototype_index", proto_index),
-                     ("prototype", chosen_proto.to_line())]
-
     if matrix is None:
         manifest.append(("verified", "no"))
         _write_manifest(join("manifest.txt"), manifest)
-        if args.keep_failures and failed_candidate is not None:
-            hm.save_matrix(failed_candidate, join("matrix.txt"))
-            with open(join("report.txt"), "w", encoding="utf-8", newline="\n") as fp:
-                fp.write(hm.report_line(failed_candidate) + "\n")
         print(f"no verified order-{order} matrix found", file=sys.stderr)
         return EXIT_NO_SOLUTION
 
@@ -361,6 +333,7 @@ def cmd_search(args) -> int:
     report = hm.report_line(matrix)
     with open(join("report.txt"), "w", encoding="utf-8", newline="\n") as fp:
         fp.write(report + "\n")
+    manifest += _prototype_fields(args, index, proto)
     manifest.append(("verified", "yes"))
     _write_manifest(join("manifest.txt"), manifest)
     print(report)
@@ -391,12 +364,7 @@ def cmd_solve(args) -> int:
 
 def _load_model(path):
     with open(path, encoding="utf-8") as fp:
-        head = ""
-        for raw in fp:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                head = line
-                break
+        head = next(polynom._content_lines(fp), "")
     if head.startswith("domain"):
         return polynom.load_poly(path)
     return ising.load_ising(path)

@@ -124,10 +124,8 @@ def williamson_residuals(k: int) -> SquareSum:
     first.  The energy is sum over all cells of (V_ij - 4k * delta_ij)^2 for
     V = A^T A + B^T B + C^T C + D^T D.
     """
-    if k % 2 == 0:
-        raise ValueError("symmetric circulant blocks require odd k")
-    if k < 3:
-        raise ValueError("k must be at least 3")
+    if k % 2 == 0 or k < 3:
+        raise ValueError(f"k must be odd and at least 3, got {k}")
     rows = _williamson_rows(k)
 
     def cell(d: int) -> MultilinearPoly:  # R_d = V_d - 4k [d = 0]
@@ -185,7 +183,7 @@ def normalized_turyn_quadruple(n: int) -> TurynQuadruple:
     then Y, Z, W, each left to right.
     """
     if n % 2 != 0 or n < 4:
-        raise ValueError("n must be even and at least 4")
+        raise ValueError(f"n must be even and at least 4, got {n}")
     idx = 0
 
     def take() -> int:
@@ -250,7 +248,7 @@ class PrototypeSpec:
 
     def __post_init__(self):
         if not 1 <= self.m < self.n / 2:
-            raise ValueError(f"need 1 <= m < n/2, got m={self.m}, n={self.n}")
+            raise ValueError(f"m must satisfy 1 <= m < n/2, got m={self.m} for n={self.n}")
         for name, side, length in (
             ("X", self.X, self.n),
             ("Y", self.Y, self.n),
@@ -323,7 +321,7 @@ def enumerate_prototypes(n: int, m: int) -> Iterator[PrototypeSpec]:
     """
     quad = normalized_turyn_quadruple(n)
     if not 1 <= m < n / 2:
-        raise ValueError(f"need 1 <= m < n/2, got m={m}")
+        raise ValueError(f"m must satisfy 1 <= m < n/2, got m={m} for n={n}")
     ends = [
         [e if p < m or p >= n - m else None for p, e in enumerate(seq)]
         for seq in quad.sequences()

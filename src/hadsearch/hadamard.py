@@ -12,6 +12,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .polynom import _content_lines
+
 SignMatrix = np.ndarray
 
 
@@ -155,10 +157,7 @@ def write_matrix(H, fp: IO[str]) -> None:
 
 def read_matrix(fp: IO[str]) -> SignMatrix:
     rows = []
-    for raw in fp:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _content_lines(fp):
         row = []
         for ch in line:
             if ch == "+":

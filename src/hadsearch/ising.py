@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO
 
-from .polynom import Assignment, Domain, MultilinearPoly, _parse_int
+from .polynom import Assignment, Domain, MultilinearPoly, _content_lines, _parse_int
 
 
 @dataclass(frozen=True)
@@ -150,16 +150,13 @@ def read_ising(fp: IO[str]) -> IsingModel:
 
     Decimal coefficients (normalized exports) are rejected: they are a
     hand-off artifact for external samplers, not solver input.  So is a
-    repeated `c`, `h i` or `J i j` line.  The spin count is one past the
-    largest index with a nonzero coefficient.
+    repeated `c`, `h i` or `J i j` line, and a file with no content line.
+    The spin count is one past the largest index with a nonzero coefficient.
     """
     offset: int | None = None
     h: dict[int, int] = {}
     J: dict[tuple[int, int], int] = {}
-    for raw in fp:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _content_lines(fp):
         tok = line.split()
         if tok[0] == "c" and len(tok) == 2:
             if offset is not None:
@@ -179,6 +176,8 @@ def read_ising(fp: IO[str]) -> IsingModel:
             J[(i, j)] = _parse_int(tok[3], line)
         else:
             raise ValueError(f"unrecognized line: {line!r}")
+    if offset is None and not h and not J:
+        raise ValueError("empty Ising file")
     h = {i: c for i, c in h.items() if c != 0}
     J = {k: c for k, c in J.items() if c != 0}
     nvars = max([*h, *(j for _, j in J)], default=-1) + 1

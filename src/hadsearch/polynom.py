@@ -342,7 +342,7 @@ def poly_to_text(poly: MultilinearPoly, nvars: int | None = None) -> str:
 
 def read_poly(fp: IO[str]) -> MultilinearPoly:
     """Parse the text format; reject a non-integer token or a negative `nvars`."""
-    lines = _content_lines(fp)
+    lines = (line.split() for line in _content_lines(fp))
     try:
         head = next(lines)
     except StopIteration:
@@ -400,8 +400,10 @@ def _parse_int(token: str, line: str) -> int:
         ) from None
 
 
-def _content_lines(fp: IO[str]) -> Iterator[list[str]]:
+def _content_lines(fp: IO[str]) -> Iterator[str]:
+    """The non-blank lines of a model or matrix file, stripped, with `#`
+    comments removed; every text parser reads through this."""
     for raw in fp:
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line.split()
+            yield line

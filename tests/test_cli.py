@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hadsearch import cli
+from hadsearch import constructions as cons
 from hadsearch import hadamard as hm
+from hadsearch import solver
 from hadsearch.polynom import load_poly
 
 
@@ -62,6 +64,31 @@ class TestArtifactDigests:
         assert got == expect
 
 
+USAGE_ERRORS = {
+    "even-k": (("--method", "williamson", "--k", 4), "got 4"),
+    "k-1": (("--method", "baumert-hall", "--k", 1), "got 1"),
+    "odd-n": (("--method", "turyn", "--n", 7), "got 7"),
+    "n-2": (("--method", "extended-turyn", "--n", 2), "got 2"),
+    "m-0": (("--method", "extended-turyn", "--n", 8, "--m", 0), "got m=0 for n=8"),
+    "m-half-n": (("--method", "extended-turyn", "--n", 8, "--m", 4), "got m=4 for n=8"),
+    "index-out-of-range": (
+        ("--method", "extended-turyn", "--n", 8, "--m", 2, "--prototype-index", 12),
+        "prototype index 12 out of range 0..11"),
+    "missing-k": (("--method", "williamson",), "--k is required"),
+    "missing-n": (("--method", "extended-turyn",), "--n is required"),
+}
+
+
+@pytest.mark.parametrize("command", ["build", "search"])
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_names_value_and_leaves_no_out_dir(tmp_path, capsys, command, case):
+    argv, message = USAGE_ERRORS[case]
+    out = tmp_path / "out"
+    assert run(command, *argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBuild:
     def test_block_method_artifacts(self, tmp_path):
         out = tmp_path / "b"
@@ -90,6 +117,16 @@ class TestBuild:
 
     def test_missing_size_is_usage_error(self, tmp_path):
         assert run("build", "--method", "turyn", "--out", tmp_path) == 2
+
+    def test_prototype_index_selects_that_prototype(self, tmp_path):
+        assert run("prototypes", "--n", 8, "--m", 2, "--out", tmp_path) == 0
+        lines = (tmp_path / "prototypes_n8_m2.txt").read_text().splitlines()
+        out = tmp_path / "x8"
+        assert run("build", "--method", "extended-turyn", "--n", 8, "--m", 2,
+                   "--prototype-index", 1, "--out", out) == 0
+        manifest = read_manifest(out / "manifest.txt")
+        assert manifest["prototype_index"] == "1"
+        assert manifest["prototype"] == lines[1]
 
 
 class TestSearch:
@@ -120,6 +157,25 @@ class TestSearch:
         assert code == 0
         H = hm.load_matrix(out / "matrix.txt")
         assert hm.verify(H)[0]
+
+    def test_beta_flags_reach_the_annealer(self, tmp_path):
+        out = tmp_path / "w3b"
+        assert run("search", "--method", "williamson", "--k", 3, "--solver", "anneal",
+                   "--reads", 20, "--sweeps", 30, "--seed", 4,
+                   "--beta-start", 0.05, "--beta-end", 0.5, "--out", out) == 0
+        sset = solver.anneal(cons.williamson_residuals(3), reads=20, sweeps=30,
+                             beta_start=0.05, beta_end=0.5, seed=4)
+        assert (out / "samples.txt").read_text() == sset.to_text()
+
+    def test_auto_anneals_above_cap(self, tmp_path):
+        out = tmp_path / "w5"
+        assert run("search", "--method", "williamson", "--k", 5, "--cap", 10,
+                   "--reads", 100, "--sweeps", 100, "--seed", 0, "--out", out) == 0
+        # annealing writes one occurrence per read; enumeration, the ground states
+        lines = (out / "samples.txt").read_text().splitlines()
+        assert sum(int(line.split()[1]) for line in lines) == 100
+        H = hm.load_matrix(out / "matrix.txt")
+        assert H.shape == (20, 20) and hm.verify(H)[0]
 
     def test_failed_search_reports_and_writes_samples(self, tmp_path):
         out = tmp_path / "fail"
@@ -227,6 +283,14 @@ class TestSolve:
         sol = tmp_path / "sol"
         assert run("solve", out / "model.ising", "--out", sol) == 0
         assert (sol / "samples.txt").read_text().splitlines()[0].startswith("0 1 ")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n"],
+                             ids=["empty", "comment-only"])
+    def test_file_without_content_is_usage_error(self, tmp_path, text):
+        path = tmp_path / "blank.ising"
+        path.write_text(text)
+        assert run("solve", path, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o" / "samples.txt").exists()
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("solve", tmp_path / "nope.poly", "--out", tmp_path) == 3

@@ -182,6 +182,11 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=re.escape(f"integer of 4301 digits in '{line[:60]}...'")):
             read_ising(io.StringIO(f"c 0\n{line}\n"))
 
+    @pytest.mark.parametrize("text", ["", "# scale 1\n\n"], ids=["empty", "comment-only"])
+    def test_file_without_content_rejected(self, text):
+        with pytest.raises(ValueError, match="empty Ising file"):
+            read_ising(io.StringIO(text))
+
     def test_unordered_pair_rejected(self):
         with pytest.raises(ValueError):
             read_ising(io.StringIO("J 1 0 3\n"))
