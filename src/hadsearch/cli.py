@@ -37,7 +37,7 @@ EXIT_IO = 3
 # Xeon, enumeration takes about 0.32 s at 24 variables (the extended-Turyn
 # n=10 prototype 0) and 1.3 s at 26 (a random polynomial), doubling per
 # variable.  At 24 it is both faster and complete: the default 1000 x 1000
-# residual anneal of that prototype (seed 0) takes about 2.0 s and reaches
+# residual anneal of that prototype (seed 0) takes about 1.8 s and reaches
 # energy 0 on 117 reads, while enumeration returns all 40 of its ground states.
 AUTO_EXHAUSTIVE_LIMIT = 24
 

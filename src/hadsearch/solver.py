@@ -22,20 +22,24 @@ logical spins (the path `search` takes, with no ancillas and no penalty
 weight).  One kernel serves both, since an Ising model is a single
 residual entering the energy linearly.  The state keeps every residual
 doubled, X = 2R, so that the sum X + delta a proposal forms for a sum of
-squares also serves the accepted flip; a flip updates every residual
-incrementally.  Every read draws its start state and acceptance uniforms
+squares also serves the update of X; a flip updates every residual
+incrementally.  A flip attempt runs the same unmasked numpy calls on
+every read, into buffers allocated once per run: the acceptance test
+yields a sign, -1 to flip and +1 to keep, that multiplies the spin and the
+residual change.  Every read draws its start state and acceptance uniforms
 from a stream derived from (seed, read index), the uniforms of a block of
 sweeps in one call, and each sweep's flip order comes from one dedicated
 stream, so a fixed seed gives byte-identical samples.  Energies are exact
 integers: the models `anneal` accepts keep every energy and energy change
-below 2^62 in magnitude.
+below 2^62 in magnitude, and its inverse temperatures are finite.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -291,19 +295,22 @@ class _Kernel:
     in s_i, so flipping s_i changes R by delta = s_i * (flips[i] @ S).  The
     loop keeps X = 2R: the energy change is w @ ((X + delta) * delta) for a
     sum of squares (`squares`), since (R + delta)^2 - R^2 = (2R + delta)
-    delta, and u @ delta for an Ising model; an accepted flip sets X to
-    (X + delta) + delta.
+    delta, and u @ delta for an Ising model.  Every read then takes the
+    same update, with no mask: sign is -1 where the flip is accepted and +1
+    where it is not, s_i and delta are multiplied by it, and X becomes
+    (X + delta) - sign * delta, which is X on a rejected flip and
+    X + 2 delta = 2R' on an accepted one.
 
     `bound`, the model's `_energy_bound`, caps the magnitude of every
     energy, energy change and residual, and of half of every residual
     change.  Below 2^52 the kernel runs in float64, whose matrix products
     use BLAS: every value it forms is then an integer below 2^53, which
     float64 holds exactly.  That includes X + delta = R + R', R' the
-    residual after the flip, and each (X + delta) * delta = R'^2 - R^2;
-    an Ising model's squares are formed only by `energies`, where they may
-    round but enter with weight 0.  Otherwise it runs in int64, exact
-    modulo 2^64, so only the energy changes and energies, compared and
-    returned, must fit.
+    residual after the flip, each (X + delta) * delta = R'^2 - R^2, and
+    (X + delta) - sign * delta, which is 2R or 2R'; an Ising model's
+    squares are formed only by `energies`, where they may round but enter
+    with weight 0.  Otherwise it runs in int64, exact modulo 2^64, so only
+    the energy changes and energies, compared and returned, must fit.
     """
 
     def __init__(self, model: IsingModel | SquareSum, bound: int):
@@ -356,27 +363,54 @@ class _Kernel:
         R = X // 2
         return (self.offset + (self.u @ R + self.w @ (R * R)).astype(np.int64)).tolist()
 
-    def propose(
-        self, S: np.ndarray, X: np.ndarray, i: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For the doubled residuals X = 2R: the change delta of every
-        residual if s_i flips, X + delta and the energy change."""
-        delta = self.flips[i] @ S
-        delta *= S[i]
-        moved = X + delta
-        if self.squares:
-            # w (R + delta)^2 - w R^2 = w (2R + delta) delta
-            return delta, moved, self.w @ (moved * delta)
-        return delta, moved, self.u @ delta
+    def sweeper(
+        self, S: np.ndarray, X: np.ndarray
+    ) -> Callable[[list[int], np.ndarray, float], np.ndarray]:
+        """The Metropolis step on the states S and doubled residuals X, as
+        a function sweep(order, uniforms, neg_beta) that updates both in
+        place.  Attempt k flips s_i, i = order[k], in every read whose
+        uniform in row k of `uniforms` is below exp(neg_beta * dE), neg_beta
+        a finite Python float.  It returns the buffer holding the
+        energy changes dE of the last attempt.  Its buffers are allocated
+        here, once.
 
-    @staticmethod
-    def flip(
-        S: np.ndarray, X: np.ndarray, i: int, delta: np.ndarray, moved: np.ndarray,
-        accept: np.ndarray,
-    ) -> None:
-        """Flip s_i where accept holds: X becomes 2(R + delta)."""
-        np.add(moved, delta, out=X, where=accept)
-        np.negative(S[i], out=S[i], where=accept)
+        sign = copysign(1, uniform - exp(neg_beta * dE)) is -1 exactly
+        where uniform < exp(neg_beta * dE).  A uniform must be negative or
+        at least 2^-53: below an exponent of -745 exp underflows to 0.0,
+        and 0.0 - 0.0 = +0.0 would reject.
+        """
+        rows, flips = list(S), list(self.flips)
+        squares, w, u = self.squares, self.w, self.u
+        delta, moved, change = np.empty_like(X), np.empty_like(X), np.empty_like(X)
+        delta_e = np.empty(S.shape[1], dtype=self.dtype)
+        sign = np.empty_like(delta_e)
+        e, ones = np.empty(S.shape[1]), np.ones(S.shape[1])
+        matmul, multiply, add, subtract = np.matmul, np.multiply, np.add, np.subtract
+        dot, exp, copysign = np.dot, np.exp, np.copysign
+
+        def sweep(order: list[int], uniforms: np.ndarray, neg_beta: float) -> np.ndarray:
+            for i, uniform in zip(order, uniforms):
+                row = rows[i]
+                matmul(flips[i], S, out=delta)
+                multiply(delta, row, out=delta)
+                add(X, delta, out=moved)
+                if squares:
+                    # w (R + delta)^2 - w R^2 = w (2R + delta) delta
+                    multiply(moved, delta, out=change)
+                    dot(w, change, out=delta_e)
+                else:
+                    dot(u, delta, out=delta_e)
+                multiply(delta_e, neg_beta, out=e)
+                exp(e, out=e)
+                subtract(uniform, e, out=e)
+                # the int64 kernel takes the signs +-1.0 as +-1
+                copysign(ones, e, out=sign, casting="unsafe")
+                multiply(row, sign, out=row)
+                multiply(delta, sign, out=delta)
+                subtract(moved, delta, out=X)
+            return delta_e
+
+        return sweep
 
 
 def _metropolis_states(
@@ -390,29 +424,27 @@ def _metropolis_states(
     )
     S = kernel.states(np.array([g.integers(0, 2, size=n) * 2 - 1 for g in gens]).reshape(reads, n))
     X = 2 * kernel.residuals(S)
+    sweep = kernel.sweeper(S, X)
     # Generator.random fills doubles in stream order, so drawing `block`
     # sweeps' uniforms in one call gives each sweep the values it would get
     # from a call of its own
     block = max(1, _UNIFORM_BLOCK // max(1, reads * n))
     drawn = np.empty((reads, block * n))
-    # a move that does not raise the energy has exponent >= 0 and
-    # exp >= 1 > uniform: accepted, also where exp overflows to inf
-    with np.errstate(over="ignore"):
-        for t in range(sweeps):
+    uniforms = np.empty((block, n, reads))
+    # exp(neg_beta * dE) overflows to inf where a move lowers the energy
+    # steeply, which accepts it, and underflows to 0.0 where it raises it
+    # steeply, which rejects it
+    with np.errstate(over="ignore", under="ignore"):
+        for t, beta in enumerate(betas.tolist()):
             if t % block == 0:
                 count = min(block, sweeps - t)
                 for g, row in zip(gens, drawn):
                     g.random(out=row[: count * n])
-                uniforms = drawn[:, : count * n].T.copy().reshape(count, n, reads)
-            order = perm_gen.permutation(n).tolist()
-            neg_beta = -betas[t]
-            for i, uniform in zip(order, uniforms[t % block]):
-                delta, moved, delta_e = kernel.propose(S, X, i)
-                # exponent clipped below at -700, where exp does not underflow
-                exponent = neg_beta * delta_e
-                np.maximum(exponent, -700.0, out=exponent)
-                accept = uniform < np.exp(exponent, out=exponent)
-                kernel.flip(S, X, i, delta, moved, accept)
+                np.copyto(uniforms[:count], drawn[:, : count * n].T.reshape(count, n, reads))
+                # 0.0 < exp(x) for every real x, but exp underflows to 0.0
+                # below -745: as -1.0 a drawn 0.0 accepts every move
+                np.copyto(uniforms, -1.0, where=uniforms == 0.0)
+            sweep(perm_gen.permutation(n).tolist(), uniforms[t % block], -beta)
     return S[:n].T.astype(np.int64).tolist(), kernel.energies(X)
 
 
@@ -431,12 +463,16 @@ def anneal(
     with a geometric inverse-temperature schedule; identical inputs give
     bit-identical results.  Each read draws the acceptance uniforms of
     several sweeps in one call, as many as keep all reads' uniforms within
-    `_UNIFORM_BLOCK` doubles (at least one sweep), and the loop keeps every
-    residual doubled, 2R, so one flip attempt takes at most eleven numpy
-    calls.  Rejects a model whose `_energy_bound` is 2^62 or more: for an
+    `_UNIFORM_BLOCK` doubles (at least one sweep).  The loop keeps every
+    residual doubled, 2R, and applies an accepted or rejected flip alike as
+    a +-1 sign, so one flip attempt is a fixed sequence of twelve unmasked
+    numpy calls (eleven for an Ising model) on buffers allocated once per
+    run.  Rejects a model whose `_energy_bound` is 2^62 or more: for an
     Ising model, absolute coefficients (the offset included) summing that
     high; for a `SquareSum`, a sum of w * A^2 that high, A the absolute
-    coefficient sum of a residual.  An n-spin Ising
+    coefficient sum of a residual.  Rejects inverse temperatures that are
+    not positive and finite, NaN included, and a schedule between them
+    that overflows to inf.  An n-spin Ising
     model holds a dense n x (n+1) flip matrix, sparse or not: a 3000-spin
     chain used +74 MB peak RSS, against +9 MB for a neighbour-list loop.
     """
@@ -450,13 +486,19 @@ def anneal(
     b0, b1 = default_beta_range(model)
     beta_start = b0 if beta_start is None else beta_start
     beta_end = b1 if beta_end is None else beta_end
-    if beta_start <= 0 or beta_end <= 0:
-        raise ValueError("inverse temperatures must be positive")
+    for name, beta in (("beta_start", beta_start), ("beta_end", beta_end)):
+        if not (math.isfinite(beta) and beta > 0):
+            raise ValueError(f"inverse temperatures must be positive and finite, got {name}={beta}")
     if sweeps == 1:
         betas = np.array([beta_end])
     else:
-        ratio = beta_end / beta_start
-        betas = beta_start * ratio ** (np.arange(sweeps) / (sweeps - 1))
+        with np.errstate(over="ignore"):
+            ratio = beta_end / beta_start
+            betas = beta_start * ratio ** (np.arange(sweeps) / (sweeps - 1))
+        if not np.isfinite(betas).all():
+            raise ValueError(
+                f"the schedule from beta_start={beta_start} to beta_end={beta_end} overflows"
+            )
 
     S, energies = _metropolis_states(_Kernel(model, bound), reads, sweeps, betas, seed)
     counts: dict[tuple[int, ...], tuple[int, int]] = {}

@@ -285,6 +285,20 @@ class TestAnneal:
         with pytest.raises(ValueError):
             anneal(m, reads=5, sweeps=0, seed=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bound", ["beta_start", "beta_end"])
+    def test_non_finite_inverse_temperature_rejected(self, bound, value):
+        m = IsingModel(nvars=2, J={(0, 1): 1})
+        with pytest.raises(ValueError, match=f"got {bound}={value}$"):
+            anneal(m, reads=2, sweeps=3, seed=0, **{bound: value})
+
+    def test_schedule_overflow_rejected(self):
+        # the ratio 1e600 overflows, and with it every beta past the first
+        m = IsingModel(nvars=2, J={(0, 1): 1})
+        with pytest.raises(ValueError, match="overflows"):
+            anneal(m, reads=2, sweeps=3, beta_start=1e-300, beta_end=1e300, seed=0)
+
     def test_coefficient_sum_past_int64_bound_rejected(self):
         # a flip changes the energy by twice a local field of up to 2^62
         m = IsingModel(nvars=1, h={0: 2**62})
@@ -396,8 +410,10 @@ def annealable_models(draw, ising: bool):
 
 
 class TestKernelProperty:
-    """The step `_metropolis_states` runs keeps X = 2R and reports each
-    accepted flip's exact energy change, on both kernel kinds."""
+    """The step `_metropolis_states` runs, `_Kernel.sweeper`, keeps X = 2R,
+    reports each attempt's exact energy change and flips exactly the reads
+    that the Metropolis rule of the reference loops accepts, on both kernel
+    kinds."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -417,19 +433,30 @@ class TestKernelProperty:
         spins = st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)
         S = kernel.states(np.array(data.draw(st.lists(spins, min_size=reads, max_size=reads))))
         X = 2 * kernel.residuals(S)
+        sweep = kernel.sweeper(S, X)
 
         def exact(S):
             return [energy.evaluate(dict(enumerate(col))) for col in S[:n].T.astype(int).tolist()]
 
         before = exact(S)
-        flips = st.tuples(st.integers(0, n - 1), st.lists(st.booleans(), min_size=reads,
-                                                          max_size=reads))
-        for i, accept in data.draw(st.lists(flips, max_size=10)):
-            delta, moved, delta_e = kernel.propose(S, X, i)
-            kernel.flip(S, X, i, delta, moved, np.array(accept))
+        # -1.0 is a drawn 0.0, as `_metropolis_states` passes it on
+        uniforms = st.lists(st.sampled_from((-1.0, 2.0**-53, 0.25, 0.5, 1 - 2.0**-53)),
+                            min_size=reads, max_size=reads)
+        neg_betas = st.sampled_from((-0.0, -1e-9, -0.01, -1.0, -1e300))
+        steps = st.tuples(st.integers(0, n - 1), uniforms, neg_betas)
+        for i, uniform, neg_beta in data.draw(st.lists(steps, max_size=10)):
+            start, trial = S.copy(), S.copy()
+            trial[i] *= -1
+            proposed = exact(trial)
+            changes = [p - b for p, b in zip(proposed, before)]
+            with np.errstate(over="ignore", under="ignore"):
+                delta_e = sweep([i], np.array([uniform]), neg_beta).tolist()
+                exponent = np.maximum(neg_beta * np.array(changes, dtype=float), -700.0)
+                accept = (np.maximum(uniform, 0.0) < np.exp(exponent)).tolist()
+            assert [int(d) for d in delta_e] == changes
             after = exact(S)
-            for k in range(reads):
-                assert after[k] - before[k] == (int(delta_e[k]) if accept[k] else 0)
+            assert after == [p if a else b for p, b, a in zip(proposed, before, accept)]
+            assert np.array_equal(S, np.where(accept, trial, start))
             assert np.array_equal(X, 2 * kernel.residuals(S))
             assert kernel.energies(X) == after
             before = after
@@ -584,6 +611,59 @@ class TestResidualMatchesReferenceLoop:
         block = solver._UNIFORM_BLOCK if block_sweeps is None else block_sweeps * reads * model.nvars
         with mock.patch.object(solver, "_UNIFORM_BLOCK", block):
             got = anneal(model, reads=reads, sweeps=sweeps, seed=seed)
+        assert got == SampleSet(domain=Domain.SPIN, samples=tuple(expected), reads=reads)
+
+
+class ZeroingGenerator:
+    """A read's generator whose doubles are 0.0 at every 7th position of
+    its stream, however many a call draws."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen, self.drawn = gen, 0
+
+    def integers(self, *args, **kwargs):
+        return self.gen.integers(*args, **kwargs)
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        self.gen.random(out=out)
+        out[-self.drawn % 7 :: 7] = 0.0
+        self.drawn += out.size
+        return out
+
+
+class TestZeroUniforms:
+    """A drawn 0.0 accepts every move, as under the reference loop's
+    exponent floor of -700, also where exp(-beta dE) underflows to 0.0
+    (exponents below -745, which beta 1 to 10 reaches on these models)."""
+
+    @pytest.fixture(scope="class")
+    def models(self, paper_ising_models):
+        return {"int64": int64_square_sum(), "T12 Ising": paper_ising_models["T12"]}
+
+    @pytest.mark.parametrize("block_sweeps", [None, 4], ids=["default-block", "4-sweep-block"])
+    @pytest.mark.parametrize("name", ["int64", "T12 Ising"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_sample_set_as_reference(self, models, name, seed, block_sweeps):
+        model = models[name]
+        reads, sweeps, b0, b1 = 7, 33, 1.0, 10.0
+        kernel = solver._Kernel(model, solver._energy_bound(model))
+        betas = b0 * (b1 / b0) ** (np.arange(sweeps) / (sweeps - 1))
+        real = solver._read_generator
+        block = solver._UNIFORM_BLOCK if block_sweeps is None else block_sweeps * reads * model.nvars
+        with mock.patch.object(solver, "_read_generator",
+                               lambda seed, r: ZeroingGenerator(real(seed, r))):
+            states, energies = reference_residual_metropolis(kernel, reads, sweeps, betas, seed)
+            with mock.patch.object(solver, "_UNIFORM_BLOCK", block):
+                got = anneal(model, reads=reads, sweeps=sweeps, beta_start=b0, beta_end=b1,
+                             seed=seed)
+        counts = {}
+        for row, e in zip(states, energies):
+            prev = counts.get(tuple(row), (e, 0))
+            counts[tuple(row)] = (e, prev[1] + 1)
+        expected = sorted(
+            (Sample(values=v, energy=e, occurrences=c) for v, (e, c) in counts.items()),
+            key=lambda s: (s.energy, s.value_string()),
+        )
         assert got == SampleSet(domain=Domain.SPIN, samples=tuple(expected), reads=reads)
 
 
