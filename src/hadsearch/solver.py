@@ -492,9 +492,8 @@ def anneal(
     if sweeps == 1:
         betas = np.array([beta_end])
     else:
-        with np.errstate(over="ignore"):
-            ratio = beta_end / beta_start
-            betas = beta_start * ratio ** (np.arange(sweeps) / (sweeps - 1))
+        ratio = beta_end / beta_start
+        betas = beta_start * ratio ** (np.arange(sweeps) / (sweeps - 1))
         if not np.isfinite(betas).all():
             raise ValueError(
                 f"the schedule from beta_start={beta_start} to beta_end={beta_end} overflows"
