@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 no solution found, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Sequence
@@ -34,11 +35,15 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 # Logical-variable threshold for the auto solver.  On one core of a 2-core
-# Xeon, enumeration takes about 0.32 s at 24 variables (the extended-Turyn
-# n=10 prototype 0) and 1.3 s at 26 (a random polynomial), doubling per
-# variable.  At 24 it is both faster and complete: the default 1000 x 1000
-# residual anneal of that prototype (seed 0) takes about 1.8 s and reaches
-# energy 0 on 117 reads, while enumeration returns all 40 of its ground states.
+# Xeon, enumerating an expanded energy takes about 0.37 s at 24 variables
+# (the extended-Turyn n=10 prototype 0) and 1.4 s at 26 (a random
+# polynomial), doubling per variable.  Where the residuals have a zero state
+# and split, `exhaustive_min` joins two half enumerations instead: 4 ms for
+# that prototype, 14 ms for Williamson k=11.  A prototype with no zero state
+# still pays the full enumeration, so the limit stays at 24.  There
+# enumeration is both faster and complete: the default 1000 x 1000 residual
+# anneal of that prototype (seed 0) takes about 1.8 s and reaches energy 0
+# on 117 reads, while enumeration returns all 40 of its ground states.
 AUTO_EXHAUSTIVE_LIMIT = 24
 
 METHODS = ("williamson", "baumert-hall", "turyn", "extended-turyn")
@@ -49,10 +54,10 @@ class UsageError(Exception):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a replaced cmd_* function takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -71,7 +76,9 @@ def _unsigned(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=".", help="output directory")
 
@@ -101,29 +108,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", parents=[output, method], help="write the energy chain")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("search", parents=[output, method, solving], help="solve and assemble")
-    p.set_defaults(func=cmd_search)
+    sub.add_parser("build", parents=[output, method], help="write the energy chain")
+    sub.add_parser("search", parents=[output, method, solving], help="solve and assemble")
 
     p = sub.add_parser("solve", parents=[output, solving], help="minimise a model file")
     p.add_argument("model", help="polynomial or Ising text file")
     p.add_argument("--all-ground", action="store_true")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("prototypes", parents=[output], help="stream filtered prototypes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_prototypes)
 
     p = sub.add_parser("verify", help="orthogonality-check a matrix file")
     p.add_argument("matrix")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("quadratize", parents=[output], help="reduce a boolean polynomial")
     p.add_argument("poly", help="boolean polynomial file")
-    p.set_defaults(func=cmd_quadratize)
     return parser
 
 
@@ -268,16 +268,16 @@ def _anneal(args, model: ising.IsingModel | SquareSum) -> solver.SampleSet:
 
 
 def _solve_energy(args, proto: cons.PrototypeSpec | None):
-    """Solve one method energy: enumerate its polynomial, or anneal its
-    residuals over the logical spins.
+    """Solve one method energy, given as its residuals over the logical
+    spins: enumerate it (`solver.exhaustive_min` joins two half
+    enumerations where it can) or anneal it.
 
     Returns the sample set and the distinct assignments of its zero-energy
     samples, in sample order (best first).
     """
     residuals = _residuals_for(args, proto)
     if _solver_for(args, residuals.nvars) == "exhaustive":
-        energy = _energy_for(args, proto)
-        sset = solver.exhaustive_min(energy, cap=args.cap, all_ground=True)
+        sset = solver.exhaustive_min(residuals, cap=args.cap, all_ground=True)
     else:
         sset = _anneal(args, residuals)
     return sset, list(dict.fromkeys(s.values for s in sset.samples if s.energy == 0))

@@ -15,6 +15,20 @@ and joined in int64.  The states run in chunks of 2^22 over the high bits
 so memory stays bounded.  The ground states are decoded and ordered as
 arrays.
 
+A sum of squared residuals (`SquareSum`, the energy `search` solves) is
+zero exactly where every residual is, and no residual term links spins of
+two connected components of its variable graph (the Williamson and
+Baumert-Hall blocks, the Turyn sequences).  So its zero-energy set is a
+join of two half enumerations (meet in the middle; Kharaghani and
+Tayfeh-Rezaie, J. Combin. Des. 2005): each side's residual parts are
+tabulated in int64 over its own 2^(n/2) or so assignments, and one sort of
+exact integer keys pairs every left assignment with each right one whose
+negated parts equal its own.  Where that finds no zero state, the spins
+form one component, a residual's absolute coefficients reach 2^62, or a
+side's tables would pass 2^22 entries, the expansion is enumerated as
+above, so a minimum above zero is still reported and memory stays within
+the same bound.
+
 Annealing is single-flip Metropolis with a geometric inverse-temperature
 ladder, vectorised over reads, on either model kind: an Ising model (the
 path `solve` takes) or a method's sum of squared residuals over its own
@@ -68,6 +82,16 @@ class Sample:
 
     def value_string(self) -> str:
         return self._value_string
+
+    @classmethod
+    def _with_string(cls, values: tuple[int, ...], energy: int, value_string: str) -> Sample:
+        """A one-occurrence sample whose value string the caller has formed
+        as `__post_init__` would, set without running `__init__`: a quarter
+        of the cost, for ground sets of thousands of samples."""
+        sample = object.__new__(cls)
+        vars(sample).update(values=values, energy=energy, occurrences=1,
+                            _value_string=value_string)
+        return sample
 
 
 @dataclass(frozen=True)
@@ -163,7 +187,7 @@ def _split_transform(
 
 
 def exhaustive_min(
-    model: MultilinearPoly | IsingModel,
+    model: MultilinearPoly | IsingModel | SquareSum,
     cap: int = 26,
     all_ground: bool = False,
 ) -> SampleSet:
@@ -177,7 +201,17 @@ def exhaustive_min(
     time, in two float64 buffers of 32 MB each while the absolute sum is
     below 2^53; past it, in one int64 and three float64 buffers of 32 MB
     each for the split transform (128 MB, the peak measured at 23 variables).
+
+    A `SquareSum` gives the result, cap check and errors of its expanded
+    polynomial, `exhaustive_min(model.expand(), cap, all_ground)`.  Its
+    zero-energy states come from a join of two half enumerations where
+    that applies (`_zero_states`); otherwise, and where no state reaches
+    energy 0, the expansion is enumerated as above.  The join holds each
+    side's spins and residual parts in at most 2^22 int64 entries; at that
+    limit (two 17-spin sides, 15 residuals) the process peaked at 113 MB.
     """
+    if isinstance(model, SquareSum):
+        return _square_sum_min(model, cap, all_ground)
     if isinstance(model, IsingModel):
         poly = model.to_polynomial()
         nvars = model.nvars
@@ -245,14 +279,155 @@ def exhaustive_min(
             elif not minima:
                 minima.append(start + np.array([values.argmin()]))
     assert best_energy is not None
-    states = np.concatenate(minima)
+    return _ground_samples(np.concatenate(minima), nvars, domain, best_energy)
+
+
+def _ground_samples(states: np.ndarray, nvars: int, domain: Domain, energy: int) -> SampleSet:
+    """One sample per state index (bit i set where variable i is +1 or 1),
+    in sample order."""
     bits = (states[:, None] >> np.arange(nvars)) & 1
     # samples sort by value string, in which "+" (bit 1) precedes "-" (bit 0)
     # and variable 0 comes first
-    order = np.argsort(((1 - bits) << np.arange(nvars - 1, -1, -1)).sum(axis=1))
-    rows = (2 * bits - 1 if spin else bits)[order].tolist()
-    samples = tuple(Sample(values=tuple(v), energy=best_energy, occurrences=1) for v in rows)
+    bits = bits[np.argsort(((1 - bits) << np.arange(nvars - 1, -1, -1)).sum(axis=1))]
+    rows = (2 * bits - 1 if domain is Domain.SPIN else bits).tolist()
+    text = np.where(bits, ord("+"), ord("-")).astype(np.uint8).tobytes().decode()
+    samples = tuple(Sample._with_string(tuple(v), energy, text[k * nvars : (k + 1) * nvars])
+                    for k, v in enumerate(rows))
     return SampleSet(domain=domain, samples=samples, reads=len(samples))
+
+
+def _square_sum_min(model: SquareSum, cap: int, all_ground: bool) -> SampleSet:
+    """`exhaustive_min(model.expand(), cap, all_ground)`, by the join where
+    it finds a zero-energy state."""
+    masks = model.expanded_masks()
+    # the expansion's variables: one past the highest it keeps
+    nvars = max((m.bit_length() for m, c in masks.items() if c), default=0)
+    # past the cap or the int64 bound the expansion raises, as it always has
+    if 0 < nvars <= cap and sum(map(abs, masks.values())) < 1 << 63:
+        states = _zero_states(model, nvars)
+        if states is not None and states.size:
+            if not all_ground:
+                states = states.min(keepdims=True)
+            return _ground_samples(states, nvars, Domain.SPIN, 0)
+    return exhaustive_min(model.expand(), cap, all_ground)
+
+
+def _zero_states(model: SquareSum, nvars: int) -> np.ndarray | None:
+    """Every state index of spins 0..nvars-1 at which all of the model's
+    residuals vanish, spins from `nvars` on set to +1; None where the join
+    does not apply.
+
+    Weights are positive, so these are exactly the zero-energy states.  No
+    quadratic term links two connected components of the residuals'
+    variable graph, so with the components dealt to two sides each
+    residual is R = c + L + R', L over the left spins and R' over the right
+    ones.  Each side's parts are enumerated as one int64 table, and R = 0
+    joins c + L to equal values of -R'.  It does not apply where a
+    residual's absolute coefficients sum to 2^62 or more, where the spins
+    form one component, or where a side's tables would exceed
+    2^_CHUNK_BITS entries.
+    """
+    if any(r.abs_coeff_sum() >= 1 << 62 for _, r in model.terms):
+        return None
+    distinct: dict[frozenset, dict[tuple[int, ...], int]] = {}
+    for _, residual in model.terms:
+        terms: dict[tuple[int, ...], int] = {}
+        for m, c in residual.terms.items():
+            m = tuple(v for v in m if v < nvars)  # the energy does not depend on the rest
+            terms[m] = terms.get(m, 0) + c
+        terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            distinct.setdefault(frozenset(terms.items()), terms)
+    residuals = list(distinct.values())
+    sides = _sides(residuals, nvars)
+    if sides is None or any((1 << len(s)) * (len(s) + len(residuals)) > 1 << _CHUNK_BITS
+                            for s in sides):
+        return None
+    (left, left_states), (right, right_states) = (_side_table(residuals, s) for s in sides)
+    left += np.array([[terms.get((), 0)] for terms in residuals], dtype=np.int64)
+    left_keys, right_keys = _column_keys(left, np.negative(right, out=right))
+    order = np.argsort(right_keys)
+    ordered = right_keys[order]
+    start = np.searchsorted(ordered, left_keys, "left")
+    count = np.searchsorted(ordered, left_keys, "right") - start
+    # pair p of left column i takes right column order[start_i + p - (pairs before i)]
+    first = np.repeat(start - np.cumsum(count) + count, count)
+    columns = np.repeat(np.arange(len(left_keys)), count)
+    return left_states[columns] + right_states[order[first + np.arange(len(columns))]]
+
+
+def _sides(residuals: list[dict], nvars: int) -> tuple[list[int], list[int]] | None:
+    """Spins 0..nvars-1 dealt to two sides by connected component of the
+    quadratic terms, largest component first, each to the side with fewer
+    spins; None if they form one component."""
+    root = list(range(nvars))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for terms in residuals:
+        for m in terms:
+            if len(m) == 2:
+                root[find(m[0])] = find(m[1])
+    components: dict[int, list[int]] = {}
+    for v in range(nvars):
+        components.setdefault(find(v), []).append(v)
+    if len(components) < 2:
+        return None
+    sides: tuple[list[int], list[int]] = ([], [])
+    for component in sorted(components.values(), key=len, reverse=True):
+        min(sides, key=len).extend(component)
+    return sorted(sides[0]), sorted(sides[1])
+
+
+def _side_table(residuals: list[dict], side: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each residual's non-constant part over the spins `side` at every
+    assignment of them, shape (L, 2^b), and each column's state index.
+
+    Column i sets s_side[t] = +1 where bit t of i is set.  The table grows
+    one spin at a time: with spin t added it is [part - f, part + f], f the
+    field of spin t, its linear coefficient plus its quadratic coefficients
+    with the earlier spins times their values.
+    """
+    b = len(side)
+    local = {v: t for t, v in enumerate(side)}
+    linear = np.zeros((len(residuals), b), dtype=np.int64)
+    quadratic = np.zeros((len(residuals), b, b), dtype=np.int64)
+    for r, terms in enumerate(residuals):
+        for m, c in terms.items():
+            if len(m) == 1 and m[0] in local:
+                linear[r, local[m[0]]] = c
+            elif len(m) == 2 and m[0] in local:
+                # m[0] < m[1]: the later spin's row, the earlier one's column
+                quadratic[r, local[m[1]], local[m[0]]] = c
+    spins = ((np.arange(1 << b) >> np.arange(b)[:, None]) & 1) * 2 - 1
+    parts = np.zeros((len(residuals), 1), dtype=np.int64)
+    for t in range(b):
+        field = linear[:, t, None] + quadratic[:, t, :t] @ spins[:t, : 1 << t]
+        parts = np.concatenate([parts - field, parts + field], axis=1)
+    return parts, (1 << np.array(side, dtype=np.int64)) @ (spins > 0)
+
+
+def _column_keys(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One int64 key per column of the int64 tables `left` and `right`,
+    equal exactly where the columns are equal: mixed-radix digits of the
+    rows offset to their minima, with the keys so far and the row reduced
+    to ranks first where the radix would reach 2^63."""
+    keys = np.zeros(left.shape[1] + right.shape[1], dtype=np.int64)
+    span = 1
+    for row in np.concatenate([left, right], axis=1):
+        low = int(row.min())
+        width = int(row.max()) - low + 1
+        if span * width >= 1 << 63:
+            keys = np.unique(keys, return_inverse=True)[1]
+            row = np.unique(row, return_inverse=True)[1]
+            low, span, width = 0, int(keys.max()) + 1, int(row.max()) + 1
+        keys = keys * width + (row - low)
+        span *= width
+    return keys[: left.shape[1]], keys[left.shape[1] :]
 
 
 # -- simulated annealing --------------------------------------------------------

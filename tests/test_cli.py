@@ -112,6 +112,27 @@ def test_non_finite_beta_is_usage_error(tmp_path, capsys, command, flag, value):
     assert not out.exists()
 
 
+def test_successive_calls_share_no_state(tmp_path, monkeypatch):
+    # the parser is built once; dispatch still finds a replaced cmd_* function
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    for name in ("cmd_search", "cmd_solve"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    assert run("search", "--method", "turyn", "--n", 6, "--seed", 5, "--reads", 7,
+               "--solver", "anneal", "--beta-end", 3, "--prototype-index", 1,
+               "--out", tmp_path / "a") == 0
+    assert run("solve", tmp_path / "model.poly", "--all-ground", "--cap", 12) == 0
+    assert run("search", "--method", "williamson", "--k", 3) == 0
+    first, solve, last = seen
+    assert (first["seed"], first["reads"], first["solver"], first["beta_end"]) == (5, 7, "anneal", 3.0)
+    assert (solve["command"], solve["all_ground"], solve["cap"]) == ("solve", True, 12)
+    assert last == {
+        "command": "search", "method": "williamson", "k": 3, "n": None, "m": 2,
+        "prototype_index": None, "out": ".", "seed": 0, "reads": 1000, "sweeps": 1000,
+        "cap": 26, "solver": "auto", "beta_start": None, "beta_end": None,
+    }
+
+
 class TestBuild:
     def test_block_method_artifacts(self, tmp_path):
         out = tmp_path / "b"
@@ -208,6 +229,21 @@ class TestSearch:
         assert (out / "samples.txt").exists()
         assert not (out / "matrix.txt").exists()
         assert read_manifest(out / "manifest.txt")["verified"] == "no"
+
+    def test_exhaustive_above_cap_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "w5"
+        assert run("search", "--method", "williamson", "--k", 5, "--solver", "exhaustive",
+                   "--cap", 10, "--out", out) == 2
+        assert "error: 12 variables exceed the exhaustive cap of 10\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prototype_without_zero_state_reports_its_minimum(self, tmp_path):
+        out = tmp_path / "x8p2"
+        assert run("search", "--method", "extended-turyn", "--n", 8, "--m", 2,
+                   "--prototype-index", 2, "--out", out) == 1
+        manifest = read_manifest(out / "manifest.txt")
+        assert (manifest["min_energy"], manifest["verified"]) == ("4", "no")
+        assert not (out / "matrix.txt").exists()
 
     def test_extended_search_records_prototype(self, tmp_path):
         out = tmp_path / "x8"

@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from hadsearch import cli, solver
 
 from hadsearch.constructions import (
+    enumerate_prototypes,
+    extended_residuals,
     turyn_energy,
     turyn_residuals,
     williamson_energy,
@@ -232,6 +234,128 @@ class TestTransformMatchesButterflies:
         spares = [np.empty(values.size) for _ in range(3)]
         got = solver._split_transform(values.copy(), block, *spares)
         assert np.array_equal(got, expected)
+
+
+def outcome(call):
+    """The call's result, or the message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def separable_square_sums(draw):
+    """A `SquareSum` over up to ten spins whose quadratic terms stay within
+    blocks of them, and whether its residuals were made to vanish at a
+    drawn assignment (otherwise their constants are drawn)."""
+    nvars = draw(st.integers(1, 10))
+    block = draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars))
+    pairs = [(i, j) for i, j in itertools.combinations(range(nvars), 2) if block[i] == block[j]]
+    monomials = st.sampled_from([(i,) for i in range(nvars)] + pairs)
+    # 2^26 makes column keys pass 2^63 and fall back to ranks
+    coeffs = st.one_of(st.integers(-3, 3), st.integers(-(2**26), 2**26))
+    x = dict(enumerate(draw(st.lists(st.sampled_from([-1, 1]), min_size=nvars, max_size=nvars))))
+    planted = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        residual = MultilinearPoly(Domain.SPIN, draw(st.dictionaries(monomials, coeffs, max_size=6)))
+        constant = -residual.evaluate(x) if planted else draw(st.integers(-3, 3))
+        terms.append((draw(st.integers(1, 3)),
+                      MultilinearPoly(Domain.SPIN, {**residual.terms, (): constant})))
+    return SquareSum(nvars, tuple(terms)), planted
+
+
+PAPER_SQUARE_SUMS = {
+    **{f"W{k}": (williamson_residuals, k) for k in (3, 5, 7, 9, 11)},
+    **{f"T{n}": (turyn_residuals, n) for n in (4, 6, 8)},
+}
+
+
+class TestSquareSumJoin:
+    """`exhaustive_min` of a `SquareSum` equals `exhaustive_min` of its
+    expansion, for both `all_ground` values, errors included: by the join
+    of two half enumerations where a zero state exists and the residuals
+    split, by enumerating the expansion otherwise."""
+
+    @staticmethod
+    def check(model, **kwargs) -> tuple[object, int]:
+        """The expansion's result (or error), and how often the `SquareSum`
+        path expanded the model."""
+        real, calls = SquareSum.expand, 0
+        for every in (True, False):
+            expected = outcome(lambda: exhaustive_min(model.expand(), all_ground=every, **kwargs))
+            with mock.patch.object(SquareSum, "expand", autospec=True, side_effect=real) as spy:
+                got = outcome(lambda: exhaustive_min(model, all_ground=every, **kwargs))
+            assert got == expected
+            calls += spy.call_count
+        return expected, calls
+
+    @pytest.mark.parametrize("name", PAPER_SQUARE_SUMS)
+    def test_paper_instances_join(self, name):
+        build, size = PAPER_SQUARE_SUMS[name]
+        sset, expansions = self.check(build(size))
+        assert sset.min_energy == 0 and expansions == 0
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_every_n8_m2_prototype(self, index):
+        proto = list(enumerate_prototypes(8, 2))[index]
+        sset, expansions = self.check(extended_residuals(proto))
+        failing = index in (2, 3, 4, 5, 10)
+        # no zero state: the expansion is enumerated and reports the minimum
+        assert sset.min_energy == (4 if failing else 0)
+        assert expansions == (2 if failing else 0)
+
+    @pytest.mark.parametrize("chunk_bits", [22, 5])
+    @settings(max_examples=80, deadline=None)
+    @given(case=separable_square_sums())
+    def test_separable_models(self, chunk_bits, case):
+        model, planted = case
+        # chunk bits of 5 send sides of more than two spins to enumeration
+        with mock.patch.object(solver, "_CHUNK_BITS", chunk_bits):
+            sset, _ = self.check(model)
+        if planted and isinstance(sset, SampleSet):
+            assert sset.min_energy == 0
+
+    def test_connected_model_enumerates(self):
+        # R = s0 s1 + s1 s2 vanishes where s0 = -s2, but links all three spins
+        model = SquareSum(3, ((2, MultilinearPoly(Domain.SPIN, {(0, 1): 1, (1, 2): 1})),))
+        assert solver._zero_states(model, 3) is None
+        sset, expansions = self.check(model)
+        assert sset.min_energy == 0 and expansions == 2
+
+    def test_spins_the_energy_drops_are_dropped(self):
+        # (s1 s3 - s0 s3)^2 = (s1 - s0)^2: the expansion has two variables
+        model = SquareSum(4, (
+            (1, MultilinearPoly(Domain.SPIN, {(0,): 1, (1,): -1})),
+            (1, MultilinearPoly(Domain.SPIN, {(1, 3): 1, (0, 3): -1})),
+        ))
+        sset, expansions = self.check(model)
+        # the first in state order, bit i set where s_i = +1
+        assert [s.values for s in sset.samples] == [(-1, -1)] and expansions == 0
+        every = exhaustive_min(model, all_ground=True)
+        assert [s.values for s in every.samples] == [(1, 1), (-1, -1)]
+
+    def test_cap_applies_to_the_expansion_first(self):
+        model = SquareSum(30, tuple((1, MultilinearPoly(Domain.SPIN, {(i,): 1, (): -1}))
+                                    for i in range(30)))
+        with mock.patch.object(solver, "_zero_states", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="30 variables exceed the exhaustive cap of 26"):
+                exhaustive_min(model)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_column_keys_equal_exactly_where_columns_are(self, data):
+        rows = data.draw(st.integers(0, 4))
+        values = st.sampled_from([0, 1, -1, 2**61, -(2**61), 2**62 - 1, -(2**62 - 1)])
+        left, right = (
+            data.draw(arrays(np.int64, (rows, data.draw(st.integers(1, 6))), elements=values))
+            for _ in range(2)
+        )
+        keys = np.concatenate(solver._column_keys(left, right)).tolist()
+        columns = [tuple(c) for c in np.concatenate([left, right], axis=1).T.tolist()]
+        for (a, ka), (b, kb) in itertools.product(zip(columns, keys), repeat=2):
+            assert (a == b) == (ka == kb)
 
 
 class TestAnneal:
@@ -678,6 +802,17 @@ class TestSampleSet:
         b = Sample(values=(-1,), energy=0, occurrences=1)
         with pytest.raises(ValueError):
             SampleSet(domain=Domain.SPIN, samples=(a, b), reads=2)
+
+    @pytest.mark.parametrize("domain", [Domain.SPIN, Domain.BOOLEAN])
+    def test_ground_samples_equal_constructed_ones(self, domain):
+        # built without __init__: fields and value strings as Sample makes them
+        sset = solver._ground_samples(np.array([6, 0, 5, 3]), 3, domain, -4)
+        lo, hi = domain.values
+        expected = [Sample(values=tuple(hi if (s >> i) & 1 else lo for i in range(3)),
+                           energy=-4, occurrences=1) for s in (3, 5, 6, 0)]
+        assert list(sset.samples) == expected
+        assert [s.value_string() for s in sset.samples] == ["++-", "+-+", "-++", "---"]
+        assert [s.value_string() for s in expected] == ["++-", "+-+", "-++", "---"]
 
     def test_export_format(self):
         a = Sample(values=(-1, 1), energy=-2, occurrences=3)
