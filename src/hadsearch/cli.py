@@ -35,11 +35,11 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 # Logical-variable threshold for the auto solver.  On one core of a 2-core
-# Xeon, enumerating an expanded energy takes about 0.37 s at 24 variables
+# Xeon, enumerating an expanded energy takes about 0.34 s at 24 variables
 # (the extended-Turyn n=10 prototype 0) and 1.4 s at 26 (a random
 # polynomial), doubling per variable.  Where the residuals have a zero state
-# and split, `exhaustive_min` joins two half enumerations instead: 4 ms for
-# that prototype, 14 ms for Williamson k=11.  A prototype with no zero state
+# and split, `exhaustive_min` joins two half enumerations instead: 7 ms for
+# that prototype, 15 ms for Williamson k=11.  A prototype with no zero state
 # still pays the full enumeration, so the limit stays at 24.  There
 # enumeration is both faster and complete: the default 1000 x 1000 residual
 # anneal of that prototype (seed 0) takes about 1.8 s and reaches energy 0

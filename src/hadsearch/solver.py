@@ -22,12 +22,12 @@ Baumert-Hall blocks, the Turyn sequences).  So its zero-energy set is a
 join of two half enumerations (meet in the middle; Kharaghani and
 Tayfeh-Rezaie, J. Combin. Des. 2005): each side's residual parts are
 tabulated in int64 over its own 2^(n/2) or so assignments, and one sort of
-exact integer keys pairs every left assignment with each right one whose
-negated parts equal its own.  Where that finds no zero state, the spins
-form one component, a residual's absolute coefficients reach 2^62, or a
-side's tables would pass 2^22 entries, the expansion is enumerated as
-above, so a minimum above zero is still reported and memory stays within
-the same bound.
+the columns pairs every left assignment with each right one whose negated
+parts equal its own.  Where that finds no zero state, the spins form one
+component, or a side's tables would pass 2^22 entries, the expansion is
+enumerated as above, so a minimum above zero is still reported.  The
+join's tables stay within 2^22 entries a side; it holds one entry per
+zero state only where every one is asked for, as the enumeration does.
 
 Annealing is single-flip Metropolis with a geometric inverse-temperature
 ladder, vectorised over reads, on either model kind: an Ising model (the
@@ -82,16 +82,6 @@ class Sample:
 
     def value_string(self) -> str:
         return self._value_string
-
-    @classmethod
-    def _with_string(cls, values: tuple[int, ...], energy: int, value_string: str) -> Sample:
-        """A one-occurrence sample whose value string the caller has formed
-        as `__post_init__` would, set without running `__init__`: a quarter
-        of the cost, for ground sets of thousands of samples."""
-        sample = object.__new__(cls)
-        vars(sample).update(values=values, energy=energy, occurrences=1,
-                            _value_string=value_string)
-        return sample
 
 
 @dataclass(frozen=True)
@@ -207,31 +197,36 @@ def exhaustive_min(
     zero-energy states come from a join of two half enumerations where
     that applies (`_zero_states`); otherwise, and where no state reaches
     energy 0, the expansion is enumerated as above.  The join holds each
-    side's spins and residual parts in at most 2^22 int64 entries; at that
-    limit (two 17-spin sides, 15 residuals) the process peaked at 113 MB.
+    side's spins and residual parts in at most 2^22 int64 entries (at that
+    limit, two 17-spin sides and 15 residuals, the process peaked at
+    113 MB), and with all_ground a few int64 entries per zero state.
     """
     if isinstance(model, SquareSum):
         return _square_sum_min(model, cap, all_ground)
     if isinstance(model, IsingModel):
-        poly = model.to_polynomial()
-        nvars = model.nvars
-        domain = Domain.SPIN
+        poly, nvars, domain = model.to_polynomial(), model.nvars, Domain.SPIN
     else:
-        poly = model
-        nvars = poly.nvars
-        domain = poly.domain
+        poly, nvars, domain = model, model.nvars, model.domain
+    masks = {sum(1 << v for v in m): c for m, c in poly.terms.items()}
+    return _enumerate(masks, nvars, domain, cap, all_ground)
+
+
+def _enumerate(
+    masks: dict[int, int], nvars: int, domain: Domain, cap: int, all_ground: bool
+) -> SampleSet:
+    """`exhaustive_min` of the polynomial over variables 0..nvars-1 whose
+    coefficients `masks` holds by monomial bitmask (bit i marks variable i)."""
     if nvars > cap:
         raise ValueError(f"{nvars} variables exceed the exhaustive cap of {cap}")
     spin = domain is Domain.SPIN
 
     if nvars == 0:
-        constant = poly.coeff(())
-        sample = Sample(values=(), energy=constant, occurrences=1)
+        sample = Sample(values=(), energy=masks.get(0, 0), occurrences=1)
         return SampleSet(domain=domain, samples=(sample,), reads=1)
     # Every partial sum the transform forms, in any order, is a signed sum of
     # distinct coefficients: below 2^53 float64 (and its BLAS products) holds
     # them exactly; below 2^63 the split transform is exact.
-    bound = poly.abs_coeff_sum()
+    bound = sum(map(abs, masks.values()))
     if bound >= 1 << 63:
         raise ValueError(
             "absolute coefficients sum to 2^63 or more; energies could overflow int64"
@@ -239,17 +234,15 @@ def exhaustive_min(
     split = bound >= 1 << 53
     dtype = np.int64 if split else np.float64
 
-    # State bit i set means s_i = +1 (spin) or q_i = 1 (boolean).  Bit i of a
-    # monomial's mask marks variable i.  The low `low_bits` bits of a state
-    # index the transformed vector; each high-bit pattern is one chunk.
+    # State bit i set means s_i = +1 (spin) or q_i = 1 (boolean).  The low
+    # `low_bits` bits of a state index the transformed vector; each
+    # high-bit pattern is one chunk.
     low_bits = min(_CHUNK_BITS, nvars)
-    terms = poly.terms
-    masks = [sum(1 << v for v in m) for m in terms]
     low = np.array([m & ((1 << low_bits) - 1) for m in masks], dtype=np.int64)
     high = np.array([m >> low_bits for m in masks], dtype=np.int64)
     # s_i = -(-1)^bit_i, so a spin monomial is (-1)^|m| * (-1)^popcount(m & state)
     coeffs = np.array(
-        [-c if spin and len(m) % 2 else c for m, c in terms.items()], dtype=dtype
+        [-c if spin and m.bit_count() % 2 else c for m, c in masks.items()], dtype=dtype
     )
     block = _SYLVESTER if spin else _ZETA
     a = np.empty(1 << low_bits, dtype=dtype)
@@ -288,11 +281,9 @@ def _ground_samples(states: np.ndarray, nvars: int, domain: Domain, energy: int)
     bits = (states[:, None] >> np.arange(nvars)) & 1
     # samples sort by value string, in which "+" (bit 1) precedes "-" (bit 0)
     # and variable 0 comes first
-    bits = bits[np.argsort(((1 - bits) << np.arange(nvars - 1, -1, -1)).sum(axis=1))]
-    rows = (2 * bits - 1 if domain is Domain.SPIN else bits).tolist()
-    text = np.where(bits, ord("+"), ord("-")).astype(np.uint8).tobytes().decode()
-    samples = tuple(Sample._with_string(tuple(v), energy, text[k * nvars : (k + 1) * nvars])
-                    for k, v in enumerate(rows))
+    order = np.argsort(((1 - bits) << np.arange(nvars - 1, -1, -1)).sum(axis=1))
+    rows = (2 * bits - 1 if domain is Domain.SPIN else bits)[order].tolist()
+    samples = tuple(Sample(values=tuple(v), energy=energy, occurrences=1) for v in rows)
     return SampleSet(domain=domain, samples=samples, reads=len(samples))
 
 
@@ -302,33 +293,32 @@ def _square_sum_min(model: SquareSum, cap: int, all_ground: bool) -> SampleSet:
     masks = model.expanded_masks()
     # the expansion's variables: one past the highest it keeps
     nvars = max((m.bit_length() for m, c in masks.items() if c), default=0)
-    # past the cap or the int64 bound the expansion raises, as it always has
+    # past the cap or the int64 bound the enumeration raises, as it always has
     if 0 < nvars <= cap and sum(map(abs, masks.values())) < 1 << 63:
-        states = _zero_states(model, nvars)
+        states = _zero_states(model, nvars, all_ground)
         if states is not None and states.size:
-            if not all_ground:
-                states = states.min(keepdims=True)
             return _ground_samples(states, nvars, Domain.SPIN, 0)
-    return exhaustive_min(model.expand(), cap, all_ground)
+    return _enumerate(masks, nvars, Domain.SPIN, cap, all_ground)
 
 
-def _zero_states(model: SquareSum, nvars: int) -> np.ndarray | None:
-    """Every state index of spins 0..nvars-1 at which all of the model's
-    residuals vanish, spins from `nvars` on set to +1; None where the join
-    does not apply.
+def _zero_states(model: SquareSum, nvars: int, all_ground: bool) -> np.ndarray | None:
+    """The state indices of spins 0..nvars-1 at which all of the model's
+    residuals vanish, spins from `nvars` on set to +1: every one with
+    all_ground, otherwise the lowest (an empty array where there is none);
+    None where the join does not apply.
 
     Weights are positive, so these are exactly the zero-energy states.  No
     quadratic term links two connected components of the residuals'
     variable graph, so with the components dealt to two sides each
     residual is R = c + L + R', L over the left spins and R' over the right
     ones.  Each side's parts are enumerated as one int64 table, and R = 0
-    joins c + L to equal values of -R'.  It does not apply where a
-    residual's absolute coefficients sum to 2^62 or more, where the spins
-    form one component, or where a side's tables would exceed
-    2^_CHUNK_BITS entries.
+    joins c + L to equal values of -R'.  The tables are exact: the caller
+    keeps the expansion's absolute sum below 2^63, and it includes the
+    constant w (c_0^2 + ... + c_k^2) >= (|c_0| + ... + |c_k|)^2 / (k + 1)
+    of each residual, so no residual's absolute sum comes near 2^62.  It
+    does not apply where the spins form one component, or where a side's
+    tables would exceed 2^_CHUNK_BITS entries.
     """
-    if any(r.abs_coeff_sum() >= 1 << 62 for _, r in model.terms):
-        return None
     distinct: dict[frozenset, dict[tuple[int, ...], int]] = {}
     for _, residual in model.terms:
         terms: dict[tuple[int, ...], int] = {}
@@ -345,15 +335,22 @@ def _zero_states(model: SquareSum, nvars: int) -> np.ndarray | None:
         return None
     (left, left_states), (right, right_states) = (_side_table(residuals, s) for s in sides)
     left += np.array([[terms.get((), 0)] for terms in residuals], dtype=np.int64)
-    left_keys, right_keys = _column_keys(left, np.negative(right, out=right))
-    order = np.argsort(right_keys)
-    ordered = right_keys[order]
-    start = np.searchsorted(ordered, left_keys, "left")
-    count = np.searchsorted(ordered, left_keys, "right") - start
+    ids = _column_ids(np.concatenate([left, np.negative(right, out=right)], axis=1))
+    left_ids, right_ids = ids[: left.shape[1]], ids[left.shape[1] :]
+    # right columns run in increasing state order, so a stable sort puts the
+    # lowest state of each id first
+    order = np.argsort(right_ids, kind="stable")
+    count = np.bincount(right_ids, minlength=ids.size)
+    start = (np.cumsum(count) - count)[left_ids]
+    count = count[left_ids]
+    if not all_ground:
+        hit = count > 0
+        lowest = left_states[hit] + right_states[order[start[hit]]]
+        return lowest.min(keepdims=True) if lowest.size else lowest
     # pair p of left column i takes right column order[start_i + p - (pairs before i)]
     first = np.repeat(start - np.cumsum(count) + count, count)
-    columns = np.repeat(np.arange(len(left_keys)), count)
-    return left_states[columns] + right_states[order[first + np.arange(len(columns))]]
+    columns = np.repeat(np.arange(left_ids.size), count)
+    return left_states[columns] + right_states[order[first + np.arange(columns.size)]]
 
 
 def _sides(residuals: list[dict], nvars: int) -> tuple[list[int], list[int]] | None:
@@ -411,23 +408,15 @@ def _side_table(residuals: list[dict], side: list[int]) -> tuple[np.ndarray, np.
     return parts, (1 << np.array(side, dtype=np.int64)) @ (spins > 0)
 
 
-def _column_keys(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One int64 key per column of the int64 tables `left` and `right`,
-    equal exactly where the columns are equal: mixed-radix digits of the
-    rows offset to their minima, with the keys so far and the row reduced
-    to ranks first where the radix would reach 2^63."""
-    keys = np.zeros(left.shape[1] + right.shape[1], dtype=np.int64)
-    span = 1
-    for row in np.concatenate([left, right], axis=1):
-        low = int(row.min())
-        width = int(row.max()) - low + 1
-        if span * width >= 1 << 63:
-            keys = np.unique(keys, return_inverse=True)[1]
-            row = np.unique(row, return_inverse=True)[1]
-            low, span, width = 0, int(keys.max()) + 1, int(row.max()) + 1
-        keys = keys * width + (row - low)
-        span *= width
-    return keys[: left.shape[1]], keys[left.shape[1] :]
+def _column_ids(table: np.ndarray) -> np.ndarray:
+    """One id per column of a 2-D int64 table with at least one row, equal
+    exactly where the columns are equal."""
+    order = np.lexsort(table)
+    ordered = table[:, order]
+    new = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)  # column differs from the one before
+    ids = np.empty(table.shape[1], dtype=np.int64)
+    ids[order] = np.concatenate([[0], np.cumsum(new)])
+    return ids
 
 
 # -- simulated annealing --------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -253,7 +254,6 @@ def separable_square_sums(draw):
     block = draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars))
     pairs = [(i, j) for i, j in itertools.combinations(range(nvars), 2) if block[i] == block[j]]
     monomials = st.sampled_from([(i,) for i in range(nvars)] + pairs)
-    # 2^26 makes column keys pass 2^63 and fall back to ranks
     coeffs = st.one_of(st.integers(-3, 3), st.integers(-(2**26), 2**26))
     x = dict(enumerate(draw(st.lists(st.sampled_from([-1, 1]), min_size=nvars, max_size=nvars))))
     planted = draw(st.booleans())
@@ -281,11 +281,14 @@ class TestSquareSumJoin:
     @staticmethod
     def check(model, **kwargs) -> tuple[object, int]:
         """The expansion's result (or error), and how often the `SquareSum`
-        path expanded the model."""
-        real, calls = SquareSum.expand, 0
+        path enumerated the expansion; it never builds the expanded
+        polynomial, nor calls `exhaustive_min` again."""
+        calls = 0
         for every in (True, False):
             expected = outcome(lambda: exhaustive_min(model.expand(), all_ground=every, **kwargs))
-            with mock.patch.object(SquareSum, "expand", autospec=True, side_effect=real) as spy:
+            with (mock.patch.object(solver, "_enumerate", wraps=solver._enumerate) as spy,
+                  mock.patch.object(SquareSum, "expand", side_effect=AssertionError),
+                  mock.patch.object(solver, "exhaustive_min", side_effect=AssertionError)):
                 got = outcome(lambda: exhaustive_min(model, all_ground=every, **kwargs))
             assert got == expected
             calls += spy.call_count
@@ -294,17 +297,17 @@ class TestSquareSumJoin:
     @pytest.mark.parametrize("name", PAPER_SQUARE_SUMS)
     def test_paper_instances_join(self, name):
         build, size = PAPER_SQUARE_SUMS[name]
-        sset, expansions = self.check(build(size))
-        assert sset.min_energy == 0 and expansions == 0
+        sset, enumerations = self.check(build(size))
+        assert sset.min_energy == 0 and enumerations == 0
 
     @pytest.mark.parametrize("index", range(12))
     def test_every_n8_m2_prototype(self, index):
         proto = list(enumerate_prototypes(8, 2))[index]
-        sset, expansions = self.check(extended_residuals(proto))
+        sset, enumerations = self.check(extended_residuals(proto))
         failing = index in (2, 3, 4, 5, 10)
         # no zero state: the expansion is enumerated and reports the minimum
         assert sset.min_energy == (4 if failing else 0)
-        assert expansions == (2 if failing else 0)
+        assert enumerations == (2 if failing else 0)
 
     @pytest.mark.parametrize("chunk_bits", [22, 5])
     @settings(max_examples=80, deadline=None)
@@ -320,9 +323,9 @@ class TestSquareSumJoin:
     def test_connected_model_enumerates(self):
         # R = s0 s1 + s1 s2 vanishes where s0 = -s2, but links all three spins
         model = SquareSum(3, ((2, MultilinearPoly(Domain.SPIN, {(0, 1): 1, (1, 2): 1})),))
-        assert solver._zero_states(model, 3) is None
-        sset, expansions = self.check(model)
-        assert sset.min_energy == 0 and expansions == 2
+        assert solver._zero_states(model, 3, True) is None
+        sset, enumerations = self.check(model)
+        assert sset.min_energy == 0 and enumerations == 2
 
     def test_spins_the_energy_drops_are_dropped(self):
         # (s1 s3 - s0 s3)^2 = (s1 - s0)^2: the expansion has two variables
@@ -330,9 +333,9 @@ class TestSquareSumJoin:
             (1, MultilinearPoly(Domain.SPIN, {(0,): 1, (1,): -1})),
             (1, MultilinearPoly(Domain.SPIN, {(1, 3): 1, (0, 3): -1})),
         ))
-        sset, expansions = self.check(model)
+        sset, enumerations = self.check(model)
         # the first in state order, bit i set where s_i = +1
-        assert [s.values for s in sset.samples] == [(-1, -1)] and expansions == 0
+        assert [s.values for s in sset.samples] == [(-1, -1)] and enumerations == 0
         every = exhaustive_min(model, all_ground=True)
         assert [s.values for s in every.samples] == [(1, 1), (-1, -1)]
 
@@ -343,18 +346,32 @@ class TestSquareSumJoin:
             with pytest.raises(ValueError, match="30 variables exceed the exhaustive cap of 26"):
                 exhaustive_min(model)
 
+    @pytest.mark.parametrize("nvars", [16, 26])
+    def test_lowest_zero_state_holds_no_pairs(self, nvars):
+        # (s0 + ... + s_{n-1})^2 is zero at C(n, n/2) states, 10.4M at 26
+        # spins; the lowest sets spins 0..n/2-1 to +1
+        model = SquareSum(nvars, ((1, MultilinearPoly(Domain.SPIN, {(i,): 1 for i in range(nvars)})),))
+        if nvars == 16:
+            sset, enumerations = self.check(model)
+            assert len(sset.samples) == 1 and enumerations == 0
+        tracemalloc.start()
+        try:
+            sset = exhaustive_min(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [s.values for s in sset.samples] == [(1,) * (nvars // 2) + (-1,) * (nvars // 2)]
+        assert peak < 8 << 20
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_column_keys_equal_exactly_where_columns_are(self, data):
-        rows = data.draw(st.integers(0, 4))
+    def test_column_ids_equal_exactly_where_columns_are(self, data):
+        rows, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
         values = st.sampled_from([0, 1, -1, 2**61, -(2**61), 2**62 - 1, -(2**62 - 1)])
-        left, right = (
-            data.draw(arrays(np.int64, (rows, data.draw(st.integers(1, 6))), elements=values))
-            for _ in range(2)
-        )
-        keys = np.concatenate(solver._column_keys(left, right)).tolist()
-        columns = [tuple(c) for c in np.concatenate([left, right], axis=1).T.tolist()]
-        for (a, ka), (b, kb) in itertools.product(zip(columns, keys), repeat=2):
+        table = data.draw(arrays(np.int64, (rows, width), elements=values))
+        ids = solver._column_ids(table).tolist()
+        columns = [tuple(c) for c in table.T.tolist()]
+        for (a, ka), (b, kb) in itertools.product(zip(columns, ids), repeat=2):
             assert (a == b) == (ka == kb)
 
 
@@ -805,7 +822,6 @@ class TestSampleSet:
 
     @pytest.mark.parametrize("domain", [Domain.SPIN, Domain.BOOLEAN])
     def test_ground_samples_equal_constructed_ones(self, domain):
-        # built without __init__: fields and value strings as Sample makes them
         sset = solver._ground_samples(np.array([6, 0, 5, 3]), 3, domain, -4)
         lo, hi = domain.values
         expected = [Sample(values=tuple(hi if (s >> i) & 1 else lo for i in range(3)),
