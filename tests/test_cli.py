@@ -56,10 +56,21 @@ class TestArtifactDigests:
         "search_w9_anneal": ("search", "--method", "williamson", "--k", 9, *ANNEALED),
         "search_t6_anneal": ("search", "--method", "turyn", "--n", 6, *ANNEALED),
     }
+    # `solve` on a file of `build --method williamson --k 5`: the boolean
+    # domain's export, and the Ising model enumerated and annealed
+    SOLVES = {
+        "solve_w5_ek_q": ("ek_q.poly", "--all-ground"),
+        "solve_w5_ising": ("model.ising", "--all-ground", "--cap", 30),
+        "solve_w5_anneal": ("e2_s.poly", "--solver", "anneal", "--reads", 50, "--sweeps", 50),
+    }
 
-    def test_every_file_matches_recorded_sha256(self, tmp_path):
+    def test_every_file_matches_recorded_sha256(self, tmp_path, tmp_path_factory):
         for name, args in self.RUNS.items():
             assert run(*args, "--out", tmp_path / name) == 0
+        built = tmp_path_factory.mktemp("build_w5")
+        assert run("build", "--method", "williamson", "--k", 5, "--out", built) == 0
+        for name, (model, *args) in self.SOLVES.items():
+            assert run("solve", built / model, *args, "--out", tmp_path / name) == 0
         got = {
             path.replace(os.sep, "/"): hashlib.sha256(data).hexdigest()
             for path, data in snapshot(tmp_path).items()
