@@ -120,10 +120,17 @@ def goethals_seidel(X1, X2, X3, X4) -> SignMatrix:
 
 
 def verify(H) -> tuple[bool, np.ndarray]:
-    """Exact orthogonality test: returns (is_hadamard, indicator D = H^T H)."""
+    """Exact orthogonality test: returns (is_hadamard, indicator D = H^T H).
+
+    D is formed in float64, on BLAS, and returned as int64.  That is exact:
+    every entry of H is +-1, so every partial sum of an entry of D is an
+    integer of magnitude at most the order M, and float64 holds every
+    integer below 2^53.
+    """
     H = _as_sign_matrix(H, "candidate")
     M = H.shape[0]
-    D = H.T @ H
+    F = H.astype(np.float64)
+    D = (F.T @ F).astype(np.int64)
     ok = bool(np.array_equal(D, M * np.eye(M, dtype=np.int64)))
     return ok, D
 

@@ -151,6 +151,24 @@ class TestVerify:
                 P[:, j] *= -1
         assert hm.verify(P)[0]
 
+    def test_indicator_equals_int64_product(self):
+        """D, formed in float64, is the exact int64 product: on random +-1
+        matrices of orders 1-120, all-ones ones (off-diagonal entries equal
+        to the order) and Sylvester Hadamard matrices."""
+        gen = np.random.default_rng(0)
+        sylvester = [np.ones((1, 1), dtype=np.int64)]
+        while len(sylvester[-1]) < 120:
+            sylvester.append(np.kron([[1, 1], [1, -1]], sylvester[-1]))
+        for M in range(1, 121):
+            hadamard = [H for H in sylvester if len(H) == M]
+            for H in [gen.choice([-1, 1], size=(M, M)), np.ones((M, M), dtype=np.int64), *hadamard]:
+                ok, D = hm.verify(H)
+                assert D.dtype == np.int64
+                assert np.array_equal(D, H.T.astype(np.int64) @ H.astype(np.int64))
+                assert ok == np.array_equal(D, M * np.eye(M, dtype=np.int64))
+            assert all(hm.verify(H)[0] for H in hadamard)
+            assert hm.verify(np.ones((M, M)))[0] == (M == 1)
+
     def test_order_admissibility(self):
         assert hm.order_admissible(1)
         assert hm.order_admissible(2)
