@@ -21,6 +21,8 @@ import os
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import constructions as cons
 from . import hadamard as hm
 from . import ising
@@ -272,23 +274,25 @@ def _solve_energy(args, proto: cons.PrototypeSpec | None):
     spins: enumerate it (`solver.exhaustive_min` joins two half
     enumerations where it can) or anneal it.
 
-    Returns the sample set and the distinct assignments of its zero-energy
-    samples, in sample order (best first).
+    Returns the sample set and the rows of its zero-energy samples, in
+    sample order (best first); the rows are distinct.
     """
     residuals = _residuals_for(args, proto)
     if _solver_for(args, residuals.nvars) == "exhaustive":
         sset = solver.exhaustive_min(residuals, cap=args.cap, all_ground=True)
     else:
         sset = _anneal(args, residuals)
-    return sset, list(dict.fromkeys(s.values for s in sset.samples if s.energy == 0))
+    return sset, sset.values[sset.energies == 0]
 
 
-def _first_verified(args, grounds, proto: cons.PrototypeSpec | None) -> hm.SignMatrix | None:
-    """The matrix of the first ground assignment that assembles and
-    passes `hm.verify`, or None."""
-    for values in grounds:
+def _first_verified(
+    args, grounds: np.ndarray, proto: cons.PrototypeSpec | None
+) -> hm.SignMatrix | None:
+    """The matrix of the first ground assignment (a row of `grounds`) that
+    assembles and passes `hm.verify`, or None."""
+    for row in grounds:
         try:
-            matrix = _assemble(args, values, proto)
+            matrix = _assemble(args, tuple(row.tolist()), proto)
         except (ValueError, AssertionError):
             continue  # this sample does not complete to a valid pipeline input
         if hm.verify(matrix)[0]:

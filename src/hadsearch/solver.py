@@ -75,51 +75,98 @@ class Sample:
     energy: int
     occurrences: int
 
-    def __post_init__(self):
-        # computed once: the sort, the sort check and the export all read it
-        string = "".join(["+" if v > 0 else "-" for v in self.values])
-        object.__setattr__(self, "_value_string", string)
-
     def value_string(self) -> str:
-        return self._value_string
+        return "".join(["+" if v > 0 else "-" for v in self.values])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
+    """Distinct samples as read-only arrays, in sample order.
+
+    Row i of `values` (int8, shape (k, n)) is one assignment, with its
+    energy `energies[i]` and read count `occurrences[i]` (int64, shape
+    (k,)).  Sample order is ascending energy, then ascending value string,
+    in which "+" (+1, or 1 in the boolean domain) precedes "-" and variable
+    0 comes first.  Rows must be strictly ascending in that order, so no two
+    are equal, every entry must be a value of the domain, and occurrences
+    must be at least 1 and sum to `reads`.  `samples`, `best()` and
+    `min_energy` read the arrays as Python ints.
+    """
+
     domain: Domain
-    samples: tuple[Sample, ...]
+    values: np.ndarray
+    energies: np.ndarray
+    occurrences: np.ndarray
     reads: int
 
     def __post_init__(self):
-        if sum(s.occurrences for s in self.samples) != self.reads:
-            raise ValueError("sample occurrences must sum to reads")
-        keys = [(s.energy, s.value_string()) for s in self.samples]
-        if keys != sorted(keys):
-            raise ValueError("samples must be sorted by (energy, value string)")
+        values, energies, occurrences = map(np.asarray, (self.values, self.energies,
+                                                         self.occurrences))
+        if values.ndim != 2 or not energies.shape == occurrences.shape == values.shape[:1]:
+            raise ValueError("values must have shape (k, n), energies and occurrences (k,)")
+        if not np.isin(values, self.domain.values).all():
+            raise ValueError(f"sample values must be {self.domain.value} values {self.domain.values}")
+        # astype copies: the set owns its arrays
+        values, energies, occurrences = (values.astype(np.int8), energies.astype(np.int64),
+                                         occurrences.astype(np.int64))
+        if (occurrences < 1).any() or int(occurrences.sum()) != self.reads:
+            raise ValueError("sample occurrences must be at least 1 and sum to reads")
+        # (energy, -v_0, -v_1, ...) must rise from each row to the next at its
+        # first differing entry; an equal row has none
+        keys = np.column_stack([energies, -values.astype(np.int64)])
+        rise = (keys[1:] > keys[:-1]).astype(np.int8) - (keys[1:] < keys[:-1])
+        first = rise[np.arange(len(rise)), np.argmax(rise != 0, axis=1)]
+        if (first <= 0).any():
+            raise ValueError("samples must be distinct and sorted by (energy, value string)")
+        for name, array in (("values", values), ("energies", energies),
+                            ("occurrences", occurrences)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        return (self.domain is other.domain and self.reads == other.reads
+                and np.array_equal(self.values, other.values)
+                and np.array_equal(self.energies, other.energies)
+                and np.array_equal(self.occurrences, other.occurrences))
+
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        return tuple(map(Sample, map(tuple, self.values.tolist()), self.energies.tolist(),
+                         self.occurrences.tolist()))
 
     @property
     def min_energy(self) -> int:
-        if not self.samples:
-            raise ValueError("empty sample set")
-        return self.samples[0].energy
+        return self.best().energy
 
     def best(self) -> Sample:
-        if not self.samples:
+        if not len(self.values):
             raise ValueError("empty sample set")
-        return self.samples[0]
+        return Sample(tuple(self.values[0].tolist()), int(self.energies[0]),
+                      int(self.occurrences[0]))
 
     def to_text(self) -> str:
-        return "".join(
-            f"{s.energy} {s.occurrences} {s.value_string()}\n" for s in self.samples
-        )
+        """One line per sample: energy, occurrences and value string."""
+        k, n = self.values.shape
+        chars = np.empty((k, n + 1), dtype=np.uint8)
+        chars[:, :n] = np.frombuffer(b"-+", dtype=np.uint8)[(self.values > 0).astype(np.intp)]
+        chars[:, n] = ord("\n")
+        lines = chars.tobytes().decode("ascii").splitlines(keepends=True)
+        # rows in a run of equal energy and occurrences share one prefix
+        e, o = self.energies, self.occurrences
+        runs = [0, *(np.flatnonzero((e[1:] != e[:-1]) | (o[1:] != o[:-1])) + 1).tolist(), k]
+        prefixes = [f"{e[a]} {o[a]} " for a in runs[:-1]]
+        return "".join(p + p.join(lines[a:b]) for p, a, b in zip(prefixes, runs, runs[1:]))
 
 
-def _sorted_samples(counts: dict[tuple[int, ...], tuple[int, int]]) -> tuple[Sample, ...]:
-    samples = [
-        Sample(values=v, energy=e, occurrences=n) for v, (e, n) in counts.items()
-    ]
-    samples.sort(key=lambda s: (s.energy, s.value_string()))
-    return tuple(samples)
+def _sample_set(domain: Domain, values: np.ndarray, energies: np.ndarray,
+                occurrences: np.ndarray, reads: int) -> SampleSet:
+    """The sample set of the distinct rows `values`, put in sample order."""
+    # lexsort's last key is its first: energy, then -v_0, -v_1, ...
+    order = np.lexsort((*np.negative(values[:, ::-1].T, dtype=np.int8), energies))
+    return SampleSet(domain=domain, values=values[order], energies=energies[order],
+                     occurrences=occurrences[order], reads=reads)
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -221,8 +268,7 @@ def _enumerate(
     spin = domain is Domain.SPIN
 
     if nvars == 0:
-        sample = Sample(values=(), energy=masks.get(0, 0), occurrences=1)
-        return SampleSet(domain=domain, samples=(sample,), reads=1)
+        return _ground_samples(np.zeros(1, dtype=np.int64), 0, domain, masks.get(0, 0))
     # Every partial sum the transform forms, in any order, is a signed sum of
     # distinct coefficients: below 2^53 float64 (and its BLAS products) holds
     # them exactly; below 2^63 the split transform is exact.
@@ -278,13 +324,11 @@ def _enumerate(
 def _ground_samples(states: np.ndarray, nvars: int, domain: Domain, energy: int) -> SampleSet:
     """One sample per state index (bit i set where variable i is +1 or 1),
     in sample order."""
-    bits = (states[:, None] >> np.arange(nvars)) & 1
-    # samples sort by value string, in which "+" (bit 1) precedes "-" (bit 0)
-    # and variable 0 comes first
-    order = np.argsort(((1 - bits) << np.arange(nvars - 1, -1, -1)).sum(axis=1))
-    rows = (2 * bits - 1 if domain is Domain.SPIN else bits)[order].tolist()
-    samples = tuple(Sample(values=tuple(v), energy=energy, occurrences=1) for v in rows)
-    return SampleSet(domain=domain, samples=samples, reads=len(samples))
+    bits = ((states[:, None] >> np.arange(nvars)) & 1).astype(np.int8)
+    values = 2 * bits - 1 if domain is Domain.SPIN else bits
+    k = len(states)
+    return _sample_set(domain, values, np.full(k, energy, dtype=np.int64),
+                       np.ones(k, dtype=np.int64), k)
 
 
 def _square_sum_min(model: SquareSum, cap: int, all_ground: bool) -> SampleSet:
@@ -553,25 +597,26 @@ class _Kernel:
         dot, exp, copysign = np.dot, np.exp, np.copysign
 
         def sweep(order: list[int], uniforms: np.ndarray, neg_beta: float) -> np.ndarray:
+            # each call's last positional argument is its output
             for i, uniform in zip(order, uniforms):
                 row = rows[i]
-                matmul(flips[i], S, out=delta)
-                multiply(delta, row, out=delta)
-                add(X, delta, out=moved)
+                matmul(flips[i], S, delta)
+                multiply(delta, row, delta)
+                add(X, delta, moved)
                 if squares:
                     # w (R + delta)^2 - w R^2 = w (2R + delta) delta
-                    multiply(moved, delta, out=change)
-                    dot(w, change, out=delta_e)
+                    multiply(moved, delta, change)
+                    dot(w, change, delta_e)
                 else:
-                    dot(u, delta, out=delta_e)
-                multiply(delta_e, neg_beta, out=e)
-                exp(e, out=e)
-                subtract(uniform, e, out=e)
+                    dot(u, delta, delta_e)
+                multiply(delta_e, neg_beta, e)
+                exp(e, e)
+                subtract(uniform, e, e)
                 # the int64 kernel takes the signs +-1.0 as +-1
-                copysign(ones, e, out=sign, casting="unsafe")
-                multiply(row, sign, out=row)
-                multiply(delta, sign, out=delta)
-                subtract(moved, delta, out=X)
+                copysign(ones, e, sign, casting="unsafe")
+                multiply(row, sign, row)
+                multiply(delta, sign, delta)
+                subtract(moved, delta, X)
             return delta_e
 
         return sweep
@@ -579,8 +624,8 @@ class _Kernel:
 
 def _metropolis_states(
     kernel: _Kernel, reads: int, sweeps: int, betas: np.ndarray, seed: int
-) -> tuple[list[list[int]], list[int]]:
-    """Final spin states (reads x nvars) and their energies."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final spin states (int8, reads x nvars) and their energies (int64)."""
     n = kernel.nvars
     gens = [_read_generator(seed, r) for r in range(reads)]
     perm_gen = np.random.Generator(
@@ -609,7 +654,7 @@ def _metropolis_states(
                 # below -745: as -1.0 a drawn 0.0 accepts every move
                 np.copyto(uniforms, -1.0, where=uniforms == 0.0)
             sweep(perm_gen.permutation(n).tolist(), uniforms[t % block], -beta)
-    return S[:n].T.astype(np.int64).tolist(), kernel.energies(X)
+    return S[:n].T.astype(np.int8), np.array(kernel.energies(X), dtype=np.int64)
 
 
 def anneal(
@@ -663,13 +708,9 @@ def anneal(
                 f"the schedule from beta_start={beta_start} to beta_end={beta_end} overflows"
             )
 
-    S, energies = _metropolis_states(_Kernel(model, bound), reads, sweeps, betas, seed)
-    counts: dict[tuple[int, ...], tuple[int, int]] = {}
-    for row, e in zip(S, energies):
-        key = tuple(row)
-        prev = counts.get(key)
-        counts[key] = (e, 1 if prev is None else prev[1] + 1)
-    return SampleSet(domain=Domain.SPIN, samples=_sorted_samples(counts), reads=reads)
+    states, energies = _metropolis_states(_Kernel(model, bound), reads, sweeps, betas, seed)
+    values, first, counts = np.unique(states, axis=0, return_index=True, return_counts=True)
+    return _sample_set(Domain.SPIN, values, energies[first], counts, reads)
 
 
 def write_samples(sampleset: SampleSet, fp: IO[str]) -> None:

@@ -643,6 +643,26 @@ def reference_metropolis(model: IsingModel, reads: int, sweeps: int, betas, seed
     return S, energies
 
 
+def reference_samples(states, energies) -> list[Sample]:
+    """The distinct states with their energies and read counts, sorted by
+    (energy, value string): how `anneal` built its samples with a dict."""
+    counts = {}
+    for row, e in zip(states, energies):
+        prev = counts.get(tuple(row), (e, 0))
+        counts[tuple(row)] = (e, prev[1] + 1)
+    return sorted(
+        (Sample(values=v, energy=e, occurrences=c) for v, (e, c) in counts.items()),
+        key=lambda s: (s.energy, s.value_string()),
+    )
+
+
+def reference_sample_set(states, energies, reads: int, domain=Domain.SPIN) -> SampleSet:
+    samples = reference_samples(states, energies)
+    return SampleSet(domain=domain, values=np.array([s.values for s in samples], ndmin=2),
+                     energies=[s.energy for s in samples],
+                     occurrences=[s.occurrences for s in samples], reads=reads)
+
+
 @pytest.fixture(scope="module")
 def paper_ising_models():
     def chain(energy):
@@ -661,16 +681,8 @@ class TestIsingMatchesReferenceLoop:
         b0, b1 = solver.default_beta_range(model)
         betas = b0 * (b1 / b0) ** (np.arange(sweeps) / (sweeps - 1))
         S, energies = reference_metropolis(model, reads, sweeps, betas, seed)
-        counts = {}
-        for row, e in zip(S.tolist(), energies.tolist()):
-            prev = counts.get(tuple(row), (e, 0))
-            counts[tuple(row)] = (e, prev[1] + 1)
-        expected = sorted(
-            (Sample(values=v, energy=e, occurrences=c) for v, (e, c) in counts.items()),
-            key=lambda s: (s.energy, s.value_string()),
-        )
         got = anneal(model, reads=reads, sweeps=sweeps, seed=seed)
-        assert got == SampleSet(domain=Domain.SPIN, samples=tuple(expected), reads=reads)
+        assert got == reference_sample_set(S.tolist(), energies.tolist(), reads)
 
 
 def reference_residual_metropolis(kernel, reads: int, sweeps: int, betas, seed: int):
@@ -740,19 +752,11 @@ class TestResidualMatchesReferenceLoop:
         b0, b1 = solver.default_beta_range(model)
         betas = b0 * (b1 / b0) ** (np.arange(sweeps) / (sweeps - 1))
         states, energies = reference_residual_metropolis(kernel, reads, sweeps, betas, seed)
-        counts = {}
-        for row, e in zip(states, energies):
-            prev = counts.get(tuple(row), (e, 0))
-            counts[tuple(row)] = (e, prev[1] + 1)
-        expected = sorted(
-            (Sample(values=v, energy=e, occurrences=c) for v, (e, c) in counts.items()),
-            key=lambda s: (s.energy, s.value_string()),
-        )
         # 33 sweeps in blocks of 4: eight full blocks, then one of a single sweep
         block = solver._UNIFORM_BLOCK if block_sweeps is None else block_sweeps * reads * model.nvars
         with mock.patch.object(solver, "_UNIFORM_BLOCK", block):
             got = anneal(model, reads=reads, sweeps=sweeps, seed=seed)
-        assert got == SampleSet(domain=Domain.SPIN, samples=tuple(expected), reads=reads)
+        assert got == reference_sample_set(states, energies, reads)
 
 
 class ZeroingGenerator:
@@ -797,28 +801,52 @@ class TestZeroUniforms:
             with mock.patch.object(solver, "_UNIFORM_BLOCK", block):
                 got = anneal(model, reads=reads, sweeps=sweeps, beta_start=b0, beta_end=b1,
                              seed=seed)
-        counts = {}
-        for row, e in zip(states, energies):
-            prev = counts.get(tuple(row), (e, 0))
-            counts[tuple(row)] = (e, prev[1] + 1)
-        expected = sorted(
-            (Sample(values=v, energy=e, occurrences=c) for v, (e, c) in counts.items()),
-            key=lambda s: (s.energy, s.value_string()),
-        )
-        assert got == SampleSet(domain=Domain.SPIN, samples=tuple(expected), reads=reads)
+        assert got == reference_sample_set(states, energies, reads)
+
+
+def sample_set(values, energies, occurrences, reads=None, domain=Domain.SPIN) -> SampleSet:
+    return SampleSet(domain=domain, values=values, energies=energies, occurrences=occurrences,
+                     reads=sum(occurrences) if reads is None else reads)
 
 
 class TestSampleSet:
     def test_occurrence_sum_enforced(self):
-        s = Sample(values=(1,), energy=0, occurrences=2)
-        with pytest.raises(ValueError):
-            SampleSet(domain=Domain.SPIN, samples=(s,), reads=3)
+        with pytest.raises(ValueError, match="sum to reads"):
+            sample_set([[1]], [0], [2], reads=3)
 
     def test_sort_order_enforced(self):
-        a = Sample(values=(1,), energy=1, occurrences=1)
-        b = Sample(values=(-1,), energy=0, occurrences=1)
-        with pytest.raises(ValueError):
-            SampleSet(domain=Domain.SPIN, samples=(a, b), reads=2)
+        with pytest.raises(ValueError, match="sorted"):
+            sample_set([[1], [-1]], [1, 0], [1, 1])
+        # "+" precedes "-" at equal energy
+        with pytest.raises(ValueError, match="sorted"):
+            sample_set([[-1, 1], [1, -1]], [0, 0], [1, 1])
+        assert sample_set([[1, -1], [-1, 1]], [0, 0], [1, 1]).reads == 2
+
+    @pytest.mark.parametrize("values", [[[1, -1], [1, -1]], [[1, -1], [-1, 1], [-1, 1]]])
+    def test_repeated_row_rejected(self, values):
+        with pytest.raises(ValueError, match="distinct"):
+            sample_set(values, [0] * len(values), [1] * len(values))
+
+    @pytest.mark.parametrize("occurrences", [[2, 0], [3, -1]], ids=["zero", "negative"])
+    def test_occurrence_below_one_rejected(self, occurrences):
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_set([[1], [-1]], [0, 1], occurrences, reads=2)
+
+    @pytest.mark.parametrize("domain, values", [
+        (Domain.SPIN, [[0]]), (Domain.SPIN, [[2]]), (Domain.SPIN, np.array([[255]])),
+        (Domain.BOOLEAN, [[-1]]), (Domain.BOOLEAN, [[2]]), (Domain.BOOLEAN, np.array([[257]])),
+    ], ids=["spin-0", "spin-2", "spin-255", "boolean-minus-1", "boolean-2", "boolean-257"])
+    def test_value_outside_domain_rejected(self, domain, values):
+        # 255 and 257 would pass as -1 and 1 once cast to int8
+        with pytest.raises(ValueError, match="values"):
+            sample_set(values, [0], [1], domain=domain)
+
+    @pytest.mark.parametrize("values, energies, occurrences", [
+        ([[1], [-1]], [0, 1], [2]), ([[1]], [0, 1], [1]), ([1, -1], [0, 1], [1, 1]),
+    ], ids=["short-occurrences", "long-energies", "one-dimensional"])
+    def test_shapes_enforced(self, values, energies, occurrences):
+        with pytest.raises(ValueError, match="shape"):
+            sample_set(values, energies, occurrences, reads=2)
 
     @pytest.mark.parametrize("domain", [Domain.SPIN, Domain.BOOLEAN])
     def test_ground_samples_equal_constructed_ones(self, domain):
@@ -831,7 +859,67 @@ class TestSampleSet:
         assert [s.value_string() for s in expected] == ["++-", "+-+", "-++", "---"]
 
     def test_export_format(self):
-        a = Sample(values=(-1, 1), energy=-2, occurrences=3)
-        b = Sample(values=(1, -1), energy=5, occurrences=1)
-        sset = SampleSet(domain=Domain.SPIN, samples=(a, b), reads=4)
+        sset = sample_set([[-1, 1], [1, -1]], [-2, 5], [3, 1])
         assert sset.to_text() == "-2 3 -+\n5 1 +-\n"
+
+    @pytest.mark.parametrize("domain, values, energies, occurrences", [
+        (Domain.SPIN, [[1, 1, -1], [-1, 1, 1], [1, -1, -1]], [-7, -7, 2**62], [2, 1, 4]),
+        (Domain.BOOLEAN, [[1, 0], [0, 0], [1, 1], [0, 1]], [0, 0, 3, -1], [1, 5, 1, 2]),
+        (Domain.SPIN, np.zeros((1, 0)), [42], [5]),
+        (Domain.BOOLEAN, np.zeros((1, 0)), [-3], [1]),
+    ], ids=["spin", "boolean", "spin-0-variables", "boolean-0-variables"])
+    def test_to_text_equals_per_sample_reference(self, domain, values, energies, occurrences):
+        sset = solver._sample_set(domain, np.array(values, dtype=np.int8),
+                                  np.array(energies), np.array(occurrences), sum(occurrences))
+        strings = ["".join("+" if v > 0 else "-" for v in row) for row in np.array(values).tolist()]
+        # rows are distinct, so energy and value string order them
+        lines = sorted(zip(energies, strings, occurrences))
+        assert sset.to_text() == "".join(f"{e} {o} {string}\n" for e, string, o in lines)
+        assert sset.to_text() == "".join(
+            f"{s.energy} {s.occurrences} {s.value_string()}\n" for s in sset.samples)
+
+    def test_samples_are_python_ints(self):
+        sset = solver._sample_set(Domain.SPIN, np.array([[1, -1], [-1, -1]], dtype=np.int8),
+                                  np.array([3, 2**62]), np.array([1, 6]), 7)
+        for s in (*sset.samples, sset.best()):
+            assert all(type(v) is int for v in (*s.values, s.energy, s.occurrences))
+        assert type(sset.min_energy) is int and sset.min_energy == 3
+        assert sset.samples == (Sample((1, -1), 3, 1), Sample((-1, -1), 2**62, 6))
+
+    def test_arrays_are_read_only_copies(self):
+        values = np.array([[1, -1]], dtype=np.int8)
+        sset = sample_set(values, [0], [1])
+        values[0, 0] = -1
+        assert sset.values.tolist() == [[1, -1]]
+        with pytest.raises(ValueError):
+            sset.values[0, 0] = -1
+
+    def test_equality_compares_every_field(self):
+        sset = sample_set([[1, -1], [-1, 1]], [0, 3], [1, 2])
+        assert sset == sample_set(np.array([[1, -1], [-1, 1]]), [0, 3], [1, 2])
+        assert sset != sample_set([[1, -1], [-1, 1]], [0, 4], [1, 2])
+        assert sset != sample_set([[1, -1], [-1, 1]], [0, 3], [2, 1])
+        assert sset != sample_set([[1, -1], [-1, -1]], [0, 3], [1, 2])
+        assert sset != sample_set([[1, 0], [0, 1]], [0, 3], [1, 2], domain=Domain.BOOLEAN)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nvars=st.integers(0, 5), reads=st.integers(1, 40), sweeps=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_anneal_equals_dict_count_reference(self, nvars, reads, sweeps, seed, data):
+        """On small random Ising models, where reads often end in the same
+        state, `anneal`'s set is the dict-count-and-sort of its final states."""
+        model = random_ising(random.Random(data.draw(st.integers(0, 2**32 - 1))), nvars)
+        captured = []
+
+        def capture(*args):
+            captured.append(real(*args))
+            return captured[-1]
+
+        real = solver._metropolis_states
+        with mock.patch.object(solver, "_metropolis_states", capture):
+            got = anneal(model, reads=reads, sweeps=sweeps, seed=seed)
+        states, energies = captured[0]
+        assert got == reference_sample_set(states.tolist(), energies.tolist(), reads)
+        assert got.to_text() == "".join(
+            f"{s.energy} {s.occurrences} {s.value_string()}\n"
+            for s in reference_samples(states.tolist(), energies.tolist()))
