@@ -21,7 +21,7 @@ def _as_sign_matrix(M, name: str = "matrix") -> SignMatrix:
     A = np.asarray(M, dtype=np.int64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square")
-    if not np.isin(A, (-1, 1)).all():
+    if not ((A == 1) | (A == -1)).all():
         raise ValueError(f"{name} entries must be +/-1")
     return A
 

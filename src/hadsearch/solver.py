@@ -12,8 +12,7 @@ products run in float64 on BLAS.  While the absolute coefficients sum
 below 2^53 every partial sum is exact there; below 2^63 each chunk is
 split into 26-bit high and low halves, each transformed exactly in float64
 and joined in int64.  The states run in chunks of 2^22 over the high bits
-so memory stays bounded.  The ground states are decoded and ordered as
-arrays.
+so memory stays bounded.
 
 A sum of squared residuals (`SquareSum`, the energy `search` solves) is
 zero exactly where every residual is, and no residual term links spins of
@@ -46,6 +45,14 @@ sweeps in one call, and each sweep's flip order comes from one dedicated
 stream, so a fixed seed gives byte-identical samples.  Energies are exact
 integers: the models `anneal` accepts keep every energy and energy change
 below 2^62 in magnitude, and its inverse temperatures are finite.
+
+Both solvers return a `SampleSet`, which holds the distinct samples as
+arrays (int8 values, int64 energies and read counts) in sample order, and
+both build it through `_sample_set`, one lexsort of the rows: the
+enumeration passes its decoded ground states, annealing its final states
+grouped by `np.unique`.  No per-sample Python object is made unless
+`samples` or `best()` asks for one, and `to_text` writes the value strings
+through one byte lookup.
 """
 
 from __future__ import annotations
@@ -104,17 +111,18 @@ class SampleSet:
                                                          self.occurrences))
         if values.ndim != 2 or not energies.shape == occurrences.shape == values.shape[:1]:
             raise ValueError("values must have shape (k, n), energies and occurrences (k,)")
-        if not np.isin(values, self.domain.values).all():
+        lo, hi = self.domain.values
+        if not ((values == lo) | (values == hi)).all():
             raise ValueError(f"sample values must be {self.domain.value} values {self.domain.values}")
         # astype copies: the set owns its arrays
         values, energies, occurrences = (values.astype(np.int8), energies.astype(np.int64),
                                          occurrences.astype(np.int64))
         if (occurrences < 1).any() or int(occurrences.sum()) != self.reads:
             raise ValueError("sample occurrences must be at least 1 and sum to reads")
-        # (energy, -v_0, -v_1, ...) must rise from each row to the next at its
-        # first differing entry; an equal row has none
-        keys = np.column_stack([energies, -values.astype(np.int64)])
-        rise = (keys[1:] > keys[:-1]).astype(np.int8) - (keys[1:] < keys[:-1])
+        # each row's sort keys must rise from the row before at the first
+        # key that differs; an equal row has none
+        rise = np.stack([(key[1:] > key[:-1]).astype(np.int8) - (key[1:] < key[:-1])
+                         for key in _sort_keys(values, energies)], axis=1)
         first = rise[np.arange(len(rise)), np.argmax(rise != 0, axis=1)]
         if (first <= 0).any():
             raise ValueError("samples must be distinct and sorted by (energy, value string)")
@@ -160,11 +168,20 @@ class SampleSet:
         return "".join(p + p.join(lines[a:b]) for p, a, b in zip(prefixes, runs, runs[1:]))
 
 
+def _sort_keys(values: np.ndarray, energies: np.ndarray) -> list[np.ndarray]:
+    """The keys of sample order, first key first: the energies, then each
+    row's value string as big-endian 64-bit words, with a bit set where
+    the string has "-" and variable 0 in the highest bit of the first word."""
+    k, n = values.shape
+    packed = np.zeros((k, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(values <= 0, axis=1)
+    return [energies, *packed.view(">u8").T]
+
+
 def _sample_set(domain: Domain, values: np.ndarray, energies: np.ndarray,
                 occurrences: np.ndarray, reads: int) -> SampleSet:
     """The sample set of the distinct rows `values`, put in sample order."""
-    # lexsort's last key is its first: energy, then -v_0, -v_1, ...
-    order = np.lexsort((*np.negative(values[:, ::-1].T, dtype=np.int8), energies))
+    order = np.lexsort(_sort_keys(values, energies)[::-1])  # lexsort's last key is its first
     return SampleSet(domain=domain, values=values[order], energies=energies[order],
                      occurrences=occurrences[order], reads=reads)
 
