@@ -141,6 +141,7 @@ class SampleSet:
 
     @property
     def samples(self) -> tuple[Sample, ...]:
+        """Every sample as a `Sample` of Python ints, in sample order."""
         return tuple(map(Sample, map(tuple, self.values.tolist()), self.energies.tolist(),
                          self.occurrences.tolist()))
 
