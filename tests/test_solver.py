@@ -656,9 +656,9 @@ def reference_samples(states, energies) -> list[Sample]:
     )
 
 
-def reference_sample_set(states, energies, reads: int, domain=Domain.SPIN) -> SampleSet:
+def reference_sample_set(states, energies, reads: int) -> SampleSet:
     samples = reference_samples(states, energies)
-    return SampleSet(domain=domain, values=np.array([s.values for s in samples], ndmin=2),
+    return SampleSet(domain=Domain.SPIN, values=np.array([s.values for s in samples], ndmin=2),
                      energies=[s.energy for s in samples],
                      occurrences=[s.occurrences for s in samples], reads=reads)
 
