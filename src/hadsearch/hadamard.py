@@ -89,16 +89,28 @@ def baumert_hall_cells() -> list[list[tuple[int, str]]]:
     return table
 
 
+def _baumert_hall_patterns() -> dict[str, np.ndarray]:
+    """Per letter, the 12x12 int64 matrix of its signs in the cell table, 0
+    where another letter sits."""
+    patterns = {letter: np.zeros((12, 12), dtype=np.int64) for letter in "ABCD"}
+    for r, row in enumerate(baumert_hall_cells()):
+        for c, (sign, letter) in enumerate(row):
+            patterns[letter][r, c] = sign
+    return patterns
+
+
+_BAUMERT_HALL_PATTERNS = _baumert_hall_patterns()
+
+
 def baumert_hall_array(A, B, C, D) -> SignMatrix:
-    """Order-12k array from the fixed 12x12 sign/letter arrangement."""
+    """Order-12k array from the fixed 12x12 sign/letter arrangement: the sum
+    over the letters of kron(pattern, block), since each cell holds exactly
+    one letter."""
     A, B, C, D = (_as_sign_matrix(X, n) for X, n in ((A, "A"), (B, "B"), (C, "C"), (D, "D")))
     if not (A.shape == B.shape == C.shape == D.shape):
         raise ValueError("blocks must share one order")
-    blocks = {"A": A, "B": B, "C": C, "D": D}
-    rows = []
-    for row in baumert_hall_cells():
-        rows.append([sign * blocks[letter] for sign, letter in row])
-    return np.block(rows)
+    P = _BAUMERT_HALL_PATTERNS
+    return np.kron(P["A"], A) + np.kron(P["B"], B) + np.kron(P["C"], C) + np.kron(P["D"], D)
 
 
 def goethals_seidel(X1, X2, X3, X4) -> SignMatrix:

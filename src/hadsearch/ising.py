@@ -126,23 +126,38 @@ def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
 
 
 def write_ising(model: IsingModel, fp: IO[str]) -> None:
+    """The `c` line, then the `h` and `J` lines in index order, each section
+    one `%` of its repeated line template over a flat argument tuple; the
+    file is written in one call.  Each field is written as `str` gives it."""
     h, J = model.h, model.J
-    lines = [f"c {model.offset}\n"]
-    lines += [f"h {i} {h[i]}\n" for i in sorted(h)]
-    lines += [f"J {i} {j} {J[i, j]}\n" for i, j in sorted(J)]
-    fp.write("".join(lines))
+    h_args: list = []
+    for i in sorted(h):
+        h_args += (i, h[i])
+    J_args: list = []
+    for k in sorted(J):
+        J_args += k
+        J_args.append(J[k])
+    fp.write(f"c {model.offset}\n" + "h %s %s\n" * len(h) % tuple(h_args)
+             + "J %s %s %s\n" * len(J) % tuple(J_args))
 
 
 def write_normalized(norm: NormalizedIsing, fp: IO[str]) -> None:
-    """Each distinct c as `<q>.0` when scale divides it, else as the repr of
-    c / scale: int / int true division rounds correctly, as float(Fraction)."""
+    """As `write_ising`, under a `# scale` comment and with offset 0, each
+    coefficient c written as `<q>.0` when scale divides it, else as the repr
+    of c / scale: int / int true division rounds correctly, as
+    float(Fraction).  Each distinct c is formatted once."""
     scale, h, J = norm.scale, norm.model.h, norm.model.J
     text = {c: repr(c / scale) if c % scale else f"{c // scale}.0"
             for c in {*h.values(), *J.values()}}
-    lines = [f"# scale {scale}\nc 0\n"]
-    lines += [f"h {i} {text[h[i]]}\n" for i in sorted(h)]
-    lines += [f"J {i} {j} {text[J[i, j]]}\n" for i, j in sorted(J)]
-    fp.write("".join(lines))
+    h_args: list = []
+    for i in sorted(h):
+        h_args += (i, text[h[i]])
+    J_args: list = []
+    for k in sorted(J):
+        J_args += k
+        J_args.append(text[J[k]])
+    fp.write(f"# scale {scale}\nc 0\n" + "h %s %s\n" * len(h) % tuple(h_args)
+             + "J %s %s %s\n" * len(J) % tuple(J_args))
 
 
 def read_ising(fp: IO[str]) -> IsingModel:

@@ -9,6 +9,14 @@ variable.  Coefficients are arbitrary-precision Python ints and every
 operation is exact; zero coefficients are never stored, and the zero
 polynomial has no terms.
 
+Validation happens once, at the boundary: the public constructor (and
+`read_poly`, which goes through it) checks every monomial and takes every
+coefficient through `operator.index`, so a float, a `Fraction` or a bad
+monomial is rejected there.  The algebra (`add`, `scale`, `mul`, the two
+transforms, `SquareSum.expand`) and `quadratize` build only canonical,
+zero-free term dicts and hand them to `_from_canonical`, which stores them
+unchecked.
+
 The two domain transforms are value-preserving under the bijection
 s = 2q - 1 (s=+1 <-> q=1): `spin_to_boolean` substitutes s_i = 2q_i - 1 and
 `boolean_to_spin` substitutes q_i = (1 + s_i)/2.  Both expand each term over
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -51,9 +60,13 @@ def _canonical_monomial(vars_: Iterable[int]) -> Monomial:
     raise ValueError(f"repeated variable in monomial {m}")
 
 
-def _canonical_order(monomials: Iterable[Monomial]) -> list[Monomial]:
-    """Canonical term order: by monomial length, then lexicographic."""
-    return sorted(sorted(monomials), key=len)
+def _canonical_order(monomials: Iterable[Monomial]) -> list[list[Monomial]]:
+    """Canonical term order as degree groups: by monomial length, then
+    lexicographic within each group."""
+    groups: dict[int, list[Monomial]] = {}
+    for m in monomials:
+        groups.setdefault(len(m), []).append(m)
+    return [sorted(groups[d]) for d in sorted(groups)]
 
 
 class MultilinearPoly:
@@ -62,14 +75,31 @@ class MultilinearPoly:
     __slots__ = ("domain", "_terms")
 
     def __init__(self, domain: Domain, terms: Mapping[Iterable[int], int] | None = None):
-        self.domain = domain
+        """Validate `terms`: each monomial is sorted and checked for negative
+        or repeated indices, each coefficient must be an integer, and zero
+        coefficients are dropped.  Code in this package that builds terms
+        already canonical and zero-free calls `_from_canonical` instead."""
         clean: dict[Monomial, int] = {}
         for m, c in (terms or {}).items():
-            c = int(c)
-            if c == 0:
-                continue
-            clean[_canonical_monomial(m)] = c
+            try:
+                c = operator.index(c)  # a Python or numpy int; never rounds
+            except TypeError:
+                raise ValueError(
+                    f"non-integer coefficient {c!r} for monomial {tuple(m)}"
+                ) from None
+            if c:
+                clean[_canonical_monomial(m)] = c
+        self.domain = domain
         self._terms = clean
+
+    @classmethod
+    def _from_canonical(cls, domain: Domain, terms: dict[Monomial, int]) -> "MultilinearPoly":
+        """Take ownership of `terms` unchecked: every key an ascending tuple
+        of distinct non-negative indices, every value a nonzero int."""
+        poly = cls.__new__(cls)
+        poly.domain = domain
+        poly._terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -112,7 +142,8 @@ class MultilinearPoly:
         return sum(abs(c) for c in self._terms.values())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return [(m, self._terms[m]) for m in _canonical_order(self._terms)]
+        terms = self._terms
+        return [(m, terms[m]) for group in _canonical_order(terms) for m in group]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultilinearPoly):
@@ -144,12 +175,17 @@ class MultilinearPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return MultilinearPoly(self.domain, out)
+        return MultilinearPoly._from_canonical(self.domain, out)
 
     def scale(self, factor: int) -> "MultilinearPoly":
+        try:
+            factor = operator.index(factor)  # a numpy int would wrap at 2^63
+        except TypeError:
+            raise ValueError(f"non-integer scale factor {factor!r}") from None
         if factor == 0:
             return MultilinearPoly(self.domain)
-        return MultilinearPoly(self.domain, {m: c * factor for m, c in self._terms.items()})
+        terms = {m: c * factor for m, c in self._terms.items()}
+        return MultilinearPoly._from_canonical(self.domain, terms)
 
     def neg(self) -> "MultilinearPoly":
         return self.scale(-1)
@@ -173,7 +209,7 @@ class MultilinearPoly:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return MultilinearPoly(self.domain, out)
+        return MultilinearPoly._from_canonical(self.domain, out)
 
     def square(self) -> "MultilinearPoly":
         return self.mul(self)
@@ -220,7 +256,9 @@ class MultilinearPoly:
         out = _expand_subsets(
             self._terms, lambda d, k: (1 << k) * (-1 if (d - k) % 2 else 1)
         )
-        return MultilinearPoly(Domain.BOOLEAN, out)
+        return MultilinearPoly._from_canonical(
+            Domain.BOOLEAN, {m: c for m, c in out.items() if c}
+        )
 
     def boolean_to_spin(self) -> "MultilinearPoly":
         """Substitute q_i = (1 + s_i)/2; the halves must cancel to integers."""
@@ -236,8 +274,9 @@ class MultilinearPoly:
                     f"non-integral coefficient {cc}/2^{top} for monomial {mm}: "
                     "input is not an integral image of a spin polynomial"
                 )
-            terms[mm] = cc >> top
-        return MultilinearPoly(Domain.SPIN, terms)
+            if cc:
+                terms[mm] = cc >> top
+        return MultilinearPoly._from_canonical(Domain.SPIN, terms)
 
 
 @dataclass(frozen=True)
@@ -259,8 +298,8 @@ class SquareSum:
 
     def expand(self) -> MultilinearPoly:
         """The energy as one spin polynomial."""
-        terms = {_mask_monomial(mask): c for mask, c in self.expanded_masks().items()}
-        return MultilinearPoly(Domain.SPIN, terms)
+        terms = {_mask_monomial(mask): c for mask, c in self.expanded_masks().items() if c}
+        return MultilinearPoly._from_canonical(Domain.SPIN, terms)
 
     def expanded_masks(self) -> dict[int, int]:
         """The expansion's coefficients keyed by monomial bitmask (bit i is
@@ -315,8 +354,10 @@ def _expand_subsets(
 # line 1: `domain spin|boolean`
 # line 2: `nvars <N>`
 # then one term per line: `<coeff> <i1> <i2> ...` (ascending indices;
-# the constant term has no indices), by degree then lexicographic, one `%d`
-# template per degree, the file written in one call.  `#` begins a comment.
+# the constant term has no indices), by degree then lexicographic.  Each
+# degree group is one `%` of its line template, repeated once per term,
+# over the group's flat argument tuple; the file is written in one call.
+# `#` begins a comment.
 
 
 def write_poly(poly: MultilinearPoly, fp: IO[str], nvars: int | None = None) -> None:
@@ -325,11 +366,15 @@ def write_poly(poly: MultilinearPoly, fp: IO[str], nvars: int | None = None) -> 
     if n < top:
         raise ValueError(f"nvars {n} smaller than largest index in polynomial")
     terms = poly._terms
-    lines = [f"domain {poly.domain.value}\nnvars {n}\n"]
-    for d, group in itertools.groupby(_canonical_order(terms), len):
-        line = "%d" + " %d" * d + "\n"
-        lines += [line % (terms[m], *m) for m in group]
-    fp.write("".join(lines))
+    chunks = [f"domain {poly.domain.value}\nnvars {n}\n"]
+    for group in _canonical_order(terms):
+        args: list[int] = []
+        for m in group:
+            args.append(terms[m])
+            args += m
+        line = "%d" + " %d" * len(group[0]) + "\n"
+        chunks.append(line * len(group) % tuple(args))
+    fp.write("".join(chunks))
 
 
 def poly_to_text(poly: MultilinearPoly, nvars: int | None = None) -> str:

@@ -190,4 +190,5 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
             add(m, c)
         entries.append((a, pair))
         a += 1
-    return MultilinearPoly(Domain.BOOLEAN, terms), AncillaMap(entries=tuple(entries), delta=delta)
+    quadratic = MultilinearPoly._from_canonical(Domain.BOOLEAN, terms)
+    return quadratic, AncillaMap(entries=tuple(entries), delta=delta)

@@ -93,6 +93,16 @@ class TestBaumertHallArray:
             letters = [cells[r][c][1] for r in range(12)]
             assert all(letters.count(x) == 3 for x in "ABCD")
 
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_matches_block_assembly(self, k):
+        rng = np.random.default_rng(k)
+        blocks = dict(zip("ABCD", (rng.choice([-1, 1], size=(k, k)) for _ in range(4))))
+        expect = np.block([[sign * blocks[letter] for sign, letter in row]
+                           for row in hm.baumert_hall_cells()])
+        H = hm.baumert_hall_array(*blocks.values())
+        assert H.dtype == expect.dtype == np.int64
+        assert np.array_equal(H, expect)
+
     def test_unit_blocks_give_order_12(self):
         one = np.array([[1]])
         H = hm.baumert_hall_array(one, one, one, one)

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadsearch.constructions import williamson_energy
@@ -236,6 +236,27 @@ def reference_write_normalized(norm, fp) -> None:
         fp.write(f"J {i} {j} {reference_decimal(norm.J[(i, j)])}\n")
 
 
+# The writers before each section became one `%`: one f-string per line.
+
+
+def per_line_write_ising(model: IsingModel, fp) -> None:
+    h, J = model.h, model.J
+    lines = [f"c {model.offset}\n"]
+    lines += [f"h {i} {h[i]}\n" for i in sorted(h)]
+    lines += [f"J {i} {j} {J[i, j]}\n" for i, j in sorted(J)]
+    fp.write("".join(lines))
+
+
+def per_line_write_normalized(norm, fp) -> None:
+    scale, h, J = norm.scale, norm.model.h, norm.model.J
+    text = {c: repr(c / scale) if c % scale else f"{c // scale}.0"
+            for c in {*h.values(), *J.values()}}
+    lines = [f"# scale {scale}\nc 0\n"]
+    lines += [f"h {i} {text[h[i]]}\n" for i in sorted(h)]
+    lines += [f"J {i} {j} {text[J[i, j]]}\n" for i, j in sorted(J)]
+    fp.write("".join(lines))
+
+
 def reference_decimal(x: Fraction) -> str:
     if x.denominator == 1:
         return f"{int(x)}.0"
@@ -283,13 +304,19 @@ def scaled_models(draw):
 class TestWritersMatchReference:
     @settings(max_examples=200, deadline=None)
     @given(model=models(st.integers(-(2**70), 2**70)))
+    @example(model=IsingModel(nvars=4, J={(0, 3): -(2**64), (1, 2): 2**63}, offset=-(2**63)))
+    @example(model=IsingModel(nvars=3, h={0: 2**63 - 1, 2: -(2**63) - 1}, offset=2**70))
+    @example(model=IsingModel(nvars=1))
     def test_integer_model(self, model):
         text, calls = texts(write_ising, model)
         assert text == texts(reference_write_ising, model)[0]
+        assert text == texts(per_line_write_ising, model)[0]
         assert calls == 1
 
     @settings(max_examples=300, deadline=None)
     @given(case=scaled_models())
+    @example(case=(IsingModel(nvars=3, J={(0, 1): 3, (1, 2): -2, (0, 2): 2**64}), 2**64))
+    @example(case=(IsingModel(nvars=2, h={0: -3, 1: 2}, offset=7), 3))
     def test_normalized_export(self, case):
         model, scale = case
         norm, got_scale = normalize_for_export(model)
@@ -299,6 +326,7 @@ class TestWritersMatchReference:
         assert norm.J == {k: Fraction(c, scale) for k, c in model.J.items()}
         text, calls = texts(write_normalized, norm)
         assert text == texts(reference_write_normalized, norm)[0]
+        assert text == texts(per_line_write_normalized, norm)[0]
         assert calls == 1
 
     @pytest.mark.parametrize("scale", [1, 3, 2**53 + 1, 3 * 2**60, 2**80])

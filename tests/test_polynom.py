@@ -1,18 +1,23 @@
 import io
+import itertools
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadsearch.polynom import (
     Domain,
     MultilinearPoly,
     SquareSum,
+    _canonical_monomial,
     poly_to_text,
     read_poly,
     write_poly,
 )
+from hadsearch.quadratize import quadratize
 
 from conftest import CountingWriter, polynomials, random_assignment, random_poly
 
@@ -63,6 +68,28 @@ class TestBasics:
             spoly({(0,): 1}).add(bpoly({(0,): 1}))
         with pytest.raises(ValueError):
             spoly({(0,): 1}).mul(bpoly({(0,): 1}))
+
+    @pytest.mark.parametrize("coeff", [2.7, 2.0, Fraction(5, 2), np.float64(3.0)],
+                             ids=["float", "integral-float", "fraction", "numpy-float"])
+    def test_non_integer_coefficient_rejected(self, coeff):
+        message = f"non-integer coefficient {coeff!r} for monomial (2, 0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultilinearPoly(SPIN, {(2, 0): coeff, (1,): 1})
+
+    def test_python_and_numpy_ints_accepted_as_ints(self):
+        p = spoly({(0,): np.int64(-3), (1,): np.int8(2), (2,): 2**70, (3,): np.uint64(0)})
+        assert p.terms == {(0,): -3, (1,): 2, (2,): 2**70}
+        assert all(type(c) is int for c in p.terms.values())
+
+    def test_scale_past_int64_is_exact(self):
+        p = spoly({(0,): 2**62, (): -(2**62)})
+        assert p.scale(np.int64(4)) == spoly({(0,): 2**64, (): -(2**64)})
+        assert p.scale(np.int32(-1)) == p.neg()
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0, Fraction(1, 2)])
+    def test_non_integer_scale_rejected(self, factor):
+        with pytest.raises(ValueError, match=re.escape(f"non-integer scale factor {factor!r}")):
+            spoly({(0,): 4}).scale(factor)
 
 
 class TestMul:
@@ -223,9 +250,8 @@ class TestMeasures:
 
 
 @st.composite
-def square_sums(draw):
+def square_sums(draw, coeffs=st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))):
     nvars = draw(st.integers(1, 6))
-    coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))
     residuals = st.tuples(st.integers(1, 5),
                           polynomials(SPIN, max_vars=nvars, coeffs=coeffs, max_degree=2))
     return SquareSum(nvars, tuple(draw(st.lists(residuals, max_size=4))))
@@ -243,6 +269,60 @@ class TestSquareSum:
         assert {m: c for m, c in masks.items() if c} == {
             sum(1 << v for v in m): c for m, c in expected.terms.items()
         }
+
+
+SMALL_OR_WIDE = st.one_of(st.integers(-3, 3), WIDE)  # small ones cancel often
+
+
+def assert_canonical(p: MultilinearPoly) -> None:
+    """`p` stores what the validating constructor would: canonical
+    monomials and nonzero Python int coefficients."""
+    for m, c in p._terms.items():
+        assert m == _canonical_monomial(m)
+        assert type(c) is int and c != 0
+    assert p == MultilinearPoly(p.domain, p.terms)
+
+
+@st.composite
+def same_domain_pairs(draw):
+    domain = draw(st.sampled_from([SPIN, BOOL]))
+    polys = polynomials(domain, max_vars=6, coeffs=SMALL_OR_WIDE)
+    return draw(polys), draw(polys)
+
+
+class TestOutputsStayCanonical:
+    """Arithmetic, the transforms, `SquareSum.expand` and `quadratize` skip
+    the constructor's checks; each output must still pass them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=same_domain_pairs(),
+           k=st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(np.int64)))
+    def test_algebra(self, pair, k):
+        p, r = pair
+        for out in (p.add(r), p.sub(r), p.mul(r), p.scale(k)):
+            assert_canonical(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=polynomials(SPIN, max_vars=6, coeffs=SMALL_OR_WIDE),
+           q=polynomials(BOOL, max_vars=6, coeffs=SMALL_OR_WIDE))
+    def test_transforms_and_quadratize(self, p, q):
+        image = p.spin_to_boolean()
+        assert_canonical(image)
+        assert_canonical(image.boolean_to_spin())
+        try:
+            assert_canonical(q.boolean_to_spin())
+        except ValueError:
+            pass  # not an integral image
+        for b in (image, q):
+            if not b.is_zero():
+                assert_canonical(quadratize(b)[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=square_sums(coeffs=st.integers(-2, 2)))
+    # s0 * -s2 and s1 s2 * s0 s1 cancel in s0 s2
+    @example(model=SquareSum(3, ((1, spoly({(0,): 1, (2,): -1, (0, 1): 1, (1, 2): 1})),)))
+    def test_square_sum_expansion(self, model):
+        assert_canonical(model.expand())
 
 
 class TestTextFormat:
@@ -335,6 +415,27 @@ def reference_poly_text(poly, nvars=None):
     return buf.getvalue()
 
 
+def per_line_write_poly(poly, fp, nvars=None):
+    """The writer before each degree group became one `%`: one `%` per term,
+    with the order's two full sorts inlined."""
+    top = poly.nvars
+    n = top if nvars is None else nvars
+    if n < top:
+        raise ValueError(f"nvars {n} smaller than largest index in polynomial")
+    terms = poly.terms
+    lines = [f"domain {poly.domain.value}\nnvars {n}\n"]
+    for d, group in itertools.groupby(sorted(sorted(terms), key=len), len):
+        line = "%d" + " %d" * d + "\n"
+        lines += [line % (terms[m], *m) for m in group]
+    fp.write("".join(lines))
+
+
+def per_line_poly_text(poly, nvars=None):
+    buf = io.StringIO()
+    per_line_write_poly(poly, buf, nvars=nvars)
+    return buf.getvalue()
+
+
 def written_polys():
     """Both domains, degree <= 6, |c| <= 2^70, plus the zero and a
     constant-only polynomial."""
@@ -349,11 +450,15 @@ def written_polys():
 class TestWriterMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(p=written_polys(), pad=st.none() | st.integers(0, 3))
+    @example(p=MultilinearPoly.zero(SPIN), pad=None)
+    @example(p=spoly({(): -(2**64), (0, 3, 5): 2**63, (1, 2, 4, 6): -1}), pad=2)
+    @example(p=bpoly({(0,): 2**63 - 1, (0, 1, 2, 3, 4): -(2**63) - 1}), pad=None)
     def test_same_text_in_one_write(self, p, pad):
         nvars = None if pad is None else p.nvars + pad
         buf = CountingWriter()
         write_poly(p, buf, nvars=nvars)
         assert buf.getvalue() == reference_poly_text(p, nvars=nvars)
+        assert buf.getvalue() == per_line_poly_text(p, nvars=nvars)
         assert buf.calls == 1
 
     @settings(max_examples=100, deadline=None)
