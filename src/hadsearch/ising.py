@@ -14,6 +14,7 @@ takes; it keeps the integer model and divides only when read (exact
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO
@@ -29,14 +30,43 @@ class IsingModel:
     offset: int = 0
 
     def __post_init__(self):
-        for i in self.h:
-            if not 0 <= i < self.nvars:
-                raise ValueError(f"h index {i} out of range")
-        for (i, j) in self.J:
-            if not (0 <= i < j < self.nvars):
-                raise ValueError(f"J key {(i, j)} must satisfy 0 <= i < j < nvars")
-        if any(v == 0 for v in self.h.values()) or any(v == 0 for v in self.J.values()):
-            raise ValueError("zero coefficients must not be stored")
+        """Every index and value, `nvars` and the offset must be integers,
+        taken through `operator.index` as polynomial coefficients are, and
+        stored as Python ints in dicts the model owns; an index must lie in
+        range, a J key (i, j) must have i < j, and no value may be zero.
+        One pass over each dict; the ValueError names the entry."""
+        index = operator.index
+        try:
+            n, offset = index(self.nvars), index(self.offset)
+        except TypeError:
+            raise ValueError(
+                f"non-integer nvars {self.nvars!r} or offset {self.offset!r}"
+            ) from None
+        h: dict[int, int] = {}
+        try:
+            for i, c in self.h.items():
+                i, c = index(i), index(c)
+                if not 0 <= i < n:
+                    raise ValueError(f"h index {i} out of range")
+                if not c:
+                    raise ValueError(f"zero value for h index {i} must not be stored")
+                h[i] = c
+        except TypeError:
+            raise ValueError(f"non-integer h entry {i!r}: {c!r}") from None
+        J: dict[tuple[int, int], int] = {}
+        try:
+            for k, c in self.J.items():
+                i, j = k
+                i, j, c = index(i), index(j), index(c)
+                if not 0 <= i < j < n:
+                    raise ValueError(f"J key {k} must satisfy 0 <= i < j < nvars")
+                if not c:
+                    raise ValueError(f"zero value for J key {k} must not be stored")
+                J[i, j] = c
+        except TypeError:
+            raise ValueError(f"non-integer J entry {k!r}: {c!r}") from None
+        for name, value in (("nvars", n), ("offset", offset), ("h", h), ("J", J)):
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
     def max_abs_coeff(self) -> int:
         vals = [abs(v) for v in self.h.values()] + [abs(v) for v in self.J.values()]
@@ -67,23 +97,18 @@ class IsingModel:
 
 
 def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingModel:
-    """Lossless split of a quadratic spin polynomial into offset/h/J."""
+    """Lossless split of a quadratic spin polynomial into offset/h/J, each
+    of h and J built in index order from the polynomial's degree groups."""
     if poly.domain is not Domain.SPIN:
         raise ValueError("from_quadratic requires a spin polynomial")
     if poly.degree() > 2:
         raise ValueError(f"polynomial has degree {poly.degree()} > 2")
     n = poly.nvars if nvars is None else nvars
-    offset = 0
-    h: dict[int, int] = {}
-    J: dict[tuple[int, int], int] = {}
-    for m, c in poly.terms.items():
-        if len(m) == 0:
-            offset = c
-        elif len(m) == 1:
-            h[m[0]] = c
-        else:
-            J[m] = c
-    return IsingModel(nvars=n, h=h, J=J, offset=offset)
+    terms = poly._terms
+    groups = {len(group[0]): group for group in poly._canonical_groups()}
+    h = {m[0]: terms[m] for m in groups.get(1, ())}
+    J = {m: terms[m] for m in groups.get(2, ())}
+    return IsingModel(nvars=n, h=h, J=J, offset=terms.get((), 0))
 
 
 @dataclass(frozen=True)
@@ -115,7 +140,7 @@ def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
     scale = model.max_abs_coeff()
     if scale == 0:
         raise ValueError("cannot normalize an all-zero model")
-    return NormalizedIsing(IsingModel(model.nvars, dict(model.h), dict(model.J)), scale), scale
+    return NormalizedIsing(IsingModel(model.nvars, model.h, model.J), scale), scale
 
 
 # -- text format --------------------------------------------------------------

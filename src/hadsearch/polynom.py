@@ -15,13 +15,16 @@ coefficient through `operator.index`, so a float, a `Fraction` or a bad
 monomial is rejected there.  The algebra (`add`, `scale`, `mul`, the two
 transforms, `SquareSum.expand`) and `quadratize` build only canonical,
 zero-free term dicts and hand them to `_from_canonical`, which stores them
-unchecked.
+unchecked.  A polynomial's terms never change after construction, so its
+variable count, degree and canonical term order are each computed once, on
+first use, and kept beside the terms.
 
 The two domain transforms are value-preserving under the bijection
 s = 2q - 1 (s=+1 <-> q=1): `spin_to_boolean` substitutes s_i = 2q_i - 1 and
 `boolean_to_spin` substitutes q_i = (1 + s_i)/2.  Both expand each term over
-its sub-monomials in exact integers; `boolean_to_spin` works scaled by 2^D,
-D the degree, and requires every sum to divide back exactly.
+its sub-monomials in exact integers, walking the terms in canonical order;
+`boolean_to_spin` works scaled by 2^D, D the degree, and requires every sum
+to divide back exactly.
 
 A `SquareSum` is an energy given as a weighted sum of squared quadratic
 spin residuals, sum of w * R^2.  `expand` gives the polynomial;
@@ -60,25 +63,22 @@ def _canonical_monomial(vars_: Iterable[int]) -> Monomial:
     raise ValueError(f"repeated variable in monomial {m}")
 
 
-def _canonical_order(monomials: Iterable[Monomial]) -> list[list[Monomial]]:
-    """Canonical term order as degree groups: by monomial length, then
-    lexicographic within each group."""
-    groups: dict[int, list[Monomial]] = {}
-    for m in monomials:
-        groups.setdefault(len(m), []).append(m)
-    return [sorted(groups[d]) for d in sorted(groups)]
-
-
 class MultilinearPoly:
-    """Immutable multilinear polynomial with exact integer coefficients."""
+    """Immutable multilinear polynomial with exact integer coefficients.
 
-    __slots__ = ("domain", "_terms")
+    The terms are set once, at construction, and never change, so the
+    caches of `nvars`, `degree()` and the canonical degree groups are each
+    set once, on first use, and never go stale.  Equality and hashing read
+    only the domain and the terms."""
+
+    __slots__ = ("domain", "_terms", "_nvars", "_degree", "_groups")
 
     def __init__(self, domain: Domain, terms: Mapping[Iterable[int], int] | None = None):
         """Validate `terms`: each monomial is sorted and checked for negative
         or repeated indices, each coefficient must be an integer, and zero
-        coefficients are dropped.  Code in this package that builds terms
-        already canonical and zero-free calls `_from_canonical` instead."""
+        coefficients are dropped after both checks.  Code in this package
+        that builds terms already canonical and zero-free calls
+        `_from_canonical` instead."""
         clean: dict[Monomial, int] = {}
         for m, c in (terms or {}).items():
             try:
@@ -87,10 +87,12 @@ class MultilinearPoly:
                 raise ValueError(
                     f"non-integer coefficient {c!r} for monomial {tuple(m)}"
                 ) from None
+            m = _canonical_monomial(m)
             if c:
-                clean[_canonical_monomial(m)] = c
+                clean[m] = c
         self.domain = domain
         self._terms = clean
+        self._nvars = self._degree = self._groups = None
 
     @classmethod
     def _from_canonical(cls, domain: Domain, terms: dict[Monomial, int]) -> "MultilinearPoly":
@@ -99,6 +101,7 @@ class MultilinearPoly:
         poly = cls.__new__(cls)
         poly.domain = domain
         poly._terms = terms
+        poly._nvars = poly._degree = poly._groups = None
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -128,7 +131,9 @@ class MultilinearPoly:
         return not self._terms
 
     def degree(self) -> int:
-        return max((len(m) for m in self._terms), default=0)
+        if self._degree is None:
+            self._degree = max(map(len, self._terms), default=0)
+        return self._degree
 
     def variables(self) -> set[int]:
         return {v for m in self._terms for v in m}
@@ -136,14 +141,29 @@ class MultilinearPoly:
     @property
     def nvars(self) -> int:
         """Dense variable count: one past the largest index used."""
-        return max((m[-1] for m in self._terms if m), default=-1) + 1
+        if self._nvars is None:
+            # the last index of a (sorted) monomial is its largest
+            last = map(operator.itemgetter(-1), filter(None, self._terms))
+            self._nvars = max(last, default=-1) + 1
+        return self._nvars
 
     def abs_coeff_sum(self) -> int:
-        return sum(abs(c) for c in self._terms.values())
+        return sum(map(abs, self._terms.values()))
+
+    def _canonical_groups(self) -> list[list[Monomial]]:
+        """The monomials in canonical order, as degree groups: by length,
+        then lexicographic within each group.  Shared, so callers must not
+        change them."""
+        if self._groups is None:
+            groups: dict[int, list[Monomial]] = {}
+            for m in self._terms:
+                groups.setdefault(len(m), []).append(m)
+            self._groups = [sorted(groups[d]) for d in sorted(groups)]
+        return self._groups
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         terms = self._terms
-        return [(m, terms[m]) for group in _canonical_order(terms) for m in group]
+        return [(m, terms[m]) for group in self._canonical_groups() for m in group]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultilinearPoly):
@@ -253,9 +273,7 @@ class MultilinearPoly:
         if self.domain is not Domain.SPIN:
             raise ValueError("spin_to_boolean requires a spin polynomial")
         # prod_{v in m} (2 q_v - 1) = sum_{S within m} 2^|S| (-1)^(|m|-|S|) q_S
-        out = _expand_subsets(
-            self._terms, lambda d, k: (1 << k) * (-1 if (d - k) % 2 else 1)
-        )
+        out = _expand_subsets(self, lambda d, k: (1 << k) * (-1 if (d - k) % 2 else 1))
         return MultilinearPoly._from_canonical(
             Domain.BOOLEAN, {m: c for m, c in out.items() if c}
         )
@@ -266,7 +284,7 @@ class MultilinearPoly:
             raise ValueError("boolean_to_spin requires a boolean polynomial")
         # prod_{v in m} (1 + s_v)/2 = 2^-|m| sum_{S within m} s_S; scale by 2^D
         top = self.degree()
-        scaled = _expand_subsets(self._terms, lambda d, k: 1 << (top - d))
+        scaled = _expand_subsets(self, lambda d, k: 1 << (top - d))
         terms: dict[Monomial, int] = {}
         for mm, cc in scaled.items():
             if cc % (1 << top):
@@ -333,19 +351,37 @@ def _mask_monomial(mask: int) -> Monomial:
 
 
 def _expand_subsets(
-    terms: Mapping[Monomial, int], weight: Callable[[int, int], int]
+    poly: MultilinearPoly, weight: Callable[[int, int], int]
 ) -> dict[Monomial, int]:
-    """Sum c * weight(|m|, |S|) into S for every term c * m and every S within m."""
+    """Sum c * weight(|m|, |S|) into S for every term c * m of `poly` and
+    every S within m, zero sums included.
+
+    The terms are walked in canonical order, with one weight table per
+    degree.  The two trivial subsets skip `combinations`, which runs only
+    for 0 < |S| < |m|: the empty one is summed in a local and stored last,
+    and m itself is written directly, since no term walked before it has a
+    larger degree, so none holds m as a subset.  The monomials of each
+    degree group come out in the order they went in.
+    """
+    terms = poly._terms
     out: dict[Monomial, int] = {}
-    table: dict[int, list[int]] = {}
-    for m, c in terms.items():
-        d = len(m)
-        if d not in table:
-            table[d] = [weight(d, k) for k in range(d + 1)]
-        for k, w in enumerate(table[d]):
-            cw = c * w
-            for sub in itertools.combinations(m, k):
-                out[sub] = out.get(sub, 0) + cw
+    const = 0
+    for group in poly._canonical_groups():
+        d = len(group[0])
+        table = [weight(d, k) for k in range(d + 1)]
+        w0, wd = table[0], table[d]
+        if not d:
+            const += terms[()] * w0
+            continue
+        for m in group:
+            c = terms[m]
+            const += c * w0
+            out[m] = c * wd
+            for k in range(1, d):
+                cw = c * table[k]
+                for sub in itertools.combinations(m, k):
+                    out[sub] = out.get(sub, 0) + cw
+    out[()] = const
     return out
 
 
@@ -367,7 +403,7 @@ def write_poly(poly: MultilinearPoly, fp: IO[str], nvars: int | None = None) -> 
         raise ValueError(f"nvars {n} smaller than largest index in polynomial")
     terms = poly._terms
     chunks = [f"domain {poly.domain.value}\nnvars {n}\n"]
-    for group in _canonical_order(terms):
+    for group in poly._canonical_groups():
         args: list[int] = []
         for m in group:
             args.append(terms[m])

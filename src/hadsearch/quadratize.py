@@ -137,12 +137,17 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
     mono: list[Monomial] = []  # by id, the degree >= 3 monomials
     coef: list[int] = []
     holders: dict[tuple[int, int], set[int]] = {}
-    for m, c in poly.terms.items():
+    for m, c in poly._terms.items():
         if len(m) < 3:
             terms[m] = c
             continue
+        k = len(mono)
         for pair in itertools.combinations(m, 2):
-            holders.setdefault(pair, set()).add(len(mono))
+            ids = holders.get(pair)
+            if ids is None:
+                holders[pair] = {k}
+            else:
+                ids.add(k)
         mono.append(m)
         coef.append(c)
     heap = [(-len(ids), pair) for pair, ids in holders.items()]
@@ -171,14 +176,21 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
         i, j = pair
         grown: dict[tuple[int, int], set[int]] = {}
         for k in holders.pop(pair):
-            rest = tuple(v for v in mono[k] if v != i and v != j)
+            m = mono[k]
+            p = m.index(i)
+            q = m.index(j, p + 1)
+            rest = m[:p] + m[p + 1:q] + m[q + 1:]
             for x in rest:
                 holders[(i, x) if i < x else (x, i)].discard(k)
                 holders[(j, x) if j < x else (x, j)].discard(k)
             if len(rest) >= 2:
                 mono[k] = rest + (a,)
                 for x in rest:
-                    grown.setdefault((x, a), set()).add(k)
+                    ids = grown.get((x, a))
+                    if ids is None:
+                        grown[(x, a)] = {k}
+                    else:
+                        ids.add(k)
             else:
                 terms[rest + (a,)] = coef[k]
         holders.update(grown)

@@ -3,6 +3,7 @@ import itertools
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,35 @@ class TestValidation:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
             IsingModel(nvars=2, h={2: 1})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(h={1.0: 2}), "non-integer h entry 1.0: 2"),
+        (dict(h={1: 2.5}), "non-integer h entry 1: 2.5"),
+        (dict(h={1: Fraction(1, 2)}), "non-integer h entry 1: Fraction(1, 2)"),
+        (dict(J={(0, 2.0): 1}), "non-integer J entry (0, 2.0): 1"),
+        (dict(J={(0, 2): 0.5}), "non-integer J entry (0, 2): 0.5"),
+        (dict(offset=0.25), "non-integer nvars 3 or offset 0.25"),
+        (dict(h={1.0: 2.5}, J={(0, 2): 0.5}, offset=0.25), "non-integer nvars 3 or offset 0.25"),
+        (dict(h={1.0: 2.5}, J={(0, 2): 0.5}), "non-integer h entry 1.0: 2.5"),
+    ], ids=["h-index", "h-value", "h-fraction", "J-key", "J-value", "offset", "all", "h-and-J"])
+    def test_non_integer_entry_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            IsingModel(3, **kwargs)
+
+    def test_non_integer_nvars_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("non-integer nvars 3.0 or offset 0")):
+            IsingModel(3.0, h={0: 1})
+
+    def test_numpy_ints_stored_as_ints(self):
+        h, J = {np.int64(1): np.int64(2**62)}, {(0, np.int8(2)): np.int64(2**62)}
+        model = IsingModel(np.int64(3), h=h, J=J, offset=np.int64(4))
+        assert model == IsingModel(3, h={1: 2**62}, J={(0, 2): 2**62}, offset=4)
+        ints = [model.nvars, model.offset, *model.h, *model.h.values(),
+                *itertools.chain(*model.J), *model.J.values()]
+        assert all(type(v) is int for v in ints)
+        assert model.energy({0: 1, 1: 1, 2: 1}) == 2**63 + 4  # no int64 wrap
+        h[np.int64(0)] = 1
+        assert model.h == {1: 2**62}
 
 
 class TestNormalize:

@@ -13,6 +13,7 @@ from hadsearch.polynom import (
     MultilinearPoly,
     SquareSum,
     _canonical_monomial,
+    _expand_subsets,
     poly_to_text,
     read_poly,
     write_poly,
@@ -90,6 +91,15 @@ class TestBasics:
     def test_non_integer_scale_rejected(self, factor):
         with pytest.raises(ValueError, match=re.escape(f"non-integer scale factor {factor!r}")):
             spoly({(0,): 4}).scale(factor)
+
+    @pytest.mark.parametrize("terms, message", [
+        ({(1, 1): 0}, "repeated variable in monomial (1, 1)"),
+        ({(-1,): 0}, "negative variable index in monomial (-1,)"),
+        ({(1, 1): 0, (-1,): 0}, "repeated variable in monomial (1, 1)"),
+    ], ids=["repeated", "negative", "both"])
+    def test_bad_monomial_rejected_with_zero_coefficient(self, terms, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultilinearPoly(SPIN, terms)
 
 
 class TestMul:
@@ -323,6 +333,72 @@ class TestOutputsStayCanonical:
     @example(model=SquareSum(3, ((1, spoly({(0,): 1, (2,): -1, (0, 1): 1, (1, 2): 1})),)))
     def test_square_sum_expansion(self, model):
         assert_canonical(model.expand())
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=same_domain_pairs(), k=st.integers(-3, 3),
+           p=polynomials(SPIN, max_vars=6, coeffs=SMALL_OR_WIDE),
+           q=polynomials(BOOL, max_vars=6, coeffs=SMALL_OR_WIDE),
+           model=square_sums(coeffs=st.integers(-2, 2)))
+    def test_cached_shape_is_that_of_a_fresh_copy(self, pair, k, p, q, model):
+        a, b = pair
+        image = p.spin_to_boolean()
+        makers = [lambda: a.add(b), lambda: a.sub(b), lambda: a.mul(b), lambda: a.scale(k),
+                  p.spin_to_boolean, image.boolean_to_spin, model.expand]
+        try:
+            q.boolean_to_spin()
+            makers.append(q.boolean_to_spin)
+        except ValueError:
+            pass  # not an integral image
+        makers += [lambda b=b: quadratize(b)[0] for b in (image, q) if not b.is_zero()]
+        for make in makers:
+            assert_cached_shape(make)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=polynomials(SPIN, max_vars=8, coeffs=SMALL_OR_WIDE, max_degree=6, max_terms=20),
+           constant=st.none() | SMALL_OR_WIDE)
+    @example(p=spoly({(0, 1, 2, 3, 4, 5): 3, (2,): -1}), constant=None)
+    @example(p=spoly({(0, 1): 1, (0,): -2}), constant=5)
+    def test_expand_subsets_matches_every_subset(self, p, constant):
+        terms = {m: c for m, c in p.terms.items() if m}
+        if constant:
+            terms[()] = constant
+        p = MultilinearPoly(p.domain, terms)
+        top = p.degree()
+        for weight in (lambda d, k: (1 << k) * (-1 if (d - k) % 2 else 1),
+                       lambda d, k: 1 << (top - d)):
+            expected: dict = {}
+            for m, c in terms.items():
+                for k in range(len(m) + 1):
+                    for sub in itertools.combinations(m, k):
+                        expected[sub] = expected.get(sub, 0) + c * weight(len(m), k)
+            out = _expand_subsets(p, weight)
+            assert {m: c for m, c in out.items() if c} == {
+                m: c for m, c in expected.items() if c}
+            assert set(expected) <= set(out)
+
+
+def shape(p: MultilinearPoly):
+    return p.nvars, p.degree(), p.sorted_terms()
+
+
+def assert_cached_shape(make) -> None:
+    """The `nvars`, `degree()` and `sorted_terms()` of an output of `make`
+    are those of a fresh copy and of a scan of its terms, read before and
+    after `write_poly`, and when `write_poly` reads them first."""
+    p = make()
+    terms = p.terms
+    expected = (
+        max((max(m) + 1 for m in terms if m), default=0),
+        max((len(m) for m in terms), default=0),
+        sorted(terms.items(), key=lambda t: (len(t[0]), t[0])),
+    )
+    assert shape(p) == expected
+    text = poly_to_text(p)
+    assert shape(p) == expected
+    assert shape(MultilinearPoly(p.domain, terms)) == expected
+    written_first = make()
+    assert poly_to_text(written_first) == text
+    assert shape(written_first) == expected
 
 
 class TestTextFormat:
