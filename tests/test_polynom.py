@@ -293,6 +293,30 @@ def assert_canonical(p: MultilinearPoly) -> None:
     assert p == MultilinearPoly(p.domain, p.terms)
 
 
+def shape(p: MultilinearPoly):
+    return p.nvars, p.degree(), p.sorted_terms()
+
+
+def assert_cached_shape(make) -> None:
+    """The `nvars`, `degree()` and `sorted_terms()` of an output of `make`
+    are those of a fresh copy and of a scan of its terms, read before and
+    after `write_poly`, and when `write_poly` reads them first."""
+    p = make()
+    terms = p.terms
+    expected = (
+        max((max(m) + 1 for m in terms if m), default=0),
+        max((len(m) for m in terms), default=0),
+        sorted(terms.items(), key=lambda t: (len(t[0]), t[0])),
+    )
+    assert shape(p) == expected
+    text = poly_to_text(p)
+    assert shape(p) == expected
+    assert shape(MultilinearPoly(p.domain, terms)) == expected
+    written_first = make()
+    assert poly_to_text(written_first) == text
+    assert shape(written_first) == expected
+
+
 @st.composite
 def same_domain_pairs(draw):
     domain = draw(st.sampled_from([SPIN, BOOL]))
@@ -302,7 +326,8 @@ def same_domain_pairs(draw):
 
 class TestOutputsStayCanonical:
     """Arithmetic, the transforms, `SquareSum.expand` and `quadratize` skip
-    the constructor's checks; each output must still pass them."""
+    the constructor's checks; each output must still pass them, and its
+    cached shape must be that of a fresh copy."""
 
     @settings(max_examples=200, deadline=None)
     @given(pair=same_domain_pairs(),
@@ -349,7 +374,7 @@ class TestOutputsStayCanonical:
             makers.append(q.boolean_to_spin)
         except ValueError:
             pass  # not an integral image
-        makers += [lambda b=b: quadratize(b)[0] for b in (image, q) if not b.is_zero()]
+        makers += [lambda r=r: quadratize(r)[0] for r in (image, q) if not r.is_zero()]
         for make in makers:
             assert_cached_shape(make)
 
@@ -375,30 +400,6 @@ class TestOutputsStayCanonical:
             assert {m: c for m, c in out.items() if c} == {
                 m: c for m, c in expected.items() if c}
             assert set(expected) <= set(out)
-
-
-def shape(p: MultilinearPoly):
-    return p.nvars, p.degree(), p.sorted_terms()
-
-
-def assert_cached_shape(make) -> None:
-    """The `nvars`, `degree()` and `sorted_terms()` of an output of `make`
-    are those of a fresh copy and of a scan of its terms, read before and
-    after `write_poly`, and when `write_poly` reads them first."""
-    p = make()
-    terms = p.terms
-    expected = (
-        max((max(m) + 1 for m in terms if m), default=0),
-        max((len(m) for m in terms), default=0),
-        sorted(terms.items(), key=lambda t: (len(t[0]), t[0])),
-    )
-    assert shape(p) == expected
-    text = poly_to_text(p)
-    assert shape(p) == expected
-    assert shape(MultilinearPoly(p.domain, terms)) == expected
-    written_first = make()
-    assert poly_to_text(written_first) == text
-    assert shape(written_first) == expected
 
 
 class TestTextFormat:
