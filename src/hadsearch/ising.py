@@ -68,6 +68,21 @@ class IsingModel:
         for name, value in (("nvars", n), ("offset", offset), ("h", h), ("J", J)):
             object.__setattr__(self, name, value)  # the dataclass is frozen
 
+    @classmethod
+    def _from_canonical(
+        cls, nvars: int, h: dict[int, int], J: dict[tuple[int, int], int], offset: int = 0
+    ) -> "IsingModel":
+        """Take `h` and `J` unchecked: every index a Python int in range,
+        every J key (i, j) with i < j, every value a nonzero Python int,
+        and `nvars` and `offset` Python ints, as the public constructor
+        would leave them.  Code in this package that holds such dicts
+        already (a validated model, or a validated polynomial's degree
+        groups) calls this instead of the constructor."""
+        model = cls.__new__(cls)
+        for name, value in (("nvars", nvars), ("offset", offset), ("h", h), ("J", J)):
+            object.__setattr__(model, name, value)
+        return model
+
     def max_abs_coeff(self) -> int:
         vals = [abs(v) for v in self.h.values()] + [abs(v) for v in self.J.values()]
         return max(vals, default=0)
@@ -98,17 +113,29 @@ class IsingModel:
 
 def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingModel:
     """Lossless split of a quadratic spin polynomial into offset/h/J, each
-    of h and J built in index order from the polynomial's degree groups."""
+    of h and J built in index order from the polynomial's degree groups.
+
+    The polynomial is validated already: its keys are canonical and its
+    coefficients nonzero Python ints, so only an explicit `nvars` is
+    checked, which must be an integer no smaller than the polynomial's."""
     if poly.domain is not Domain.SPIN:
         raise ValueError("from_quadratic requires a spin polynomial")
     if poly.degree() > 2:
         raise ValueError(f"polynomial has degree {poly.degree()} > 2")
-    n = poly.nvars if nvars is None else nvars
+    n = poly.nvars
+    if nvars is not None:
+        try:
+            nvars = operator.index(nvars)
+        except TypeError:
+            raise ValueError(f"non-integer nvars {nvars!r}") from None
+        if nvars < n:
+            raise ValueError(f"nvars {nvars} smaller than the polynomial's {n}")
+        n = nvars
     terms = poly._terms
     groups = {len(group[0]): group for group in poly._canonical_groups()}
     h = {m[0]: terms[m] for m in groups.get(1, ())}
     J = {m: terms[m] for m in groups.get(2, ())}
-    return IsingModel(nvars=n, h=h, J=J, offset=terms.get((), 0))
+    return IsingModel._from_canonical(n, h, J, terms.get((), 0))
 
 
 @dataclass(frozen=True)
@@ -136,11 +163,14 @@ class NormalizedIsing:
 
 
 def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
-    """Drop the offset and rescale so the largest |coefficient| becomes 1."""
+    """Drop the offset and rescale so the largest |coefficient| becomes 1.
+    The image's model shares `h` and `J` with `model`; neither changes
+    after construction."""
     scale = model.max_abs_coeff()
     if scale == 0:
         raise ValueError("cannot normalize an all-zero model")
-    return NormalizedIsing(IsingModel(model.nvars, model.h, model.J), scale), scale
+    image = IsingModel._from_canonical(model.nvars, model.h, model.J)
+    return NormalizedIsing(image, scale), scale
 
 
 # -- text format --------------------------------------------------------------

@@ -10,9 +10,10 @@ operation is exact; zero coefficients are never stored, and the zero
 polynomial has no terms.
 
 Validation happens once, at the boundary: the public constructor (and
-`read_poly`, which goes through it) checks every monomial and takes every
-coefficient through `operator.index`, so a float, a `Fraction` or a bad
-monomial is rejected there.  The algebra (`add`, `scale`, `mul`, the two
+`read_poly`, which goes through it) checks every monomial, takes every index
+and coefficient through `operator.index`, and rejects two keys that name
+the same monomial, so a float, a `Fraction`, a bad monomial or an ambiguous
+term is rejected there.  The algebra (`add`, `scale`, `mul`, the two
 transforms, `SquareSum.expand`) and `quadratize` build only canonical,
 zero-free term dicts and hand them to `_from_canonical`, which stores them
 unchecked.  A polynomial's terms never change after construction, so its
@@ -55,7 +56,13 @@ class Domain(enum.Enum):
 
 
 def _canonical_monomial(vars_: Iterable[int]) -> Monomial:
-    m = tuple(sorted(vars_))
+    """The sorted tuple of the indices `vars_`, each taken through
+    `operator.index` (a Python or numpy int, never a float); a negative or
+    repeated index is rejected."""
+    try:
+        m = tuple(sorted(map(operator.index, vars_)))
+    except TypeError:
+        raise ValueError(f"non-integer variable index in monomial {vars_!r}") from None
     if not m or (m[0] >= 0 and len(set(m)) == len(m)):
         return m
     if any(v < 0 for v in m):
@@ -74,9 +81,10 @@ class MultilinearPoly:
     __slots__ = ("domain", "_terms", "_nvars", "_degree", "_groups")
 
     def __init__(self, domain: Domain, terms: Mapping[Iterable[int], int] | None = None):
-        """Validate `terms`: each monomial is sorted and checked for negative
-        or repeated indices, each coefficient must be an integer, and zero
-        coefficients are dropped after both checks.  Code in this package
+        """Validate `terms`: each monomial is sorted and checked for negative,
+        repeated or non-integer indices, each coefficient must be an integer,
+        two keys must not name the same monomial once sorted, and zero
+        coefficients are dropped after these checks.  Code in this package
         that builds terms already canonical and zero-free calls
         `_from_canonical` instead."""
         clean: dict[Monomial, int] = {}
@@ -88,8 +96,11 @@ class MultilinearPoly:
                     f"non-integer coefficient {c!r} for monomial {tuple(m)}"
                 ) from None
             m = _canonical_monomial(m)
-            if c:
-                clean[m] = c
+            if m in clean:
+                raise ValueError(f"duplicate term for monomial {m}")
+            clean[m] = c
+        if 0 in clean.values():
+            clean = {m: c for m, c in clean.items() if c}
         self.domain = domain
         self._terms = clean
         self._nvars = self._degree = self._groups = None

@@ -50,6 +50,7 @@ class TestArtifactDigests:
         "build_x8_2": ("build", "--method", "extended-turyn", "--n", 8, "--m", 2),
         "search_w5": ("search", "--method", "williamson", "--k", 5, "--solver", "exhaustive"),
         "build_t12": ("build", "--method", "turyn", "--n", 12),
+        "build_t14": ("build", "--method", "turyn", "--n", 14),
         "search_bh9": ("search", "--method", "baumert-hall", "--k", 9, "--solver", "exhaustive"),
         "build_t10": ("build", "--method", "turyn", "--n", 10),
         "build_w9": ("build", "--method", "williamson", "--k", 9),

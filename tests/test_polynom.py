@@ -101,6 +101,30 @@ class TestBasics:
         with pytest.raises(ValueError, match=re.escape(message)):
             MultilinearPoly(SPIN, terms)
 
+    @pytest.mark.parametrize("terms", [
+        {(0, 1): 1, (1, 0): 2},
+        {(0, 1): 0, (1, 0): 2},
+        {(1, 0): 3, (0, 1): 0},
+    ], ids=["both-nonzero", "first-zero", "second-zero"])
+    def test_keys_naming_one_monomial_rejected(self, terms):
+        with pytest.raises(ValueError) as parsed:
+            read_poly(io.StringIO("domain spin\nnvars 2\n1 0 1\n2 1 0\n"))
+        assert str(parsed.value) == "duplicate term for monomial (0, 1)"
+        with pytest.raises(ValueError, match=re.escape(str(parsed.value))):
+            MultilinearPoly(SPIN, terms)
+
+    @pytest.mark.parametrize("monomial", [(1.0, 2), (np.float64(0),), (Fraction(1),)],
+                             ids=["float", "numpy-float", "fraction"])
+    def test_non_integer_index_rejected(self, monomial):
+        message = f"non-integer variable index in monomial {monomial!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultilinearPoly(SPIN, {monomial: 1})
+
+    def test_numpy_indices_stored_as_ints(self):
+        p = spoly({(np.int64(2), np.int8(0)): 3})
+        assert p.terms == {(0, 2): 3}
+        assert all(type(v) is int for m in p.terms for v in m)
+
 
 class TestMul:
     def test_spin_square_is_one(self):

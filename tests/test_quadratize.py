@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,8 +229,8 @@ def reference_quadratize(p: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMa
 
 
 class TestIncrementalMatchesReference:
-    """quadratize keeps one pair -> holder-id table and rewrites holders in
-    place; the rounds must be exactly those of the reference loop."""
+    """quadratize runs each round in bulk over index, count and incidence
+    matrices; the rounds must be exactly those of the reference loop."""
 
     def assert_same(self, p):
         assert quadratize(p) == reference_quadratize(p)
@@ -295,6 +297,59 @@ class TestIncrementalMatchesReference:
         assert out.coeff((2, 5)) == delta
         self.assert_same(p)
 
+    @pytest.mark.parametrize("degrees", [(5,), (6,), (5, 6)])
+    def test_more_ancillas_than_the_first_capacity(self, degrees):
+        # every monomial of these degrees on 12 variables: the matrices start
+        # with room for 2 * 12 local ids and must grow past it
+        rng = random.Random(sum(degrees))
+        p = bpoly({m: rng.choice((-3, -1, 1, 2)) for d in degrees
+                   for m in itertools.combinations(range(12), d)})
+        out, amap = quadratize(p)
+        assert len(amap.entries) > 12
+        assert (out, amap) == reference_quadratize(p)
+
+    def test_one_monomial_of_degree_12(self):
+        # rewritten ten times, each round taking the two lowest indices left
+        p = bpoly({tuple(range(12)): 5, (0, 1): 2})
+        out, amap = quadratize(p)
+        assert amap.ancillas == tuple(range(12, 22))
+        assert amap.entries[:2] == ((12, (0, 1)), (13, (2, 3)))
+        assert out.coeff((20, 21)) == 5
+        assert out.degree() == 2
+        self.assert_same(p)
+
+    def test_only_degree_two_and_lower(self):
+        p = bpoly({(0, 1): 3, (2,): -1, (): 4, (1, 5): 7})
+        out, amap = quadratize(p)
+        assert out == p and amap.entries == ()
+        assert amap.delta == 30
+        self.assert_same(p)
+
+    def test_equal_counts_broken_lexicographically(self):
+        # round 1: (0, 1), (0, 2), (1, 2) and (3, 4) are each held twice, and
+        # (0, 1) is the smallest.  Round 2: (2, 9) and (3, 4) are held twice;
+        # (2, 9) comes first although 9 > 4
+        p = bpoly({(0, 1, 2, 5): 1, (0, 1, 2, 6): 2, (3, 4, 7): 3, (3, 4, 8): 4})
+        out, amap = quadratize(p)
+        assert amap.entries == ((9, (0, 1)), (10, (2, 9)), (11, (3, 4)))
+        assert out.coeff((5, 10)) == 1 and out.coeff((6, 10)) == 2
+        assert out.coeff((7, 11)) == 3 and out.coeff((8, 11)) == 4
+        self.assert_same(p)
+
+    def test_sparse_indices_allocate_nothing_per_index(self):
+        # nvars is 10^6 but only three variables are in use
+        p = bpoly({(0, 500_000, 999_999): 3, (7,): -1})
+        tracemalloc.start()
+        try:
+            out, amap = quadratize(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert amap.entries == ((1_000_000, (0, 500_000)),)
+        assert out.coeff((999_999, 1_000_000)) == 3
+        self.assert_same(p)
+
     def test_turyn_n8(self):
         self.assert_same(turyn_energy(8).spin_to_boolean())
 
@@ -310,6 +365,20 @@ def value_table(p: MultilinearPoly, nvars: int) -> np.ndarray:
         mask = sum(1 << v for v in m)
         out += c * ((states & mask) == mask)
     return out
+
+
+class TestMemory:
+    def test_turyn_n14_peak(self):
+        # the holder tables this implementation replaced peaked at 5.2 MB here
+        p = turyn_energy(14).spin_to_boolean()
+        tracemalloc.start()
+        try:
+            _, amap = quadratize(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(amap.entries) == 232
+        assert peak < 2 * 5_200_000
 
 
 class TestSpectrumProperty:
