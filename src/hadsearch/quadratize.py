@@ -124,14 +124,14 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
     variables of the degree >= 3 monomials renumbered in ascending order,
     then the ancillas in allocation order.  Local order is global order, so
     a pair's lexicographic rank is the same in both.  Three structures are
-    kept, each grown by doubling as ancillas are added:
+    kept; the last two grow by doubling as ancillas are added:
 
     - `rows`, an int64 index matrix: one degree >= 3 monomial per row,
       right-aligned and padded with -1 on the left;
     - `count`, a symmetric pair-count matrix: count[u, v] is the number of
       degree >= 3 monomials that hold {u, v}.  `argmax` returns the first
       maximum in row-major order, which is the lexicographically smallest
-      of the most-held pairs, so no heap and no stale entries;
+      of the most-held pairs;
     - `inc`, a variable x monomial incidence matrix with its bits packed
       along the monomials, so the holders of (u, v) are the set bits of
       inc[u] & inc[v].
@@ -150,12 +150,14 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
     most the number of rows, so int32 holds it.
 
     Memory is sized by the local ids, never by the largest index: 8 bytes
-    per entry of the index matrix, one bit per local id and row of
-    incidence, and 4 bytes per pair of local ids.  One cubic term at index
-    10^6 allocates a few hundred bytes.  Peak traced memory on the Turyn
-    n=16 boolean energy (16600 degree >= 3 monomials, 326 rounds, 379
-    local ids) is about 4.2 MB, against 7.4 MB for the per-pair holder sets
-    of the pure-Python version.
+    per entry of the index matrix, one bit per slot and row of incidence,
+    and 4 bytes of count per pair of slots, the slots being the local ids
+    with room to grow.  One cubic term at index 10^6 allocates a few
+    hundred bytes.  The count matrix is quadratic in the local ids: a few
+    hundred at the paper's orders, but 10^4 variables in degree >= 3
+    monomials would need at least 400 MB.  Peak traced memory on the Turyn
+    n=16 boolean energy (16600 degree >= 3 monomials, 326 rounds, 379 local
+    ids) is about 4.2 MB.
 
     Ancilla indices are fresh: allocation starts one past the largest input
     index and follows substitution order.
@@ -211,9 +213,9 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
             count[:, v] = count[v]
             count[u, v] = count[v, u] = 0
             single = rest[:, -2] < 0  # the rest is one variable, x
-            x = rest[single, -1]  # distinct, as their holders are
             done = hold[single]
-            lost[x] -= 1  # now the gain of each (x, a): the holders kept
+            x = rest[single, -1]  # distinct, as each such holder is {u, v, x}
+            lost[x] -= 1  # so this takes 1 from each: now the gain of (x, a)
             count[la] = lost
             count[:, la] = lost
             bits[done] = False
@@ -260,13 +262,13 @@ def _index_rows(groups: list[list[Monomial]]) -> tuple[np.ndarray, list[int]]:
 def _pair_counts(rows: np.ndarray, nv: int, cap: int) -> np.ndarray:
     """The symmetric cap x cap count of the pairs held by `rows`, whose
     nv local ids ascend along each row."""
-    count = np.zeros((cap, cap), dtype=np.int32)
+    upper = np.zeros((nv, nv), dtype=np.int32)  # the pairs (lo, hi), lo < hi
     for k in range(1, rows.shape[1]):
         lo, hi = rows[:, :-k].ravel(), rows[:, k:].ravel()  # k columns apart
         real = lo >= 0
-        codes = lo[real] * nv + hi[real]
-        count[:nv, :nv] += np.bincount(codes, minlength=nv * nv).reshape(nv, nv)
-    count += count.T
+        upper += np.bincount(lo[real] * nv + hi[real], minlength=nv * nv).reshape(nv, nv)
+    count = np.zeros((cap, cap), dtype=np.int32)
+    count[:nv, :nv] = upper + upper.T
     return count
 
 

@@ -149,6 +149,19 @@ class TestQuadratize:
         assert amap.ancillas == tuple(range(n, n + len(amap.entries)))
         assert out.degree() <= 2
 
+    def test_turyn_n14_peak_memory(self):
+        # twice the 5.2 MB peak of the per-pair holder sets, measured at the
+        # same point, bounds the count and incidence matrices
+        p = turyn_energy(14).spin_to_boolean()
+        tracemalloc.start()
+        try:
+            _, amap = quadratize(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(amap.entries) == 232
+        assert peak < 2 * 5_200_000
+
     def test_incidence_count_strictly_decreases(self):
         p = williamson_energy(3).spin_to_boolean()
         delta = compute_delta(p)
@@ -337,7 +350,7 @@ class TestIncrementalMatchesReference:
         self.assert_same(p)
 
     def test_sparse_indices_allocate_nothing_per_index(self):
-        # nvars is 10^6 but only three variables are in use
+        # nvars is 10^6, but only four variables are in use, three in the cubic
         p = bpoly({(0, 500_000, 999_999): 3, (7,): -1})
         tracemalloc.start()
         try:
@@ -365,20 +378,6 @@ def value_table(p: MultilinearPoly, nvars: int) -> np.ndarray:
         mask = sum(1 << v for v in m)
         out += c * ((states & mask) == mask)
     return out
-
-
-class TestMemory:
-    def test_turyn_n14_peak(self):
-        # the holder tables this implementation replaced peaked at 5.2 MB here
-        p = turyn_energy(14).spin_to_boolean()
-        tracemalloc.start()
-        try:
-            _, amap = quadratize(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(amap.entries) == 232
-        assert peak < 2 * 5_200_000
 
 
 class TestSpectrumProperty:
