@@ -377,7 +377,10 @@ def _load_model(path):
 def _quadratic_ising(model: MultilinearPoly | ising.IsingModel) -> ising.IsingModel:
     if isinstance(model, ising.IsingModel):
         return model
-    if model.domain is not Domain.SPIN or model.degree() > 2:
+    if model.domain is not Domain.SPIN:
+        raise UsageError("anneal needs a quadratic spin model, and this polynomial is in the "
+                         "boolean domain; anneal its spin form (a build's e2_s.poly)")
+    if model.degree() > 2:
         raise UsageError("anneal needs a quadratic spin model; quadratize first")
     return ising.from_quadratic(model)
 

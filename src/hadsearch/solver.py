@@ -36,15 +36,22 @@ weight).  One kernel serves both, since an Ising model is a single
 residual entering the energy linearly.  The state keeps every residual
 doubled, X = 2R, so that the sum X + delta a proposal forms for a sum of
 squares also serves the update of X; a flip updates every residual
-incrementally.  A flip attempt runs the same unmasked numpy calls on
-every read, into buffers allocated once per run: the acceptance test
-yields a sign, -1 to flip and +1 to keep, that multiplies the spin and the
-residual change.  Every read draws its start state and acceptance uniforms
-from a stream derived from (seed, read index), the uniforms of a block of
-sweeps in one call, and each sweep's flip order comes from one dedicated
-stream, so a fixed seed gives byte-identical samples.  Energies are exact
-integers: the models `anneal` accepts keep every energy and energy change
-below 2^62 in magnitude, and its inverse temperatures are finite.
+incrementally.  A flip attempt runs the same ten unmasked numpy calls on
+every read (nine for an Ising model), into buffers allocated once per run:
+the acceptance test yields a sign, -1 to flip and +1 to keep, that
+multiplies the spin and the residual change.  A move is accepted where its
+energy change dE is below the threshold T = -ln(u) / beta, which holds
+exactly where u < exp(-beta dE) (Isakov et al., Comput. Phys. Commun.
+2015): the uniforms u are logged once when drawn and each sweep divides
+its logs by -beta in one call, so no exponential is taken per attempt.
+Every read draws its start state and acceptance uniforms from a stream
+derived from (seed, read index), the uniforms of a block of sweeps in one
+call, and each sweep's flip order comes from one dedicated stream, so a
+fixed seed gives byte-identical samples.  Energies are exact integers: the
+models `anneal` accepts keep every energy and energy change below 2^62 in
+magnitude, and its inverse temperatures are finite.  The accept/reject
+decision is the one rounded step; see `_Kernel` for where it can differ
+from u < exp(-beta dE) evaluated in floating point.
 
 Both solvers return a `SampleSet`, which holds the distinct samples as
 arrays (int8 values, int64 energies and read counts) in sample order, and
@@ -537,6 +544,20 @@ class _Kernel:
     squares are formed only by `energies`, where they may round but enter
     with weight 0.  Otherwise it runs in int64, exact modulo 2^64, so only
     the energy changes and energies, compared and returned, must fit.
+
+    A flip is accepted where dE < T, T = -ln(u) / beta the attempt's
+    threshold, in float64: dE - T is formed once per attempt, in place of
+    exp(-beta dE) and its comparison with u.  In exact arithmetic the two
+    rules are the same.  In float64 T rounds twice (the log, the division)
+    where the exp rule rounds -beta dE and the exp, and dE itself rounds
+    past 2^53 in the int64 kernel, as it did for the exp rule.  So a
+    decision can differ from u < exp(-beta dE), computed in float64, only
+    where dE lies within a few units in the last place of T, that is where
+    u lies within an ulp or so of exp(-beta dE), and at dE = 0 for beta so
+    large that T underflows to 0.0 (from about 4.5e307, for u next to 1).
+    A drawn u = 0.0 has T = +inf and accepts every move, as under the
+    reference loops' exponent floor of -700.  A seeded million draws on
+    the Williamson k=9 schedule, dE within 2 of T, gave no difference.
     """
 
     def __init__(self, model: IsingModel | SquareSum, bound: int):
@@ -591,19 +612,17 @@ class _Kernel:
 
     def sweeper(
         self, S: np.ndarray, X: np.ndarray
-    ) -> Callable[[list[int], np.ndarray, float], np.ndarray]:
+    ) -> Callable[[list[int], np.ndarray], np.ndarray]:
         """The Metropolis step on the states S and doubled residuals X, as
-        a function sweep(order, uniforms, neg_beta) that updates both in
-        place.  Attempt k flips s_i, i = order[k], in every read whose
-        uniform in row k of `uniforms` is below exp(neg_beta * dE), neg_beta
-        a finite Python float.  It returns the buffer holding the
-        energy changes dE of the last attempt.  Its buffers are allocated
-        here, once.
+        a function sweep(order, thresholds) that updates both in place.
+        Attempt k flips s_i, i = order[k], in every read whose energy change
+        dE is below its threshold in row k of `thresholds` (float64, shape
+        (len(order), reads)).  It returns the buffer holding the energy
+        changes of the last attempt.  Its buffers are allocated here, once.
 
-        sign = copysign(1, uniform - exp(neg_beta * dE)) is -1 exactly
-        where uniform < exp(neg_beta * dE).  A uniform must be negative or
-        at least 2^-53: below an exponent of -745 exp underflows to 0.0,
-        and 0.0 - 0.0 = +0.0 would reject.
+        sign = copysign(1, dE - threshold) is -1 exactly where dE is below
+        the threshold: dE - threshold is +0.0 where they are equal, and
+        -inf where the threshold is +inf.
         """
         rows, flips = list(S), list(self.flips)
         squares, w, u = self.squares, self.w, self.u
@@ -611,14 +630,14 @@ class _Kernel:
         delta_e = np.empty(S.shape[1], dtype=self.dtype)
         sign = np.empty_like(delta_e)
         e, ones = np.empty(S.shape[1]), np.ones(S.shape[1])
-        matmul, multiply, add, subtract = np.matmul, np.multiply, np.add, np.subtract
-        dot, exp, copysign = np.dot, np.exp, np.copysign
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        dot, copysign = np.dot, np.copysign
 
-        def sweep(order: list[int], uniforms: np.ndarray, neg_beta: float) -> np.ndarray:
+        def sweep(order: list[int], thresholds: np.ndarray) -> np.ndarray:
             # each call's last positional argument is its output
-            for i, uniform in zip(order, uniforms):
+            for i, threshold in zip(order, thresholds):
                 row = rows[i]
-                matmul(flips[i], S, delta)
+                dot(flips[i], S, delta)
                 multiply(delta, row, delta)
                 add(X, delta, moved)
                 if squares:
@@ -627,9 +646,7 @@ class _Kernel:
                     dot(w, change, delta_e)
                 else:
                     dot(u, delta, delta_e)
-                multiply(delta_e, neg_beta, e)
-                exp(e, e)
-                subtract(uniform, e, e)
+                subtract(delta_e, threshold, e)
                 # the int64 kernel takes the signs +-1.0 as +-1
                 copysign(ones, e, sign, casting="unsafe")
                 multiply(row, sign, row)
@@ -657,21 +674,21 @@ def _metropolis_states(
     # from a call of its own
     block = max(1, _UNIFORM_BLOCK // max(1, reads * n))
     drawn = np.empty((reads, block * n))
-    uniforms = np.empty((block, n, reads))
-    # exp(neg_beta * dE) overflows to inf where a move lowers the energy
-    # steeply, which accepts it, and underflows to 0.0 where it raises it
-    # steeply, which rejects it
-    with np.errstate(over="ignore", under="ignore"):
+    logs = np.empty((block, n, reads))
+    # ln(0.0) is -inf, so a drawn 0.0 gets the threshold +inf and accepts
+    # every move.  -ln(u) / beta overflows to +inf only where beta is below
+    # about 2e-307, where exp(-beta dE) rounds to 1.0 and accepts every move
+    # too
+    with np.errstate(divide="ignore", over="ignore"):
         for t, beta in enumerate(betas.tolist()):
             if t % block == 0:
                 count = min(block, sweeps - t)
                 for g, row in zip(gens, drawn):
                     g.random(out=row[: count * n])
-                np.copyto(uniforms[:count], drawn[:, : count * n].T.reshape(count, n, reads))
-                # 0.0 < exp(x) for every real x, but exp underflows to 0.0
-                # below -745: as -1.0 a drawn 0.0 accepts every move
-                np.copyto(uniforms, -1.0, where=uniforms == 0.0)
-            sweep(perm_gen.permutation(n).tolist(), uniforms[t % block], -beta)
+                np.log(drawn[:, : count * n].T.reshape(count, n, reads), out=logs[:count])
+            # the thresholds -ln(u) / beta, over the sweep's logs
+            thresholds = np.divide(logs[t % block], -beta, out=logs[t % block])
+            sweep(perm_gen.permutation(n).tolist(), thresholds)
     return S[:n].T.astype(np.int8), np.array(kernel.energies(X), dtype=np.int64)
 
 
@@ -692,9 +709,12 @@ def anneal(
     several sweeps in one call, as many as keep all reads' uniforms within
     `_UNIFORM_BLOCK` doubles (at least one sweep).  The loop keeps every
     residual doubled, 2R, and applies an accepted or rejected flip alike as
-    a +-1 sign, so one flip attempt is a fixed sequence of twelve unmasked
-    numpy calls (eleven for an Ising model) on buffers allocated once per
-    run.  Rejects a model whose `_energy_bound` is 2^62 or more: for an
+    a +-1 sign, so one flip attempt is a fixed sequence of ten unmasked
+    numpy calls (nine for an Ising model) on buffers allocated once per
+    run.  It accepts a flip where the energy change is below the threshold
+    -ln(u) / beta: the uniforms are logged once when drawn and divided by
+    -beta once per sweep, and the decision differs from u < exp(-beta dE)
+    only within rounding (`_Kernel`).  Rejects a model whose `_energy_bound` is 2^62 or more: for an
     Ising model, absolute coefficients (the offset included) summing that
     high; for a `SquareSum`, a sum of w * A^2 that high, A the absolute
     coefficient sum of a residual.  Rejects inverse temperatures that are

@@ -355,6 +355,20 @@ class TestSolve:
         assert run("solve", out / "model.ising", "--out", sol) == 0
         assert (sol / "samples.txt").read_text().splitlines()[0].startswith("0 1 ")
 
+    @pytest.mark.parametrize("model, message, wrong", [
+        ("e2_q.poly", "boolean domain; anneal its spin form (a build's e2_s.poly)",
+         "quadratize first"),
+        ("ek_s.poly", "quadratic spin model; quadratize first", "boolean"),
+    ], ids=["quadratic-boolean", "quartic-spin"])
+    def test_anneal_names_what_the_model_lacks(self, tmp_path, capsys, model, message, wrong):
+        out = tmp_path / "b"
+        run("build", "--method", "williamson", "--k", 3, "--out", out)
+        capsys.readouterr()
+        assert run("solve", out / model, "--solver", "anneal", "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert message in err and wrong not in err
+        assert not (tmp_path / "o" / "samples.txt").exists()
+
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n"],
                              ids=["empty", "comment-only"])
     def test_file_without_content_is_usage_error(self, tmp_path, text):

@@ -550,6 +550,13 @@ def annealable_models(draw, ising: bool):
     return SquareSum(nvars, tuple(terms + terms[: draw(st.integers(0, len(terms)))]))
 
 
+def thresholds(uniforms: np.ndarray, beta: float) -> np.ndarray:
+    """The acceptance thresholds -ln(u) / beta of `uniforms`, formed as
+    `_metropolis_states` forms them: logged, then divided by -beta."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(np.log(uniforms), -beta)
+
+
 class TestKernelProperty:
     """The step `_metropolis_states` runs, `_Kernel.sweeper`, keeps X = 2R,
     reports each attempt's exact energy change and flips exactly the reads
@@ -580,20 +587,19 @@ class TestKernelProperty:
             return [energy.evaluate(dict(enumerate(col))) for col in S[:n].T.astype(int).tolist()]
 
         before = exact(S)
-        # -1.0 is a drawn 0.0, as `_metropolis_states` passes it on
-        uniforms = st.lists(st.sampled_from((-1.0, 2.0**-53, 0.25, 0.5, 1 - 2.0**-53)),
+        uniforms = st.lists(st.sampled_from((0.0, 2.0**-53, 0.25, 0.5, 1 - 2.0**-53)),
                             min_size=reads, max_size=reads)
-        neg_betas = st.sampled_from((-0.0, -1e-9, -0.01, -1.0, -1e300))
-        steps = st.tuples(st.integers(0, n - 1), uniforms, neg_betas)
-        for i, uniform, neg_beta in data.draw(st.lists(steps, max_size=10)):
+        betas = st.sampled_from((0.0, 1e-9, 0.01, 1.0, 1e300))
+        steps = st.tuples(st.integers(0, n - 1), uniforms, betas)
+        for i, uniform, beta in data.draw(st.lists(steps, max_size=10)):
             start, trial = S.copy(), S.copy()
             trial[i] *= -1
             proposed = exact(trial)
             changes = [p - b for p, b in zip(proposed, before)]
-            with np.errstate(over="ignore", under="ignore"):
-                delta_e = sweep([i], np.array([uniform]), neg_beta).tolist()
-                exponent = np.maximum(neg_beta * np.array(changes, dtype=float), -700.0)
-                accept = (np.maximum(uniform, 0.0) < np.exp(exponent)).tolist()
+            delta_e = sweep([i], thresholds(np.array([uniform]), beta)).tolist()
+            with np.errstate(over="ignore"):
+                exponent = np.maximum(-beta * np.array(changes, dtype=float), -700.0)
+                accept = (np.array(uniform) < np.exp(exponent)).tolist()
             assert [int(d) for d in delta_e] == changes
             after = exact(S)
             assert after == [p if a else b for p, b, a in zip(proposed, before, accept)]
@@ -601,6 +607,28 @@ class TestKernelProperty:
             assert np.array_equal(X, 2 * kernel.residuals(S))
             assert kernel.energies(X) == after
             before = after
+
+
+class TestThresholdRule:
+    def test_agrees_with_exp_rule(self):
+        """dE < -ln(u) / beta decides as u < exp(-beta dE) does on a
+        million draws, u from `Generator.random`, beta from the 100-sweep
+        schedule of Williamson k=9 and dE an integer: a quarter near zero
+        and the rest within 2 of the threshold, where rounding could
+        matter."""
+        rng = np.random.default_rng(20)
+        size = 10**6
+        b0, b1 = solver.default_beta_range(williamson_residuals(9))
+        schedule = b0 * (b1 / b0) ** (np.arange(100) / 99)
+        u = rng.random(size)
+        beta = rng.choice(schedule, size)
+        threshold = thresholds(u, beta)
+        near = np.round(threshold) + rng.integers(-2, 3, size)
+        delta_e = np.where(rng.random(size) < 0.25, rng.integers(-3, 4, size), near)
+        accept = np.copysign(1.0, delta_e - threshold) < 0
+        reference = u < np.exp(np.maximum(-beta * delta_e, -700.0))
+        assert accept.sum() not in (0, size)
+        assert np.array_equal(accept, reference)
 
 
 def reference_metropolis(model: IsingModel, reads: int, sweeps: int, betas, seed: int):
