@@ -208,7 +208,10 @@ def write_pbm(H, fp: IO[str]) -> None:
     H = _as_sign_matrix(H, "matrix")
     M = H.shape[0]
     fp.write(f"P1\n{M} {M}\n")
-    fp.write("".join(" ".join(row) + "\n" for row in np.where(H > 0, "0", "1").tolist()))
+    # each entry's digit and separator, a newline after a row's last entry
+    index = (H < 0).astype(np.intp)
+    index[:, -1] += 2
+    fp.write(np.array([b"0 ", b"1 ", b"0\n", b"1\n"])[index].tobytes().decode("ascii"))
 
 
 def write_pgm(D: np.ndarray, fp: IO[str]) -> None:
@@ -219,4 +222,11 @@ def write_pgm(D: np.ndarray, fp: IO[str]) -> None:
     maxval = max(1, int(D.max()))
     M, N = D.shape
     fp.write(f"P2\n{N} {M}\n{maxval}\n")
-    fp.write("".join(" ".join(map(str, row)) + "\n" for row in D.tolist()))
+    values, index = np.unique(D, return_inverse=True)
+    index = index.reshape(M, N)
+    index[:, -1] += len(values)  # a row's last entry ends in a newline
+    words = values.tolist()
+    # each distinct value's text once; the cells are padded to one width
+    # with zero bytes, which are dropped
+    cells = np.array([f"{v} " for v in words] + [f"{v}\n" for v in words], dtype=bytes)
+    fp.write(cells[index].tobytes().replace(b"\0", b"").decode("ascii"))

@@ -42,12 +42,16 @@ the acceptance test yields a sign, -1 to flip and +1 to keep, that
 multiplies the spin and the residual change.  A move is accepted where its
 energy change dE is below the threshold T = -ln(u) / beta, which holds
 exactly where u < exp(-beta dE) (Isakov et al., Comput. Phys. Commun.
-2015): the uniforms u are logged once when drawn and each sweep divides
-its logs by -beta in one call, so no exponential is taken per attempt.
-Every read draws its start state and acceptance uniforms from a stream
-derived from (seed, read index), the uniforms of a block of sweeps in one
-call, and each sweep's flip order comes from one dedicated stream, so a
-fixed seed gives byte-identical samples.  Energies are exact integers: the
+2015): the uniforms u are logged once when drawn and a block of sweeps
+divides its logs by -beta in one call, so no exponential is taken per
+attempt.  A full sweep that moves no read leaves a frozen state, whose
+energy changes stay fixed until a read moves; they are then formed once,
+and the attempts that no read can accept are passed over in a few array
+operations rather than run.  Every read draws its start state and
+acceptance uniforms from a stream derived from (seed, read index), the
+uniforms of a block of sweeps in one call, and the block's flip orders
+come from one dedicated stream in one call, so a fixed seed gives
+byte-identical samples.  Energies are exact integers: the
 models `anneal` accepts keep every energy and energy change below 2^62 in
 magnitude, and its inverse temperatures are finite.  The accept/reject
 decision is the one rounded step; see `_Kernel` for where it can differ
@@ -558,6 +562,16 @@ class _Kernel:
     A drawn u = 0.0 has T = +inf and accepts every move, as under the
     reference loops' exponent floor of -700.  A seeded million draws on
     the Williamson k=9 schedule, dE within 2 of T, gave no difference.
+
+    An attempt costs one (L, n+1) @ (n+1, reads) product and nine more
+    calls (eight for an Ising model) on arrays of L x reads or reads
+    entries.  `changes` forms the dE
+    of every spin in every read at once, the values attempts would form,
+    from one (n*L, n+1) @ (n+1, reads) product; `_metropolis_states` uses
+    it on a frozen state, one that a full sweep left unmoved, to pass over
+    the attempts at which no read flips.  That lookahead holds arrays of
+    n*L x reads entries and, over a window of the block's sweeps, arrays of
+    at most one uniform block (`_UNIFORM_BLOCK` entries).
     """
 
     def __init__(self, model: IsingModel | SquareSum, bound: int):
@@ -610,6 +624,16 @@ class _Kernel:
         R = X // 2
         return (self.offset + (self.u @ R + self.w @ (R * R)).astype(np.int64)).tolist()
 
+    def changes(self, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The energy change of flipping each spin of each read, shape
+        (n, reads), equal to the dE that an attempt of `sweeper` forms."""
+        n, L = self.flips.shape[:2]
+        delta = (self.flips.reshape(n * L, n + 1) @ S).reshape(n, L, S.shape[1])
+        delta *= S[:n, None]
+        if self.squares:
+            return self.w @ ((X + delta) * delta)
+        return self.u @ delta
+
     def sweeper(
         self, S: np.ndarray, X: np.ndarray
     ) -> Callable[[list[int], np.ndarray], np.ndarray]:
@@ -657,10 +681,46 @@ class _Kernel:
         return sweep
 
 
+def _first_move(
+    changes: np.ndarray, orders: np.ndarray, thresholds: np.ndarray
+) -> tuple[int, int] | None:
+    """(sweep, attempt) of the first attempt, in the sweep orders `orders`
+    (shape (m, n)) and their thresholds (shape (m, n, reads)), at which some
+    read of a state whose energy changes are `changes` (shape (n, reads))
+    may flip, or None where no attempt can.
+
+    It looks over windows of 1, 2, 4, ... sweeps, so a move found soon
+    costs little more than the sweeps it passes over.  e = dE - T is formed
+    as the kernel forms it, and every e <= 0 counts, +0.0 included, which
+    the kernel rejects unless its own dE is -0.0.  So no attempt passed
+    over is one the kernel would accept, and a flagged one it rejects only
+    costs running it.
+    """
+    t, span = 0, 1
+    while t < len(orders):
+        window = slice(t, t + span)
+        hits = (np.subtract(changes[orders[window]], thresholds[window]) <= 0).any(axis=2)
+        first = int(hits.argmax())
+        if hits.flat[first]:
+            sweep, attempt = divmod(first, orders.shape[1])
+            return t + sweep, attempt
+        t, span = t + span, 2 * span
+    return None
+
+
 def _metropolis_states(
     kernel: _Kernel, reads: int, sweeps: int, betas: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Final spin states (int8, reads x nvars) and their energies (int64)."""
+    """Final spin states (int8, reads x nvars) and their energies (int64).
+
+    A full sweep that leaves every read where it was proves the state
+    frozen: until some read flips, each spin's energy change stays what it
+    is, so `_first_move` finds, in the rest of the block, the next attempt
+    that some read can accept, and the kernel runs from there to the end
+    of that sweep.  Where there is none, the rest of the block is passed
+    over.  Each attempt passed over would have kept every read, so the
+    samples are those of running them all.
+    """
     n = kernel.nvars
     gens = [_read_generator(seed, r) for r in range(reads)]
     perm_gen = np.random.Generator(
@@ -671,24 +731,40 @@ def _metropolis_states(
     sweep = kernel.sweeper(S, X)
     # Generator.random fills doubles in stream order, so drawing `block`
     # sweeps' uniforms in one call gives each sweep the values it would get
-    # from a call of its own
+    # from a call of its own; Generator.permuted shuffles the rows of a
+    # block in turn, each as Generator.permutation(n) would
     block = max(1, _UNIFORM_BLOCK // max(1, reads * n))
     drawn = np.empty((reads, block * n))
     logs = np.empty((block, n, reads))
+    # the state as the last sweep left it; attempts passed over keep it
+    last, frozen = S.tobytes(), False
     # ln(0.0) is -inf, so a drawn 0.0 gets the threshold +inf and accepts
     # every move.  -ln(u) / beta overflows to +inf only where beta is below
     # about 2e-307, where exp(-beta dE) rounds to 1.0 and accepts every move
     # too
     with np.errstate(divide="ignore", over="ignore"):
-        for t, beta in enumerate(betas.tolist()):
-            if t % block == 0:
-                count = min(block, sweeps - t)
-                for g, row in zip(gens, drawn):
-                    g.random(out=row[: count * n])
-                np.log(drawn[:, : count * n].T.reshape(count, n, reads), out=logs[:count])
-            # the thresholds -ln(u) / beta, over the sweep's logs
-            thresholds = np.divide(logs[t % block], -beta, out=logs[t % block])
-            sweep(perm_gen.permutation(n).tolist(), thresholds)
+        for t0 in range(0, sweeps, block):
+            count = min(block, sweeps - t0)
+            for g, row in zip(gens, drawn):
+                g.random(out=row[: count * n])
+            thresholds = logs[:count]
+            np.log(drawn[:, : count * n].T.reshape(count, n, reads), out=thresholds)
+            # the thresholds -ln(u) / beta of every sweep of the block
+            np.divide(thresholds, -betas[t0 : t0 + count, None, None], out=thresholds)
+            orders = perm_gen.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
+            order_lists = orders.tolist()
+            t = 0
+            while t < count:
+                k = 0
+                if frozen:
+                    move = _first_move(kernel.changes(S, X), orders[t:], thresholds[t:])
+                    if move is None:
+                        break
+                    t, k = t + move[0], move[1]
+                sweep(order_lists[t][k:], thresholds[t, k:])
+                state = S.tobytes()
+                frozen, last = n > 0 and state == last, state
+                t += 1
     return S[:n].T.astype(np.int8), np.array(kernel.energies(X), dtype=np.int64)
 
 
@@ -707,21 +783,27 @@ def anneal(
     with a geometric inverse-temperature schedule; identical inputs give
     bit-identical results.  Each read draws the acceptance uniforms of
     several sweeps in one call, as many as keep all reads' uniforms within
-    `_UNIFORM_BLOCK` doubles (at least one sweep).  The loop keeps every
-    residual doubled, 2R, and applies an accepted or rejected flip alike as
-    a +-1 sign, so one flip attempt is a fixed sequence of ten unmasked
-    numpy calls (nine for an Ising model) on buffers allocated once per
-    run.  It accepts a flip where the energy change is below the threshold
-    -ln(u) / beta: the uniforms are logged once when drawn and divided by
-    -beta once per sweep, and the decision differs from u < exp(-beta dE)
-    only within rounding (`_Kernel`).  Rejects a model whose `_energy_bound` is 2^62 or more: for an
-    Ising model, absolute coefficients (the offset included) summing that
-    high; for a `SquareSum`, a sum of w * A^2 that high, A the absolute
-    coefficient sum of a residual.  Rejects inverse temperatures that are
-    not positive and finite, NaN included, and a schedule between them
-    that overflows to inf.  An n-spin Ising
-    model holds a dense n x (n+1) flip matrix, sparse or not: a 3000-spin
-    chain used +74 MB peak RSS, against +9 MB for a neighbour-list loop.
+    `_UNIFORM_BLOCK` doubles (at least one sweep), and the flip orders of
+    those sweeps come in one call.  The loop keeps every residual doubled,
+    2R, and applies an accepted or rejected flip alike as a +-1 sign, so
+    one flip attempt is a fixed sequence of ten unmasked numpy calls (nine
+    for an Ising model) on buffers allocated once per run.  It accepts a
+    flip where the energy change is below the threshold -ln(u) / beta: the
+    uniforms are logged once when drawn and divided by -beta once per
+    block, and the decision differs from u < exp(-beta dE) only within
+    rounding (`_Kernel`).  After a full sweep that moves no read, the
+    attempts at which no read can flip are passed over, not run, up to the
+    next one at which some read can (`_metropolis_states`); the samples
+    are those of running them all.  Rejects a model whose `_energy_bound`
+    is 2^62 or more: for an Ising model, absolute coefficients (the offset
+    included) summing that high; for a `SquareSum`, a sum of w * A^2 that
+    high, A the absolute coefficient sum of a residual.  Rejects inverse
+    temperatures that are not positive and finite, NaN included, and a
+    schedule between them that overflows to inf.  An n-spin Ising model
+    holds a dense n x (n+1) flip matrix, sparse or not: a 3000-spin chain
+    used +74 MB peak RSS, against +9 MB for a neighbour-list loop; once a
+    state freezes, the lookahead adds two arrays of n x reads doubles for
+    an Ising model (48 MB for that chain at 1000 reads).
     """
     bound = _energy_bound(model)
     if bound >= 1 << 62:

@@ -56,6 +56,8 @@ class TestArtifactDigests:
         "build_w9": ("build", "--method", "williamson", "--k", 9),
         "search_w9_anneal": ("search", "--method", "williamson", "--k", 9, *ANNEALED),
         "search_t6_anneal": ("search", "--method", "turyn", "--n", 6, *ANNEALED),
+        # the run where frozen stretches are skipped
+        "search_w7_anneal": ("search", "--method", "williamson", "--k", 7, *ANNEALED),
     }
     # `solve` on a file of `build --method williamson --k 5`: the boolean
     # domain's export, and the Ising model enumerated and annealed

@@ -364,6 +364,29 @@ class TestResiduals:
                             for r in range(1, quad.n)]
                     assert R == lags, name
 
+    def test_unchecked_terms_equal_validated_ones(self):
+        """Residuals are built unchecked from canonical keys; building every
+        polynomial through the validating constructor instead gives the same
+        residuals and energies, term order included."""
+        def instances():
+            for name, residuals, _ in residual_instances():
+                yield name, residuals
+            yield "W13", cons.williamson_residuals(13)
+            yield "T16", cons.turyn_residuals(16)
+            for m in (1, 3):
+                for i, proto in enumerate(cons.enumerate_prototypes(8, m)):
+                    yield f"X8/{m}/{i}", cons.extended_residuals(proto)
+
+        def terms(residuals):
+            return ([(w, list(r.terms.items())) for w, r in residuals.terms],
+                    list(residuals.expand().terms.items()))
+
+        fast = {name: terms(residuals) for name, residuals in instances()}
+        validating = classmethod(lambda cls, domain, t: cls(domain, t))
+        with mock.patch.object(MultilinearPoly, "_from_canonical", validating):
+            checked = {name: terms(residuals) for name, residuals in instances()}
+        assert len(fast) > 30 and fast == checked
+
     def test_energies_are_the_expansions(self):
         assert cons.williamson_energy(5) == cons.williamson_residuals(5).expand()
         assert cons.turyn_energy(8) == cons.turyn_residuals(8).expand()

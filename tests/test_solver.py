@@ -559,9 +559,9 @@ def thresholds(uniforms: np.ndarray, beta: float) -> np.ndarray:
 
 class TestKernelProperty:
     """The step `_metropolis_states` runs, `_Kernel.sweeper`, keeps X = 2R,
-    reports each attempt's exact energy change and flips exactly the reads
-    that the Metropolis rule of the reference loops accepts, on both kernel
-    kinds."""
+    reports each attempt's exact energy change, the one `_Kernel.changes`
+    gives beforehand, and flips exactly the reads that the Metropolis rule
+    of the reference loops accepts, on both kernel kinds."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -596,7 +596,9 @@ class TestKernelProperty:
             trial[i] *= -1
             proposed = exact(trial)
             changes = [p - b for p, b in zip(proposed, before)]
+            ahead = kernel.changes(S, X)[i].tolist()
             delta_e = sweep([i], thresholds(np.array([uniform]), beta)).tolist()
+            assert ahead == delta_e
             with np.errstate(over="ignore"):
                 exponent = np.maximum(-beta * np.array(changes, dtype=float), -700.0)
                 accept = (np.array(uniform) < np.exp(exponent)).tolist()
@@ -830,6 +832,113 @@ class TestZeroUniforms:
                 got = anneal(model, reads=reads, sweeps=sweeps, beta_start=b0, beta_end=b1,
                              seed=seed)
         assert got == reference_sample_set(states, energies, reads)
+
+
+@pytest.fixture
+def runs():
+    """The length of every order that `_Kernel.sweeper`'s step runs, and
+    the results of every `_first_move`, recorded as `anneal` runs."""
+    runs = {"orders": [], "moves": []}
+    sweeper, first_move = solver._Kernel.sweeper, solver._first_move
+
+    def counted_sweeper(self, S, X):
+        sweep = sweeper(self, S, X)
+
+        def counted(order, thresholds):
+            runs["orders"].append(len(order))
+            return sweep(order, thresholds)
+        return counted
+
+    def recorded_first_move(*args):
+        runs["moves"].append(first_move(*args))
+        return runs["moves"][-1]
+
+    with mock.patch.object(solver._Kernel, "sweeper", counted_sweeper), \
+            mock.patch.object(solver, "_first_move", recorded_first_move):
+        yield runs
+
+
+def schedule(model, sweeps: int, b0=None, b1=None) -> np.ndarray:
+    d0, d1 = solver.default_beta_range(model)
+    b0, b1 = d0 if b0 is None else b0, d1 if b1 is None else b1
+    return b0 * (b1 / b0) ** (np.arange(sweeps) / (sweeps - 1))
+
+
+class TestFrozenSkip:
+    """A full sweep that moves no read proves the state frozen, and
+    `anneal` then passes over the attempts that no read can accept.  The
+    samples stay those of the reference loops, which run every attempt;
+    each case also checks that the skip fired."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_williamson_k7_runs_fewer_attempts(self, runs, seed):
+        # every read ends at energy 0; at seed 1, 42 cold sweeps move none
+        model, reads, sweeps = williamson_residuals(7), 100, 100
+        kernel = solver._Kernel(model, solver._energy_bound(model))
+        states, energies = reference_residual_metropolis(
+            kernel, reads, sweeps, schedule(model, sweeps), seed)
+        got = anneal(model, reads=reads, sweeps=sweeps, seed=seed)
+        assert got == reference_sample_set(states, energies, reads)
+        assert (got.energies == 0).all() and None in runs["moves"]
+        assert sum(runs["orders"]) < sweeps * model.nvars
+
+    def test_williamson_k7_ising_matches_ising_loop(self, paper_ising_models, runs):
+        # at seed 1 a frozen state's next move comes mid-sweep: the kernel
+        # runs from that attempt to the end of its sweep
+        model, reads, sweeps = paper_ising_models["W7"], 100, 100
+        S, energies = reference_metropolis(model, reads, sweeps, schedule(model, sweeps), 1)
+        got = anneal(model, reads=reads, sweeps=sweeps, seed=1)
+        assert got == reference_sample_set(S.tolist(), energies.tolist(), reads)
+        assert min(runs["orders"]) < model.nvars
+        assert sum(runs["orders"]) < sweeps * model.nvars
+
+    @pytest.mark.parametrize("name, reads, sweeps, b0, b1", [
+        ("int64", 7, 33, None, None),
+        ("int64", 7, 33, 1.0, 10.0),
+        ("T12 Ising", 20, 60, 1.0, 10.0),
+    ], ids=["int64", "int64-cold", "T12-Ising-cold"])
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_int64_and_cold_ising_match_residual_loop(self, paper_ising_models, runs,
+                                                      name, reads, sweeps, b0, b1, seed):
+        model = int64_square_sum() if name == "int64" else paper_ising_models["T12"]
+        kernel = solver._Kernel(model, solver._energy_bound(model))
+        betas = schedule(model, sweeps, b0, b1)
+        states, energies = reference_residual_metropolis(kernel, reads, sweeps, betas, seed)
+        got = anneal(model, reads=reads, sweeps=sweeps, beta_start=betas[0], beta_end=betas[-1],
+                     seed=seed)
+        assert got == reference_sample_set(states, energies, reads)
+        assert sum(runs["orders"]) < sweeps * model.nvars
+
+    def test_frozen_stretch_crosses_block_boundaries(self, runs):
+        # blocks of 4 sweeps: the frozen state carries into each next block
+        model, reads, sweeps = williamson_residuals(7), 100, 100
+        kernel = solver._Kernel(model, solver._energy_bound(model))
+        states, energies = reference_residual_metropolis(
+            kernel, reads, sweeps, schedule(model, sweeps), 0)
+        with mock.patch.object(solver, "_UNIFORM_BLOCK", 4 * reads * model.nvars):
+            got = anneal(model, reads=reads, sweeps=sweeps, seed=0)
+        assert got == reference_sample_set(states, energies, reads)
+        assert runs["moves"][:2] == [None, None]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_uniform_ends_a_frozen_stretch(self, runs, seed):
+        # a drawn 0.0 accepts any move, so a frozen state moves where one is
+        model, reads, sweeps, b0, b1 = int64_square_sum(), 7, 33, 1.0, 10.0
+        kernel = solver._Kernel(model, solver._energy_bound(model))
+        betas = schedule(model, sweeps, b0, b1)
+        real = solver._read_generator
+        with mock.patch.object(solver, "_read_generator",
+                               lambda seed, r: ZeroingGenerator(real(seed, r))):
+            states, energies = reference_residual_metropolis(kernel, reads, sweeps, betas, seed)
+            got = anneal(model, reads=reads, sweeps=sweeps, beta_start=b0, beta_end=b1, seed=seed)
+        assert got == reference_sample_set(states, energies, reads)
+        assert runs["moves"] and None not in runs["moves"]
+        assert min(runs["orders"]) < model.nvars
+
+    def test_spinless_model_never_looks_ahead(self, runs):
+        sset = anneal(IsingModel(nvars=0, offset=42), reads=5, sweeps=30, seed=1)
+        assert sset.to_text() == "42 5 \n"
+        assert runs["moves"] == [] and set(runs["orders"]) == {0}
 
 
 def sample_set(values, energies, occurrences, reads=None, domain=Domain.SPIN) -> SampleSet:
