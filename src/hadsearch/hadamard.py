@@ -210,7 +210,7 @@ def write_pbm(H, fp: IO[str]) -> None:
     fp.write(f"P1\n{M} {M}\n")
     # each entry's digit and separator, a newline after a row's last entry
     index = (H < 0).astype(np.intp)
-    index[:, -1] += 2
+    index[:, -1:] += 2
     fp.write(np.array([b"0 ", b"1 ", b"0\n", b"1\n"])[index].tobytes().decode("ascii"))
 
 
@@ -224,7 +224,7 @@ def write_pgm(D: np.ndarray, fp: IO[str]) -> None:
     fp.write(f"P2\n{N} {M}\n{maxval}\n")
     values, index = np.unique(D, return_inverse=True)
     index = index.reshape(M, N)
-    index[:, -1] += len(values)  # a row's last entry ends in a newline
+    index[:, -1:] += len(values)  # a row's last entry ends in a newline
     words = values.tolist()
     # each distinct value's text once; the cells are padded to one width
     # with zero bytes, which are dropped

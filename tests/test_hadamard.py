@@ -220,3 +220,22 @@ class TestFormats:
         hm.write_pgm(D, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "P2" and lines[1] == "2 2"
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7])
+    def test_pbm_is_the_entrywise_text(self, size):
+        H = np.random.default_rng(size).choice([-1, 1], size=(size, size))
+        buf = io.StringIO()
+        hm.write_pbm(H, buf)
+        rows = "".join(" ".join("0" if x > 0 else "1" for x in row) + "\n" for row in H.tolist())
+        assert buf.getvalue() == f"P1\n{size} {size}\n" + rows
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8)])
+    def test_pgm_is_the_entrywise_text(self, shape):
+        # values of one to four digits, and negative ones written as their magnitude
+        D = np.random.default_rng(shape[1]).choice([0, 7, -12, 100, 4096], size=shape)
+        buf = io.StringIO()
+        hm.write_pgm(D, buf)
+        A = np.abs(D)
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in A.tolist())
+        header = f"P2\n{shape[1]} {shape[0]}\n{max(1, int(A.max()))}\n"
+        assert buf.getvalue() == header + rows
