@@ -22,25 +22,34 @@ first use, and kept beside the terms.
 
 The two domain transforms are value-preserving under the bijection
 s = 2q - 1 (s=+1 <-> q=1): `spin_to_boolean` substitutes s_i = 2q_i - 1 and
-`boolean_to_spin` substitutes q_i = (1 + s_i)/2.  Both expand each term over
-its sub-monomials in exact integers, walking the terms in canonical order;
-`boolean_to_spin` works scaled by 2^D, D the degree, and requires every sum
-to divide back exactly.
+`boolean_to_spin` substitutes q_i = (1 + s_i)/2.  Both sum each term over
+its sub-monomials as one numpy reduction per output degree
+(`_subset_sums`): a degree group's subsets come from one gather, are
+lexsorted and summed run by run, in int64 where abs_coeff_sum * 2^D (D the
+degree) is below 2^63 and in Python ints past it, so the result is exact
+either way.  `boolean_to_spin` works scaled by 2^D and requires every sum
+to divide back exactly.  Each output degree comes out lexicographic, so
+the result keeps its canonical degree groups and is not sorted again.
 
 A `SquareSum` is an energy given as a weighted sum of squared quadratic
-spin residuals, sum of w * R^2.  `expand` gives the polynomial;
-`residual_values` gives the residuals of one assignment.
+spin residuals, sum of w * R^2, its `nvars` and weights taken through
+`operator.index` as the polynomial constructor takes coefficients.
+`expand` gives the polynomial; `residual_values` gives the residuals of one
+assignment.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 import operator
 import re
 import sys
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 Monomial = tuple[int, ...]
 Assignment = Mapping[int, int]
@@ -75,7 +84,8 @@ class MultilinearPoly:
 
     The terms are set once, at construction, and never change, so the
     caches of `nvars`, `degree()` and the canonical degree groups are each
-    set once, on first use, and never go stale.  Equality and hashing read
+    set once, on first use (or, for the groups, by the transform that built
+    the terms in that order), and never go stale.  Equality and hashing read
     only the domain and the terms."""
 
     __slots__ = ("domain", "_terms", "_nvars", "_degree", "_groups")
@@ -284,9 +294,8 @@ class MultilinearPoly:
         if self.domain is not Domain.SPIN:
             raise ValueError("spin_to_boolean requires a spin polynomial")
         # prod_{v in m} (2 q_v - 1) = sum_{S within m} 2^|S| (-1)^(|m|-|S|) q_S
-        out = _expand_subsets(self, lambda d, k: (1 << k) * (-1 if (d - k) % 2 else 1))
-        return MultilinearPoly._from_canonical(
-            Domain.BOOLEAN, {m: c for m, c in out.items() if c}
+        return _substitute(
+            self, Domain.BOOLEAN, lambda d, k: (1 << k) * (-1 if (d - k) % 2 else 1), shift=0
         )
 
     def boolean_to_spin(self) -> "MultilinearPoly":
@@ -295,17 +304,7 @@ class MultilinearPoly:
             raise ValueError("boolean_to_spin requires a boolean polynomial")
         # prod_{v in m} (1 + s_v)/2 = 2^-|m| sum_{S within m} s_S; scale by 2^D
         top = self.degree()
-        scaled = _expand_subsets(self, lambda d, k: 1 << (top - d))
-        terms: dict[Monomial, int] = {}
-        for mm, cc in scaled.items():
-            if cc % (1 << top):
-                raise ValueError(
-                    f"non-integral coefficient {cc}/2^{top} for monomial {mm}: "
-                    "input is not an integral image of a spin polynomial"
-                )
-            if cc:
-                terms[mm] = cc >> top
-        return MultilinearPoly._from_canonical(Domain.SPIN, terms)
+        return _substitute(self, Domain.SPIN, lambda d, k: 1 << (top - d), shift=top)
 
 
 @dataclass(frozen=True)
@@ -317,6 +316,20 @@ class SquareSum:
     terms: tuple[tuple[int, MultilinearPoly], ...]
 
     def __post_init__(self):
+        """Take `nvars` and every weight through `operator.index`, as the
+        polynomial constructor takes coefficients, and store Python ints, so
+        a float or `Fraction` is rejected and a numpy int never wraps."""
+        try:
+            object.__setattr__(self, "nvars", operator.index(self.nvars))
+        except TypeError:
+            raise ValueError(f"non-integer nvars {self.nvars!r}") from None
+        terms = []
+        for w, residual in self.terms:
+            try:
+                terms.append((operator.index(w), residual))
+            except TypeError:
+                raise ValueError(f"non-integer residual weight {w!r}") from None
+        object.__setattr__(self, "terms", tuple(terms))
         for w, residual in self.terms:
             if w <= 0:
                 raise ValueError(f"residual weight must be positive, got {w}")
@@ -361,39 +374,106 @@ def _mask_monomial(mask: int) -> Monomial:
     return tuple(m)
 
 
-def _expand_subsets(
-    poly: MultilinearPoly, weight: Callable[[int, int], int]
-) -> dict[Monomial, int]:
-    """Sum c * weight(|m|, |S|) into S for every term c * m of `poly` and
-    every S within m, zero sums included.
+def _substitute(
+    poly: MultilinearPoly, domain: Domain, weight: Callable[[int, int], int], shift: int
+) -> MultilinearPoly:
+    """The polynomial over `domain` whose coefficient of S is the subset sum
+    of S (`_subset_sums`) divided by 2^shift, which must divide every sum
+    exactly; zero sums are dropped.  Its terms and degree groups are built
+    in canonical order, so the groups are kept and never sorted again.  The
+    top group's monomials are the input's own."""
+    top = poly.degree()
+    low = (1 << shift) - 1
+    terms: dict[Monomial, int] = {}
+    groups: list[list[Monomial]] = []
+    for k, cols, sums in _subset_sums(poly, weight):
+        if shift:
+            bad = (sums & low).nonzero()[0]
+            if len(bad):
+                m = tuple(cols[:, bad[0]].tolist())
+                raise ValueError(
+                    f"non-integral coefficient {sums[bad[0]]}/2^{shift} for monomial {m}: "
+                    "input is not an integral image of a spin polynomial"
+                )
+            sums = sums >> shift
+        if k and k == top:  # c * m maps to c * weight(k, k) * m, never zero
+            keys = poly._canonical_groups()[-1]
+        else:
+            kept = sums.nonzero()[0]
+            keys = list(zip(*cols.take(kept, axis=1).tolist())) if k else [()] * len(kept)
+            sums = sums[kept]
+        if keys:
+            terms.update(zip(keys, sums.tolist()))
+            groups.append(keys)
+    out = MultilinearPoly._from_canonical(domain, terms)
+    out._groups = groups
+    return out
 
-    The terms are walked in canonical order, with one weight table per
-    degree.  The two trivial subsets skip `combinations`, which runs only
-    for 0 < |S| < |m|: the empty one is summed in a local and stored last,
-    and m itself is written directly, since no term walked before it has a
-    larger degree, so none holds m as a subset.  The monomials of each
-    degree group come out in the order they went in.
+
+def _subset_sums(
+    poly: MultilinearPoly, weight: Callable[[int, int], int]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """For each k = 0, 1, ..., D (D the degree of `poly`), the distinct
+    k-subsets S of its monomials and the sum of c * weight(|m|, k) over its
+    terms c * m with S within m, zero sums included: yields k, the subsets
+    as the columns of a (k, count) index array in lexicographic order, and
+    the sums as an array beside them.
+
+    One degree k is reduced at a time, so memory is that of one degree's
+    arrays.  Each degree group d >= k, as a (d, n) index array M of its n
+    monomials, gives all its k-subsets in one gather M[combos.T], combos
+    the (C(d, k), k) array of the k-combinations of range(d), and its
+    coefficients times weight(d, k) are tiled C(d, k) times beside them;
+    the columns are lexsorted, and each run of equal columns summed with
+    `np.add.reduceat`.  The constant is a plain sum, and the top group,
+    the only one holding D-subsets, is its own D-subsets in order, so it
+    is passed through.
+
+    Every |weight(d, k)| is at most 2^D, so every product and partial sum
+    is at most abs_coeff_sum * 2^D in magnitude: the arithmetic is int64
+    where that bound is below 2^63, and Python ints (dtype object) past it,
+    on the same code path.  An index past int64 likewise makes the index
+    arrays of dtype object.
     """
     terms = poly._terms
-    out: dict[Monomial, int] = {}
+    top = poly.degree()
+    dtype = np.int64 if poly.abs_coeff_sum() << top < 1 << 63 else object
+    index = np.int64 if poly.nvars <= 1 << 63 else object
     const = 0
+    blocks = []  # (index columns, coefficients) of each group of degree >= 1
     for group in poly._canonical_groups():
-        d = len(group[0])
-        table = [weight(d, k) for k in range(d + 1)]
-        w0, wd = table[0], table[d]
-        if not d:
-            const += terms[()] * w0
-            continue
-        for m in group:
-            c = terms[m]
-            const += c * w0
-            out[m] = c * wd
-            for k in range(1, d):
-                cw = c * table[k]
-                for sub in itertools.combinations(m, k):
-                    out[sub] = out.get(sub, 0) + cw
-    out[()] = const
-    return out
+        n, d = len(group), len(group[0])
+        coefs = np.fromiter(map(terms.__getitem__, group), dtype, count=n)
+        const += int(coefs.sum()) * weight(d, 0)
+        if d:
+            flat = np.fromiter(itertools.chain.from_iterable(group), index, count=n * d)
+            blocks.append((flat.reshape(n, d).T, coefs))
+    yield 0, np.empty((0, 1), index), np.array([const], dtype)
+    for k in range(1, top):
+        subsets, scaled = [], []
+        for cols, coefs in blocks:
+            d = len(cols)
+            if d >= k:
+                count = math.comb(d, k)
+                combos = np.fromiter(
+                    itertools.chain.from_iterable(itertools.combinations(range(d), k)),
+                    np.intp, count=count * k,
+                )
+                subsets.append(cols[combos.reshape(count, k).T].reshape(k, -1))
+                scaled.append(np.tile(coefs * weight(d, k), count))
+        cols = np.concatenate(subsets, axis=1)
+        order = np.lexsort(cols[::-1])
+        cols = cols.take(order, axis=1)
+        starts = np.ones(cols.shape[1], dtype=bool)
+        starts[1:] = cols[0, 1:] != cols[0, :-1]
+        for col in cols[1:]:
+            starts[1:] |= col[1:] != col[:-1]
+        starts = starts.nonzero()[0]
+        sums = np.add.reduceat(np.concatenate(scaled).take(order), starts)
+        yield k, cols.take(starts, axis=1), sums
+    if top:
+        cols, coefs = blocks[-1]
+        yield top, cols, coefs * weight(top, top)
 
 
 # -- text format ------------------------------------------------------------

@@ -58,22 +58,23 @@ class TestArtifactDigests:
         "search_t6_anneal": ("search", "--method", "turyn", "--n", 6, *ANNEALED),
         # the run where frozen stretches are skipped
         "search_w7_anneal": ("search", "--method", "williamson", "--k", 7, *ANNEALED),
+        "x8i1": ("build", "--method", "extended-turyn", "--n", 8, "--m", 2,
+                 "--prototype-index", 1),
+        "w5b": ("build", "--method", "williamson", "--k", 5),
     }
-    # `solve` on a file of `build --method williamson --k 5`: the boolean
-    # domain's export, and the Ising model enumerated and annealed
+    # `solve` on a file of the `w5b` build: the boolean domain's export, and
+    # the Ising model enumerated and annealed
     SOLVES = {
         "solve_w5_ek_q": ("ek_q.poly", "--all-ground"),
         "solve_w5_ising": ("model.ising", "--all-ground", "--cap", 30),
         "solve_w5_anneal": ("e2_s.poly", "--solver", "anneal", "--reads", 50, "--sweeps", 50),
     }
 
-    def test_every_file_matches_recorded_sha256(self, tmp_path, tmp_path_factory):
+    def test_every_file_matches_recorded_sha256(self, tmp_path):
         for name, args in self.RUNS.items():
             assert run(*args, "--out", tmp_path / name) == 0
-        built = tmp_path_factory.mktemp("build_w5")
-        assert run("build", "--method", "williamson", "--k", 5, "--out", built) == 0
         for name, (model, *args) in self.SOLVES.items():
-            assert run("solve", built / model, *args, "--out", tmp_path / name) == 0
+            assert run("solve", tmp_path / "w5b" / model, *args, "--out", tmp_path / name) == 0
         got = {
             path.replace(os.sep, "/"): hashlib.sha256(data).hexdigest()
             for path, data in snapshot(tmp_path).items()

@@ -1,6 +1,8 @@
 import io
 import itertools
+import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from hadsearch.polynom import (
     MultilinearPoly,
     SquareSum,
     _canonical_monomial,
-    _expand_subsets,
+    _subset_sums,
     poly_to_text,
     read_poly,
     write_poly,
@@ -231,6 +233,91 @@ class TestTransforms:
             bpoly({(0,): 1}).boolean_to_spin()
 
 
+def transform_weight(p: MultilinearPoly):
+    """The weight of `p`'s domain transform and the shift that divides its
+    sums back: s_i = 2q_i - 1, or q_i = (1 + s_i)/2 scaled by 2^D."""
+    if p.domain is SPIN:
+        return (lambda d, k: (1 << k) * (-1 if (d - k) % 2 else 1)), 0
+    top = p.degree()
+    return (lambda d, k: 1 << (top - d)), top
+
+
+def subset_oracle(p: MultilinearPoly) -> dict:
+    """The terms of `p`'s domain transform, summed one subset at a time."""
+    weight, shift = transform_weight(p)
+    sums: dict = {}
+    for m, c in p.terms.items():
+        for k in range(len(m) + 1):
+            for sub in itertools.combinations(m, k):
+                sums[sub] = sums.get(sub, 0) + c * weight(len(m), k)
+    assert all(c % (1 << shift) == 0 for c in sums.values())
+    return {m: c >> shift for m, c in sums.items() if c}
+
+
+def transform(p: MultilinearPoly) -> MultilinearPoly:
+    return p.spin_to_boolean() if p.domain is SPIN else p.boolean_to_spin()
+
+
+# Inputs whose bound abs_coeff_sum * 2^D is 2^63 - 1 and 2^63 (constants),
+# and 2^63 - 4 and 2^63 (degree 2, abs_coeff_sum 2^61 - 1 and 2^61); the
+# boolean ones of degree 2 are integral images (4 | q01 and 2 | q0).
+BOUNDARY = {
+    "const-int64": ((2**63 - 1, True), [spoly({(): 2**63 - 1}), bpoly({(): 2**63 - 1})]),
+    "const-object": ((2**63, False), [spoly({(): 2**63}), bpoly({(): 2**63})]),
+    "quadratic-int64": ((2**63 - 4, True), [spoly({(0, 1): 2**61 - 3, (0,): -1, (): 1}),
+                                            bpoly({(0, 1): 2**61 - 4, (0,): 2, (): 1})]),
+    "quadratic-object": ((2**63, False), [spoly({(0, 1): 2**61 - 2, (0,): -1, (): 1}),
+                                          bpoly({(0, 1): 2**61 - 4, (0,): 2, (): 2})]),
+}
+
+
+class TestTransformArithmetic:
+    """The transforms sum in int64 where abs_coeff_sum * 2^D is below 2^63
+    and in Python ints past it; both sides of that line equal the
+    per-subset oracle and store Python ints."""
+
+    @pytest.mark.parametrize("case", BOUNDARY.values(), ids=BOUNDARY.keys())
+    def test_int64_boundary(self, case):
+        (bound, exact), polys = case
+        for p in polys + [p.neg() for p in polys]:
+            assert p.abs_coeff_sum() << p.degree() == bound
+            weight, _ = transform_weight(p)
+            dtypes = {sums.dtype for _, _, sums in _subset_sums(p, weight)}
+            assert dtypes == {np.dtype(np.int64 if exact else object)}
+            out = transform(p)
+            assert out.terms == subset_oracle(p)
+            assert all(type(c) is int for c in out.terms.values())
+
+    def test_index_past_int64(self):
+        p = spoly({(1, 2**64, 2**65): 3, (2**64,): -1, (): 2})
+        assert p.spin_to_boolean().terms == subset_oracle(p)
+        assert p.spin_to_boolean().boolean_to_spin() == p
+
+    @pytest.mark.parametrize("domain", [SPIN, BOOL])
+    def test_lone_degree_18_monomial(self, domain):
+        m = tuple(range(18))
+        c = -3 if domain is SPIN else 5 << 18  # an integral image takes 2^18 | c
+        alone = MultilinearPoly(domain, {m: c})
+        assert transform(alone).terms == subset_oracle(alone)
+        p = MultilinearPoly(domain, {m: c, (): 7})
+        tracemalloc.start()
+        try:
+            out = transform(p)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.terms == subset_oracle(p)
+        assert all(type(c) is int for c in out.terms.values())
+        # Beyond the 2^18 terms the result keeps, the reduction holds one
+        # degree's arrays at a time: at k = 9 the (9, C(18, 9)) int64 index
+        # array is 3.5 MB, and the combinations, the gather, its
+        # concatenation and the sorted copy are at most four of that size;
+        # the term dict's last resize frees an old table of about 5 MB.
+        # Holding every degree's arrays at once would add 18.9 MB a copy.
+        one_degree = math.comb(18, 9) * 9 * 8
+        assert peak - kept < 4 * one_degree + (6 << 20)
+
+
 WIDE = st.integers(-(2**70), 2**70)
 
 
@@ -303,6 +390,27 @@ class TestSquareSum:
         assert {m: c for m, c in masks.items() if c} == {
             sum(1 << v for v in m): c for m, c in expected.terms.items()
         }
+
+    @pytest.mark.parametrize("weight", [1.5, 3.0, Fraction(3, 2), np.float64(2.0)],
+                             ids=["float", "integral-float", "fraction", "numpy-float"])
+    def test_non_integer_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match=re.escape(f"non-integer residual weight {weight!r}")):
+            SquareSum(2, ((1, spoly({(0,): 1})), (weight, spoly({(0,): 1, (1,): 1}))))
+
+    @pytest.mark.parametrize("nvars", [2.5, 2.0, Fraction(2)],
+                             ids=["float", "integral-float", "fraction"])
+    def test_non_integer_nvars_rejected(self, nvars):
+        with pytest.raises(ValueError, match=re.escape(f"non-integer nvars {nvars!r}")):
+            SquareSum(nvars, ((1, spoly({(0,): 1, (1,): 1})),))
+
+    def test_numpy_ints_stored_as_ints(self):
+        # (2 s0 + s1)^2 = 5 + 4 s0 s1; an int64 weight of 2^62 would wrap
+        model = SquareSum(np.int64(2), ((np.int64(2**62), spoly({(0,): 2, (1,): 1})),))
+        assert type(model.nvars) is int and type(model.terms[0][0]) is int
+        expanded = model.expand()
+        assert expanded == spoly({(): 5 * 2**62, (0, 1): 2**64})
+        assert all(type(c) is int for c in expanded.terms.values())
+        assert model == SquareSum(2, ((2**62, spoly({(0,): 2, (1,): 1})),))
 
 
 SMALL_OR_WIDE = st.one_of(st.integers(-3, 3), WIDE)  # small ones cancel often
@@ -420,7 +528,11 @@ class TestOutputsStayCanonical:
                 for k in range(len(m) + 1):
                     for sub in itertools.combinations(m, k):
                         expected[sub] = expected.get(sub, 0) + c * weight(len(m), k)
-            out = _expand_subsets(p, weight)
+            out: dict = {}
+            for k, cols, sums in _subset_sums(p, weight):
+                keys = [tuple(col) for col in cols.T.tolist()]
+                assert keys == sorted(set(keys)) and all(len(m) == k for m in keys)
+                out.update(zip(keys, sums.tolist()))
             assert {m: c for m, c in out.items() if c} == {
                 m: c for m, c in expected.items() if c}
             assert set(expected) <= set(out)
