@@ -113,7 +113,7 @@ class IsingModel:
 
 def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingModel:
     """Lossless split of a quadratic spin polynomial into offset/h/J, each
-    of h and J built in index order from the polynomial's degree groups.
+    of h and J built in index order from the polynomial's canonical blocks.
 
     The polynomial is validated already: its keys are canonical and its
     coefficients nonzero Python ints, so only an explicit `nvars` is
@@ -131,11 +131,16 @@ def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingMode
         if nvars < n:
             raise ValueError(f"nvars {nvars} smaller than the polynomial's {n}")
         n = nvars
-    terms = poly._terms
-    groups = {len(group[0]): group for group in poly._canonical_groups()}
-    h = {m[0]: terms[m] for m in groups.get(1, ())}
-    J = {m: terms[m] for m in groups.get(2, ())}
-    return IsingModel._from_canonical(n, h, J, terms.get((), 0))
+    offset, h, J = 0, {}, {}
+    for idx, coefs in poly._canonical_blocks():
+        keys = [col.tolist() for col in idx.T]
+        if len(keys) == 0:
+            [offset] = coefs.tolist()
+        elif len(keys) == 1:
+            h = dict(zip(keys[0], coefs.tolist()))
+        else:
+            J = dict(zip(zip(*keys), coefs.tolist()))
+    return IsingModel._from_canonical(n, h, J, offset)
 
 
 @dataclass(frozen=True)

@@ -13,23 +13,35 @@ Validation happens once, at the boundary: the public constructor (and
 `read_poly`, which goes through it) checks every monomial, takes every index
 and coefficient through `operator.index`, and rejects two keys that name
 the same monomial, so a float, a `Fraction`, a bad monomial or an ambiguous
-term is rejected there.  The algebra (`add`, `scale`, `mul`, the two
-transforms, `SquareSum.expand`) and `quadratize` build only canonical,
-zero-free term dicts and hand them to `_from_canonical`, which stores them
-unchecked.  A polynomial's terms never change after construction, so its
-variable count, degree and canonical term order are each computed once, on
-first use, and kept beside the terms.
+term is rejected there.  The algebra (`add`, `scale`, `mul`,
+`SquareSum.expand`) builds canonical, zero-free term dicts and hands them to
+`_from_canonical`; the two transforms and `quadratize` build canonical
+blocks and hand them to `_from_blocks`.  Both store what they are given
+unchecked.
+
+A polynomial holds its terms in one of two forms and builds the other only
+when something asks for it: the term dict, the public `terms`, which the
+constructor, `read_poly` and the algebra give; or canonical blocks, one per
+degree present, by ascending degree, each an (n, d) index array of its
+monomials in lexicographic row order with their coefficient array beside
+it.  An array is int64, or dtype object, which holds Python ints, where a
+value may not fit int64; `tolist()` gives Python ints either way.  The
+transforms, `quadratize`, `write_poly` and `from_quadratic` read the
+blocks, as do `nvars`, `degree()` and `abs_coeff_sum()` where the blocks
+are there, so a chain of those builds no dict.  The terms never change,
+so each form, the variable count and the degree are computed once, on
+first use, and kept.
 
 The two domain transforms are value-preserving under the bijection
 s = 2q - 1 (s=+1 <-> q=1): `spin_to_boolean` substitutes s_i = 2q_i - 1 and
 `boolean_to_spin` substitutes q_i = (1 + s_i)/2.  Both sum each term over
 its sub-monomials as one numpy reduction per output degree
-(`_subset_sums`): a degree group's subsets come from one gather, are
-lexsorted and summed run by run, in int64 where abs_coeff_sum * 2^D (D the
-degree) is below 2^63 and in Python ints past it, so the result is exact
-either way.  `boolean_to_spin` works scaled by 2^D and requires every sum
-to divide back exactly.  Each output degree comes out lexicographic, so
-the result keeps its canonical degree groups and is not sorted again.
+(`_subset_sums`): a block's subsets come from one gather, are lexsorted and
+summed run by run, in int64 where abs_coeff_sum * 2^D (D the degree) is
+below 2^63 and in Python ints past it, so the result is exact either way.
+`boolean_to_spin` works scaled by 2^D and requires every sum to divide
+back exactly.  Each output degree comes out lexicographic, so the sums are
+the result's blocks as they stand.
 
 A `SquareSum` is an energy given as a weighted sum of squared quadratic
 spin residuals, sum of w * R^2, its `nvars` and weights taken through
@@ -82,13 +94,12 @@ def _canonical_monomial(vars_: Iterable[int]) -> Monomial:
 class MultilinearPoly:
     """Immutable multilinear polynomial with exact integer coefficients.
 
-    The terms are set once, at construction, and never change, so the
-    caches of `nvars`, `degree()` and the canonical degree groups are each
-    set once, on first use (or, for the groups, by the transform that built
-    the terms in that order), and never go stale.  Equality and hashing read
-    only the domain and the terms."""
+    The terms are set once, at construction, as a dict or as canonical
+    blocks, and never change, so the other form and the caches of `nvars`
+    and `degree()` are each set once, on first use, and never go stale.
+    Equality and hashing read only the domain and the terms."""
 
-    __slots__ = ("domain", "_terms", "_nvars", "_degree", "_groups")
+    __slots__ = ("domain", "_dict", "_blocks", "_nvars", "_degree")
 
     def __init__(self, domain: Domain, terms: Mapping[Iterable[int], int] | None = None):
         """Validate `terms`: each monomial is sorted and checked for negative,
@@ -96,7 +107,7 @@ class MultilinearPoly:
         two keys must not name the same monomial once sorted, and zero
         coefficients are dropped after these checks.  Code in this package
         that builds terms already canonical and zero-free calls
-        `_from_canonical` instead."""
+        `_from_canonical` or `_from_blocks` instead."""
         clean: dict[Monomial, int] = {}
         for m, c in (terms or {}).items():
             try:
@@ -112,8 +123,8 @@ class MultilinearPoly:
         if 0 in clean.values():
             clean = {m: c for m, c in clean.items() if c}
         self.domain = domain
-        self._terms = clean
-        self._nvars = self._degree = self._groups = None
+        self._dict = clean
+        self._blocks = self._nvars = self._degree = None
 
     @classmethod
     def _from_canonical(cls, domain: Domain, terms: dict[Monomial, int]) -> "MultilinearPoly":
@@ -121,8 +132,20 @@ class MultilinearPoly:
         of distinct non-negative indices, every value a nonzero int."""
         poly = cls.__new__(cls)
         poly.domain = domain
-        poly._terms = terms
-        poly._nvars = poly._degree = poly._groups = None
+        poly._dict = terms
+        poly._blocks = poly._nvars = poly._degree = None
+        return poly
+
+    @classmethod
+    def _from_blocks(
+        cls, domain: Domain, blocks: list[tuple[np.ndarray, np.ndarray]]
+    ) -> "MultilinearPoly":
+        """Take ownership of `blocks` unchecked: canonical blocks as
+        `_canonical_blocks` gives them, every coefficient nonzero."""
+        poly = cls.__new__(cls)
+        poly.domain = domain
+        poly._blocks = blocks
+        poly._dict = poly._nvars = poly._degree = None
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -142,6 +165,17 @@ class MultilinearPoly:
     # -- inspection --------------------------------------------------------
 
     @property
+    def _terms(self) -> dict[Monomial, int]:
+        """The term dict, built from the blocks on first use.  Shared, so
+        callers must not change it."""
+        if self._dict is None:
+            terms: dict[Monomial, int] = {}
+            for idx, coefs in self._blocks:
+                terms.update(zip(map(tuple, idx.tolist()), coefs.tolist()))
+            self._dict = terms
+        return self._dict
+
+    @property
     def terms(self) -> dict[Monomial, int]:
         return dict(self._terms)
 
@@ -149,11 +183,14 @@ class MultilinearPoly:
         return self._terms.get(_canonical_monomial(monomial), 0)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not (self._dict if self._blocks is None else self._blocks)
 
     def degree(self) -> int:
         if self._degree is None:
-            self._degree = max(map(len, self._terms), default=0)
+            if self._blocks is None:
+                self._degree = max(map(len, self._dict), default=0)
+            else:
+                self._degree = self._blocks[-1][0].shape[1] if self._blocks else 0
         return self._degree
 
     def variables(self) -> set[int]:
@@ -164,27 +201,37 @@ class MultilinearPoly:
         """Dense variable count: one past the largest index used."""
         if self._nvars is None:
             # the last index of a (sorted) monomial is its largest
-            last = map(operator.itemgetter(-1), filter(None, self._terms))
+            if self._blocks is None:
+                last = map(operator.itemgetter(-1), filter(None, self._dict))
+            else:
+                last = (int(idx[:, -1].max()) for idx, _ in self._blocks if idx.shape[1])
             self._nvars = max(last, default=-1) + 1
         return self._nvars
 
     def abs_coeff_sum(self) -> int:
-        return sum(map(abs, self._terms.values()))
+        if self._blocks is None:
+            return sum(map(abs, self._dict.values()))
+        return sum(sum(map(abs, coefs.tolist())) for _, coefs in self._blocks)
 
-    def _canonical_groups(self) -> list[list[Monomial]]:
-        """The monomials in canonical order, as degree groups: by length,
-        then lexicographic within each group.  Shared, so callers must not
-        change them."""
-        if self._groups is None:
+    def _canonical_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The terms as canonical blocks, built from the dict on first use,
+        each array int64 where every value fits and dtype object past it.
+        Shared, so callers must not change them."""
+        if self._blocks is None:
             groups: dict[int, list[Monomial]] = {}
-            for m in self._terms:
+            for m in self._dict:
                 groups.setdefault(len(m), []).append(m)
-            self._groups = [sorted(groups[d]) for d in sorted(groups)]
-        return self._groups
+            self._blocks = []
+            for d in sorted(groups):
+                group = sorted(groups[d])
+                idx = _int_array(list(itertools.chain.from_iterable(group)))
+                coefs = _int_array(list(map(self._dict.__getitem__, group)))
+                self._blocks.append((idx.reshape(len(group), d), coefs))
+        return self._blocks
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        terms = self._terms
-        return [(m, terms[m]) for group in self._canonical_groups() for m in group]
+        return [term for idx, coefs in self._canonical_blocks()
+                for term in zip(map(tuple, idx.tolist()), coefs.tolist())]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultilinearPoly):
@@ -374,18 +421,26 @@ def _mask_monomial(mask: int) -> Monomial:
     return tuple(m)
 
 
+def _int_array(values: list[int]) -> np.ndarray:
+    """`values` as an int64 array where every one fits, else as dtype
+    object, which keeps Python ints."""
+    try:
+        return np.fromiter(values, np.int64, count=len(values))
+    except OverflowError:
+        return np.array(values, object)
+
+
 def _substitute(
     poly: MultilinearPoly, domain: Domain, weight: Callable[[int, int], int], shift: int
 ) -> MultilinearPoly:
     """The polynomial over `domain` whose coefficient of S is the subset sum
     of S (`_subset_sums`) divided by 2^shift, which must divide every sum
-    exactly; zero sums are dropped.  Its terms and degree groups are built
-    in canonical order, so the groups are kept and never sorted again.  The
-    top group's monomials are the input's own."""
+    exactly; zero sums are dropped.  Each degree's sums come out in
+    canonical order, so they are the result's blocks; the top block's
+    index array is the input's own."""
     top = poly.degree()
     low = (1 << shift) - 1
-    terms: dict[Monomial, int] = {}
-    groups: list[list[Monomial]] = []
+    blocks = []
     for k, cols, sums in _subset_sums(poly, weight):
         if shift:
             bad = (sums & low).nonzero()[0]
@@ -396,18 +451,12 @@ def _substitute(
                     "input is not an integral image of a spin polynomial"
                 )
             sums = sums >> shift
-        if k and k == top:  # c * m maps to c * weight(k, k) * m, never zero
-            keys = poly._canonical_groups()[-1]
-        else:
+        if not 0 < k == top:  # the top block maps c * m to c * weight(k, k) * m, never zero
             kept = sums.nonzero()[0]
-            keys = list(zip(*cols.take(kept, axis=1).tolist())) if k else [()] * len(kept)
-            sums = sums[kept]
-        if keys:
-            terms.update(zip(keys, sums.tolist()))
-            groups.append(keys)
-    out = MultilinearPoly._from_canonical(domain, terms)
-    out._groups = groups
-    return out
+            cols, sums = cols.take(kept, axis=1), sums[kept]
+        if len(sums):
+            blocks.append((cols.T, sums))
+    return MultilinearPoly._from_blocks(domain, blocks)
 
 
 def _subset_sums(
@@ -420,35 +469,31 @@ def _subset_sums(
     the sums as an array beside them.
 
     One degree k is reduced at a time, so memory is that of one degree's
-    arrays.  Each degree group d >= k, as a (d, n) index array M of its n
-    monomials, gives all its k-subsets in one gather M[combos.T], combos
-    the (C(d, k), k) array of the k-combinations of range(d), and its
-    coefficients times weight(d, k) are tiled C(d, k) times beside them;
-    the columns are lexsorted, and each run of equal columns summed with
-    `np.add.reduceat`.  The constant is a plain sum, and the top group,
-    the only one holding D-subsets, is its own D-subsets in order, so it
-    is passed through.
+    arrays.  Each block of degree d >= k, its index array transposed to
+    the (d, n) array M of its n monomials, gives all its k-subsets in one
+    gather M[combos.T], combos the (C(d, k), k) array of the
+    k-combinations of range(d), and its coefficients times weight(d, k)
+    are tiled C(d, k) times beside them; the columns are lexsorted, and
+    each run of equal columns summed with `np.add.reduceat`.  The constant
+    is a plain sum, and the top block, the only one holding D-subsets, is
+    its own D-subsets in order, so it is passed through.
 
     Every |weight(d, k)| is at most 2^D, so every product and partial sum
     is at most abs_coeff_sum * 2^D in magnitude: the arithmetic is int64
     where that bound is below 2^63, and Python ints (dtype object) past it,
-    on the same code path.  An index past int64 likewise makes the index
-    arrays of dtype object.
+    on the same code path.  Index arrays keep their dtype.
     """
-    terms = poly._terms
     top = poly.degree()
     dtype = np.int64 if poly.abs_coeff_sum() << top < 1 << 63 else object
-    index = np.int64 if poly.nvars <= 1 << 63 else object
     const = 0
-    blocks = []  # (index columns, coefficients) of each group of degree >= 1
-    for group in poly._canonical_groups():
-        n, d = len(group), len(group[0])
-        coefs = np.fromiter(map(terms.__getitem__, group), dtype, count=n)
+    blocks = []  # (index columns, coefficients) of each block of degree >= 1
+    for idx, coefs in poly._canonical_blocks():
+        coefs = coefs.astype(dtype, copy=False)
+        d = idx.shape[1]
         const += int(coefs.sum()) * weight(d, 0)
         if d:
-            flat = np.fromiter(itertools.chain.from_iterable(group), index, count=n * d)
-            blocks.append((flat.reshape(n, d).T, coefs))
-    yield 0, np.empty((0, 1), index), np.array([const], dtype)
+            blocks.append((idx.T, coefs))
+    yield 0, np.empty((0, 1), np.int64), np.array([const], dtype)
     for k in range(1, top):
         subsets, scaled = [], []
         for cols, coefs in blocks:
@@ -482,8 +527,8 @@ def _subset_sums(
 # line 2: `nvars <N>`
 # then one term per line: `<coeff> <i1> <i2> ...` (ascending indices;
 # the constant term has no indices), by degree then lexicographic.  Each
-# degree group is one `%` of its line template, repeated once per term,
-# over the group's flat argument tuple; the file is written in one call.
+# block is one `%` of its line template, repeated once per term, over the
+# block's flat argument tuple; the file is written in one call.
 # `#` begins a comment.
 
 
@@ -492,15 +537,10 @@ def write_poly(poly: MultilinearPoly, fp: IO[str], nvars: int | None = None) -> 
     n = top if nvars is None else nvars
     if n < top:
         raise ValueError(f"nvars {n} smaller than largest index in polynomial")
-    terms = poly._terms
     chunks = [f"domain {poly.domain.value}\nnvars {n}\n"]
-    for group in poly._canonical_groups():
-        args: list[int] = []
-        for m in group:
-            args.append(terms[m])
-            args += m
-        line = "%d" + " %d" * len(group[0]) + "\n"
-        chunks.append(line * len(group) % tuple(args))
+    for idx, coefs in poly._canonical_blocks():
+        line = "%d" + " %d" * idx.shape[1] + "\n"
+        chunks.append(line * len(coefs) % tuple(np.column_stack((coefs, idx)).ravel().tolist()))
     fp.write("".join(chunks))
 
 

@@ -17,8 +17,11 @@ state one round on an immutable polynomial.  `quadratize` makes exactly the
 same rounds in bulk: it keeps the degree >= 3 monomials as rows of an index
 matrix, with a pair-count matrix whose `argmax` is the next pair and a
 packed incidence matrix that yields the pair's holders, so a round is a
-fixed number of numpy calls over all of its holders.  numpy sees only
-variable indices and counts; every coefficient stays a Python int.
+fixed number of numpy calls over all of its holders.  The rounds only
+record what they made; the output's canonical blocks are assembled once,
+after the last round, with one lexsort.  Its coefficient arrays are int64
+where 7 * abs_coeff_sum, a bound on every output coefficient, is below
+2^63, and dtype object, which holds Python ints, past it.
 """
 
 from __future__ import annotations
@@ -144,10 +147,9 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
     term (x, a) and leaves the count matrix.  It keeps its incidence bit
     for x, which is harmless: a pair needs two bits to hold a row.
 
-    The arithmetic is exact: coefficients never enter numpy.  They stay
-    Python ints in `coef` and in the `terms` dict, where the bare-pair merge
-    and the penalty terms are summed by plain int addition.  A count is at
-    most the number of rows, so int32 holds it.
+    A round records its pair, the holders it closed and their x; `_assemble`
+    turns the records into the output blocks.  A count is at most the
+    number of rows, so int32 holds it.
 
     Memory is sized by the local ids, never by the largest index: 8 bytes
     per entry of the index matrix, one bit per slot and row of incidence,
@@ -157,7 +159,7 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
     hundred at the paper's orders, but 10^4 variables in degree >= 3
     monomials would need at least 400 MB.  Peak traced memory on the Turyn
     n=16 boolean energy (16600 degree >= 3 monomials, 326 rounds, 379 local
-    ids) is about 4.2 MB.
+    ids), its blocks built beforehand, is about 4.2 MB.
 
     Ancilla indices are fresh: allocation starts one past the largest input
     index and follows substitution order.
@@ -167,96 +169,126 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
     if poly.is_zero():
         raise ValueError("cannot quadratize the zero polynomial")
     delta = compute_delta(poly)
-    source = poly._terms
-    groups = poly._canonical_groups()
-    high = [group for group in groups if len(group[0]) >= 3]
-    terms = {m: source[m] for group in groups if len(group[0]) < 3 for m in group}
-
-    def add(m: Monomial, c: int) -> None:
-        # terms[m] += c, dropping a zero sum as MultilinearPoly does
-        c += terms.get(m, 0)
-        if c:
-            terms[m] = c
-        else:
-            del terms[m]
-
-    entries: list[tuple[int, tuple[int, int]]] = []
-    a = poly.nvars  # larger than every index in use, so m + (a,) stays sorted
-    if high:
-        coef = [source[m] for group in high for m in group]  # by row
-        rows, glob = _index_rows(high)
-        nrows, width = rows.shape
-        la = len(glob)  # the local id of ancilla a
-        cap = 2 * la
-        count = _pair_counts(rows, la, cap)
-        inc = _incidence(rows, la, cap)
-        while True:
-            best = int(count.argmax())
-            u, v = divmod(best, cap)
-            if not count[u, v]:
-                break
-            if la == cap:
-                cap *= 2
-                count = np.pad(count, ((0, cap - la), (0, cap - la)))
-                inc = np.pad(inc, ((0, cap - la), (0, 0)))
-            both = inc[u] & inc[v]
-            inc[u] ^= both
-            inc[v] ^= both
-            bits = np.unpackbits(both, count=nrows).view(bool)
-            hold = bits.nonzero()[0]
-            held = rows[hold]
-            rest = held[(held != u) & (held != v)].reshape(len(hold), width - 2)
-            lost = np.bincount(rest.ravel() + 1, minlength=cap + 1)[1:].astype(np.int32)
-            count[u] -= lost
-            count[v] -= lost
-            count[:, u] = count[u]
-            count[:, v] = count[v]
-            count[u, v] = count[v, u] = 0
-            single = rest[:, -2] < 0  # the rest is one variable, x
-            done = hold[single]
-            x = rest[single, -1]  # distinct, as each such holder is {u, v, x}
-            lost[x] -= 1  # so this takes 1 from each: now the gain of (x, a)
-            count[la] = lost
-            count[:, la] = lost
-            bits[done] = False
-            inc[la] = np.packbits(bits)
-            held[:, 1:-1] = rest  # held is a copy, its pad column stays -1
-            held[:, -1] = la
-            rows[hold] = held
-            xs = map(glob.__getitem__, x.tolist())
-            terms.update(zip(zip(xs, itertools.repeat(a)), map(coef.__getitem__, done.tolist())))
-            pair = (glob[u], glob[v])
-            if pair in terms:
-                add((a,), terms.pop(pair))
-            for m, c in _penalty(*pair, a, delta):
-                add(m, c)
-            entries.append((a, pair))
-            glob.append(a)
-            a += 1
-            la += 1
-    quadratic = MultilinearPoly._from_canonical(Domain.BOOLEAN, terms)
-    return quadratic, AncillaMap(entries=tuple(entries), delta=delta)
+    blocks = poly._canonical_blocks()
+    high = [block for block in blocks if block[0].shape[1] >= 3]
+    if not high:
+        return MultilinearPoly._from_blocks(Domain.BOOLEAN, blocks), AncillaMap(delta=delta)
+    rows, variables = _index_rows([idx for idx, _ in high])
+    nrows, width = rows.shape
+    la = len(variables)  # the local id of the next ancilla
+    cap = 2 * la
+    count = _pair_counts(rows, la, cap)
+    inc = _incidence(rows, la, cap)
+    pairs, xs, dones = [], [], []
+    while True:
+        best = int(count.argmax())
+        u, v = divmod(best, cap)
+        if not count[u, v]:
+            break
+        if la == cap:
+            cap *= 2
+            count = np.pad(count, ((0, cap - la), (0, cap - la)))
+            inc = np.pad(inc, ((0, cap - la), (0, 0)))
+        both = inc[u] & inc[v]
+        inc[u] ^= both
+        inc[v] ^= both
+        bits = np.unpackbits(both, count=nrows).view(bool)
+        hold = bits.nonzero()[0]
+        held = rows[hold]
+        rest = held[(held != u) & (held != v)].reshape(len(hold), width - 2)
+        lost = np.bincount(rest.ravel() + 1, minlength=cap + 1)[1:].astype(np.int32)
+        count[u] -= lost
+        count[v] -= lost
+        count[:, u] = count[u]
+        count[:, v] = count[v]
+        count[u, v] = count[v, u] = 0
+        single = rest[:, -2] < 0  # the rest is one variable, x
+        done = hold[single]
+        x = rest[single, -1]  # distinct, as each such holder is {u, v, x}
+        lost[x] -= 1  # so this takes 1 from each: now the gain of (x, a)
+        count[la] = lost
+        count[:, la] = lost
+        bits[done] = False
+        inc[la] = np.packbits(bits)
+        held[:, 1:-1] = rest  # held is a copy, its pad column stays -1
+        held[:, -1] = la
+        rows[hold] = held
+        pairs.append((u, v))
+        xs.append(x)
+        dones.append(done)
+        la += 1
+    return _assemble(blocks, variables, poly.nvars, delta, pairs, xs, dones)
 
 
-def _index_rows(groups: list[list[Monomial]]) -> tuple[np.ndarray, list[int]]:
-    """The monomials of the degree groups `groups` as rows of local ids,
+def _assemble(
+    blocks: list[tuple[np.ndarray, np.ndarray]], variables: np.ndarray, first: int, delta: int,
+    pairs: list[tuple[int, int]], xs: list[np.ndarray], dones: list[np.ndarray],
+) -> tuple[MultilinearPoly, AncillaMap]:
+    """The reduced polynomial's blocks and the ancilla map, from the input
+    blocks `blocks` and the rounds: round r made ancilla first + r from the
+    local pair pairs[r], and turned the rows dones[r] into the quadratics
+    (x, a), x the local ids xs[r].
+
+    Each term is one of: an input term of degree <= 2; a quadratic (x, a),
+    with the coefficient of its row's input monomial; a penalty term.  Two
+    of them share a monomial only where a round's pair was a quadratic term
+    already, the bare pair: a penalty pair (i, a) or (j, a) is held by no
+    row, so it is never selected, and each ancilla's terms are made in its
+    own round.  The bare pair's coefficient c moves to the ancilla's linear
+    term, 3 delta + c, and the pair keeps the penalty's delta.  Every
+    coefficient is thus nonzero and at most 3 delta + delta/2 in magnitude,
+    as |c| <= abs_coeff_sum = delta/2, so the coefficient arrays are int64
+    where 7 delta/2 < 2^63 and dtype object past it."""
+    dtype = np.int64 if 7 * delta // 2 < 1 << 63 else object
+    rounds = len(pairs)
+    index = np.int64 if first + rounds <= 1 << 63 else object
+    glob = np.concatenate((variables.astype(index), np.array(range(first, first + rounds), index)))
+    ancillas = glob[len(variables):]
+    i, j = glob[np.array(pairs)].T
+    coef = np.concatenate([coefs for idx, coefs in blocks if idx.shape[1] >= 3]).astype(dtype)
+    by_degree = {idx.shape[1]: (idx, coefs.astype(dtype)) for idx, coefs in blocks}
+    pair_idx, pair_coefs = by_degree.get(2, (np.empty((0, 2), index), np.empty(0, dtype)))
+    penalty = np.full(rounds, -2 * delta, dtype)
+    lo = np.concatenate((pair_idx[:, 0], glob[np.concatenate(xs)], i, i, j))
+    hi = np.concatenate((pair_idx[:, 1], np.repeat(ancillas, list(map(len, xs))),
+                         j, ancillas, ancillas))
+    coefs = np.concatenate((pair_coefs, coef[np.concatenate(dones)],
+                            np.full(rounds, delta, dtype), penalty, penalty))
+    order = np.lexsort((hi, lo))
+    lo, hi, coefs = lo[order], hi[order], coefs[order]
+    # a bare pair sorts just before the equal penalty pair (i, j), as the
+    # sort is stable; its coefficient goes to that round's ancilla
+    bare = ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).nonzero()[0]
+    linear = np.full(rounds, 3 * delta, dtype)
+    linear[order[bare + 1] - (len(coefs) - 3 * rounds)] += coefs[bare]  # round of (i, j)
+    kept = np.ones(len(coefs), bool)
+    kept[bare] = False
+    entries = tuple(zip(ancillas.tolist(), zip(i.tolist(), j.tolist())))
+    out = [by_degree[0]] if 0 in by_degree else []
+    if 1 in by_degree:  # every input index is below every ancilla
+        idx, coefs1 = by_degree[1]
+        ancillas, linear = np.concatenate((idx[:, 0], ancillas)), np.concatenate((coefs1, linear))
+    out.append((ancillas.reshape(-1, 1), linear))
+    out.append((np.column_stack((lo[kept], hi[kept])), coefs[kept]))
+    return MultilinearPoly._from_blocks(Domain.BOOLEAN, out), AncillaMap(entries, delta)
+
+
+def _index_rows(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the index arrays `blocks` as rows of local ids,
     right-aligned and padded with -1 on the left, one column wider than the
     top degree so that every rest of a cut keeps a pad; and the global index
     of each local id."""
-    width = len(groups[-1][0]) + 1
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(groups)),
-        dtype=np.int64, count=sum(len(group) * len(group[0]) for group in groups),
-    )
-    variables, local = np.unique(flat, return_inverse=True)
-    rows = np.full((sum(map(len, groups)), width), -1, dtype=np.int64)
+    width = blocks[-1].shape[1] + 1
+    variables, local = np.unique(np.concatenate([idx.ravel() for idx in blocks]),
+                                 return_inverse=True)
+    rows = np.full((sum(map(len, blocks)), width), -1, dtype=np.int64)
     start = at = 0
-    for group in groups:
-        n, d = len(group), len(group[0])
+    for idx in blocks:
+        n, d = idx.shape
         rows[start:start + n, width - d:] = local[at:at + n * d].reshape(n, d)
         start += n
         at += n * d
-    return rows, variables.tolist()
+    return rows, variables
 
 
 def _pair_counts(rows: np.ndarray, nv: int, cap: int) -> np.ndarray:

@@ -516,7 +516,7 @@ def _energy_bound(model: IsingModel | SquareSum) -> int:
     w * A^2 over a `SquareSum`, A the absolute coefficient sum of a
     residual, which bounds |R| and |(R + delta)^2 - R^2|."""
     if isinstance(model, IsingModel):
-        return model.to_polynomial().abs_coeff_sum()
+        return abs(model.offset) + sum(map(abs, model.h.values())) + sum(map(abs, model.J.values()))
     return sum(w * r.abs_coeff_sum() ** 2 for w, r in model.terms)
 
 

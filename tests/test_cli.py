@@ -444,6 +444,18 @@ class TestQuadratizeCommand:
         manifest = read_manifest(out / "ancilla_map.txt")
         assert int(manifest["ancillas"]) >= 1
 
+    @pytest.mark.parametrize("name", ["build_t8", "build_w7", "build_x8_2"])
+    def test_writes_the_builds_e2_q(self, tmp_path, name):
+        # a read file is dict-first, where a build hands quadratize blocks
+        build = tmp_path / name
+        assert run(*TestArtifactDigests.RUNS[name], "--out", build) == 0
+        assert run("quadratize", build / "ek_q.poly", "--out", tmp_path / "q") == 0
+        assert (tmp_path / "q" / "quadratic.poly").read_bytes() == (build / "e2_q.poly").read_bytes()
+        manifest = read_manifest(build / "manifest.txt")
+        ancillas = read_manifest(tmp_path / "q" / "ancilla_map.txt")
+        assert ancillas == {k: v for k, v in manifest.items() if k.startswith("ancilla")
+                            or k == "delta"}
+
     def test_spin_polynomial_rejected(self, tmp_path):
         build = tmp_path / "b"
         run("build", "--method", "turyn", "--n", 4, "--out", build)

@@ -293,6 +293,29 @@ class TestTransformArithmetic:
         assert p.spin_to_boolean().terms == subset_oracle(p)
         assert p.spin_to_boolean().boolean_to_spin() == p
 
+    @pytest.mark.parametrize("case", BOUNDARY.values(), ids=BOUNDARY.keys())
+    def test_block_output_at_the_boundary(self, case):
+        # the output is its blocks alone, int64 on one side of the bound and
+        # Python ints past it; the writer and `terms` read them exactly
+        (bound, exact), polys = case
+        for p in polys + [p.neg() for p in polys]:
+            out = transform(p)
+            dtypes = {coefs.dtype for _, coefs in out._canonical_blocks()}
+            assert dtypes == {np.dtype(np.int64 if exact else object)}
+            expected = MultilinearPoly(out.domain, subset_oracle(p))
+            assert poly_to_text(out) == reference_poly_text(expected)
+            assert out._dict is None
+            assert out.terms == expected.terms
+            assert all(type(c) is int for c in out.terms.values())
+
+    def test_block_output_past_int64_indices(self):
+        p = spoly({(1, 2**64, 2**65): 3, (2**64,): -1, (3,): 5, (): 2})
+        out = p.spin_to_boolean()
+        expected = MultilinearPoly(BOOL, subset_oracle(p))
+        assert poly_to_text(out) == reference_poly_text(expected)
+        assert out.nvars == 2**65 + 1 and out.degree() == 3
+        assert all(type(v) is int for m in out.terms for v in m)
+
     @pytest.mark.parametrize("domain", [SPIN, BOOL])
     def test_lone_degree_18_monomial(self, domain):
         m = tuple(range(18))
@@ -661,6 +684,19 @@ def written_polys():
 
 
 class TestWriterMatchesReference:
+    @pytest.mark.parametrize("values, dtype", [
+        ((2**63 - 1, -(2**63), -(2**63 - 1)), np.int64),
+        ((2**63, -(2**63) - 1, 1), object),
+    ], ids=["int64", "object"])
+    def test_blocks_at_the_int64_boundary(self, values, dtype):
+        # one degree's coefficients as one array: int64 where all fit
+        a, b, c = values
+        p = bpoly({(0, 1): a, (1, 2): b, (0, 2): c, (): 1})
+        assert p._canonical_blocks()[1][1].dtype == np.dtype(dtype)
+        assert poly_to_text(p) == reference_poly_text(p)
+        assert p.sorted_terms()[1:] == [((0, 1), a), ((0, 2), c), ((1, 2), b)]
+        assert all(type(c) is int for _, c in p.sorted_terms())
+
     @settings(max_examples=300, deadline=None)
     @given(p=written_polys(), pad=st.none() | st.integers(0, 3))
     @example(p=MultilinearPoly.zero(SPIN), pad=None)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hadsearch import cli
 from hadsearch.constructions import turyn_energy, williamson_energy
-from hadsearch.polynom import Domain, MultilinearPoly
+from hadsearch.polynom import Domain, MultilinearPoly, poly_to_text
 from hadsearch.quadratize import (
     AncillaMap,
     compute_delta,
@@ -363,11 +364,68 @@ class TestIncrementalMatchesReference:
         assert out.coeff((999_999, 1_000_000)) == 3
         self.assert_same(p)
 
+    @pytest.mark.parametrize("terms", [
+        {(0, 1, 2**64): 3, (2,): 1},  # a row index past int64
+        {(0, 1, 2): 3, (2**64,): -1, (1, 2**64): 5},  # the ancilla past int64
+        {(0, 1, 2): 3, (2**63 - 2,): 1},  # the ancilla is 2^63 - 1
+        {(0, 1, 2): 3, (2**63 - 1,): 1},  # the ancilla is 2^63
+    ])
+    def test_indices_past_int64(self, terms):
+        p = bpoly(terms)
+        out, amap = quadratize(p)
+        expected, expected_map = reference_quadratize(p)
+        assert poly_to_text(out) == poly_to_text(expected)
+        assert (out, amap) == (expected, expected_map)
+        assert all(type(v) is int for m in out.terms for v in m)
+
     def test_turyn_n8(self):
         self.assert_same(turyn_energy(8).spin_to_boolean())
 
     def test_williamson_k9(self):
         self.assert_same(williamson_energy(9).spin_to_boolean())
+
+
+# Every output coefficient is at most 7 * abs_coeff_sum in magnitude (an
+# ancilla's 3 delta plus a bare pair's coefficient): 2^63 - 1 at LAST_INT64,
+# and 2^63 + 6 one above it, as 7 does not divide 2^63.
+LAST_INT64 = (2**63 - 1) // 7
+
+
+class TestOutputArithmetic:
+    """quadratize assembles its output as blocks, int64 where 7 *
+    abs_coeff_sum < 2^63 and Python ints past it; both sides equal the
+    reference loop and give Python ints."""
+
+    @pytest.mark.parametrize("acs, exact", [(LAST_INT64, True), (LAST_INT64 + 1, False)],
+                             ids=["int64", "object"])
+    def test_int64_boundary(self, acs, exact):
+        # the bare pair (0, 1) moves to the ancilla: 3 delta + acs - 2
+        p = bpoly({(0, 1, 2): 1, (0, 1): acs - 2, (3,): -1})
+        for q in (p, p.neg()):
+            assert 7 * q.abs_coeff_sum() == (2**63 - 1 if exact else 2**63 + 6)
+            out, amap = quadratize(q)
+            dtypes = {coefs.dtype for _, coefs in out._canonical_blocks()}
+            assert dtypes == {np.dtype(np.int64 if exact else object)}
+            text = poly_to_text(out)
+            assert out._dict is None
+            expected, expected_map = reference_quadratize(q)
+            assert text == poly_to_text(expected)
+            assert (out, amap) == (expected, expected_map)
+            assert all(type(c) is int for c in out.terms.values())
+            assert out.coeff((4,)) == 6 * acs + (acs - 2 if q is p else 2 - acs)
+
+
+class TestBuildChainBlocks:
+    def test_no_term_dict_is_built(self):
+        # ek_q, e2_q and e2_s pass from layer to layer as blocks, and only
+        # `terms` builds their dicts
+        ek_q, e2_q, e2_s, model, amap = cli._build_chain(turyn_energy(8))
+        assert [p._dict for p in (ek_q, e2_q, e2_s)] == [None] * 3
+        for p in (ek_q, e2_q, e2_s):
+            terms = p.terms
+            assert all(type(c) is int and c for c in terms.values())
+            assert terms == MultilinearPoly(p.domain, terms).terms
+        assert (e2_q, amap) == reference_quadratize(ek_q)
 
 
 def value_table(p: MultilinearPoly, nvars: int) -> np.ndarray:

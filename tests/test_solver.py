@@ -550,6 +550,24 @@ def annealable_models(draw, ising: bool):
     return SquareSum(nvars, tuple(terms + terms[: draw(st.integers(0, len(terms)))]))
 
 
+class TestEnergyBound:
+    """An Ising model's bound is |offset| + sum |h| + sum |J|, summed off
+    its dicts: the absolute coefficient sum of its polynomial."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=annealable_models(ising=True),
+           offset=st.integers(-(2**70), 2**70))
+    def test_equals_the_polynomials_sum(self, model, offset):
+        model = IsingModel(model.nvars, model.h, model.J, offset)
+        assert solver._energy_bound(model) == model.to_polynomial().abs_coeff_sum()
+
+    @pytest.mark.parametrize("model", [IsingModel(0), IsingModel(0, offset=-7),
+                                       IsingModel(3, offset=5)], ids=["empty", "offset", "spins"])
+    def test_offset_only_and_empty(self, model):
+        assert solver._energy_bound(model) == model.to_polynomial().abs_coeff_sum()
+        assert solver._energy_bound(model) == abs(model.offset)
+
+
 def thresholds(uniforms: np.ndarray, beta: float) -> np.ndarray:
     """The acceptance thresholds -ln(u) / beta of `uniforms`, formed as
     `_metropolis_states` forms them: logged, then divided by -beta."""
