@@ -9,8 +9,8 @@ expansion:
 
   * Williamson / Baumert-Hall: symmetric circulant blocks A,B,C,D of odd
     order k need V = A^T A + B^T B + C^T C + D^T D = 4k I.  V is symmetric
-    circulant, so R_d = V_d - 4k [d = 0] for each diagonal offset d, with
-    weight k.  Both searches share this energy.
+    circulant with V_0 = 4k, so R_d = V_d for each distinct off-diagonal
+    offset d = 1..(k-1)/2, with weight 2k.  Both searches share this energy.
   * Turyn: X,Y,Z,W of lengths n,n,n,n-1 need R_r = N_X(r) + N_Y(r) +
     2 N_Z(r) + 2 N_W(r) = 0 for r = 1..n-1 (N the nonperiodic
     autocorrelation), weight 1.  Normalization pins leave 4n-11 variables.
@@ -123,18 +123,19 @@ def williamson_residuals(k: int) -> SquareSum:
     Block b has first row (a_0, a_1, ..., a_{(k-1)/2}, ..., a_1) over its own
     (k+1)/2 variables; blocks are laid out A, B, C, D with the diagonal entry
     first.  The energy is sum over all cells of (V_ij - 4k * delta_ij)^2 for
-    V = A^T A + B^T B + C^T C + D^T D.
+    V = A^T A + B^T B + C^T C + D^T D.  V is symmetric circulant with
+    V_0 = 4k, so the residuals are V_d, d = 1..(k-1)/2, each weighted by its
+    2k cells (V_d = V_(k-d)).
     """
     if k % 2 == 0 or k < 3:
         raise ValueError(f"k must be odd and at least 3, got {k}")
     rows = _williamson_rows(k)
 
-    def cell(d: int) -> MultilinearPoly:  # R_d = V_d - 4k [d = 0]
-        pairs = ((1, row[t], row[(t + d) % k]) for row in rows for t in range(k))
-        return _pair_sum(pairs, -4 * k if d == 0 else 0)
+    def cell(d: int) -> MultilinearPoly:
+        return _pair_sum((1, row[t], row[(t + d) % k]) for row in rows for t in range(k))
 
-    # V is symmetric circulant: each diagonal offset d holds k identical cells
-    return SquareSum(williamson_variable_count(k), tuple((k, cell(d)) for d in range(k)))
+    return SquareSum(williamson_variable_count(k),
+                     tuple((2 * k, cell(d)) for d in range(1, (k + 1) // 2)))
 
 
 def williamson_energy(k: int) -> MultilinearPoly:

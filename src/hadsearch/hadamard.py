@@ -2,8 +2,10 @@
 
 Matrices are dense numpy int arrays with entries strictly in {-1,+1}.  The
 three block arrays (Williamson 4x4, Baumert-Hall 12x12, Goethals-Seidel 4x4
-with the back-diagonal twist) are transcribed cell for cell; verification is
-always the exact indicator test D = H^T H == M*I, never trust in the array.
+with the back-diagonal twist) are each a sign/letter table, parsed once into
+one sign pattern per letter, and are all built by one plug-in sum of
+kron(pattern, block) over the letters; verification is always the exact
+indicator test D = H^T H == M*I, never trust in the array.
 """
 
 from __future__ import annotations
@@ -28,40 +30,40 @@ def _as_sign_matrix(M, name: str = "matrix") -> SignMatrix:
 
 def circulant(first_row: Sequence[int]) -> SignMatrix:
     """Circulant matrix: row i is the first row cyclically shifted right i places."""
-    row = list(first_row)
-    if not row:
+    row = np.asarray(first_row, dtype=np.int64)
+    if not row.size:
         raise ValueError("first row must be nonempty")
-    n = len(row)
-    return np.array([[row[(j - i) % n] for j in range(n)] for i in range(n)], dtype=np.int64)
+    n = row.size
+    return row[(np.arange(n) - np.arange(n)[:, None]) % n]
 
 
 def back_diagonal(k: int) -> np.ndarray:
     """0/1 matrix with ones on the anti-diagonal (R[i][j] = 1 iff i+j = k-1)."""
     if k < 1:
         raise ValueError("order must be at least 1")
-    R = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        R[i, k - 1 - i] = 1
-    return R
+    return np.eye(k, dtype=np.int64)[::-1]
 
 
-def williamson_array(A, B, C, D) -> SignMatrix:
-    """Order-4k array [[A,B,C,D],[-B,A,-D,C],[-C,D,A,-B],[-D,-C,B,A]]."""
-    A, B, C, D = (_as_sign_matrix(X, n) for X, n in ((A, "A"), (B, "B"), (C, "C"), (D, "D")))
-    if not (A.shape == B.shape == C.shape == D.shape):
-        raise ValueError("blocks must share one order")
-    return np.block(
-        [
-            [A, B, C, D],
-            [-B, A, -D, C],
-            [-C, D, A, -B],
-            [-D, -C, B, A],
-        ]
-    )
+# Sign/letter tables, one letter per block cell with its sign.  In the
+# Goethals-Seidel table A is X1; B, C, D are X2 R, X3 R, X4 R and b, c, d
+# are X2^T R, X3^T R, X4^T R, R the back-diagonal identity.  Each block
+# occurs once in every row and column of the Williamson and Goethals-Seidel
+# tables (B counted with b), three times in the Baumert-Hall table
+# (unit-tested).
+_WILLIAMSON_CELLS = [
+    "+A +B +C +D",
+    "-B +A -D +C",
+    "-C +D +A -B",
+    "-D -C +B +A",
+]
 
+_GOETHALS_SEIDEL_CELLS = [
+    "+A +B +C +D",
+    "-B +A +d -c",
+    "-C -d +A +b",
+    "-D +c -b +A",
+]
 
-# Baumert-Hall cell table, one letter per block cell with its sign; every
-# letter appears exactly three times in each row and column (unit-tested).
 _BAUMERT_HALL_CELLS = [
     "+A +A +A +B -B +C -C -D +B +C -D -D",
     "+A -A +B -A -B -D +D -C -B -D -C -C",
@@ -78,57 +80,53 @@ _BAUMERT_HALL_CELLS = [
 ]
 
 
-def baumert_hall_cells() -> list[list[tuple[int, str]]]:
-    """Parsed 12x12 sign/letter table."""
-    table = []
-    for line in _BAUMERT_HALL_CELLS:
-        row = []
-        for cell in line.split():
-            row.append((1 if cell[0] == "+" else -1, cell[1]))
-        table.append(row)
-    return table
+def _patterns(table: list[str], letters: str) -> np.ndarray:
+    """Per letter of `letters`, the int64 matrix of its signs in the table, 0
+    where another letter sits, stacked in that order."""
+    P = np.zeros((len(letters), len(table), len(table)), dtype=np.int64)
+    for r, line in enumerate(table):
+        for c, (sign, letter) in enumerate(line.split()):
+            P[letters.index(letter), r, c] = 1 if sign == "+" else -1
+    return P
 
 
-def _baumert_hall_patterns() -> dict[str, np.ndarray]:
-    """Per letter, the 12x12 int64 matrix of its signs in the cell table, 0
-    where another letter sits."""
-    patterns = {letter: np.zeros((12, 12), dtype=np.int64) for letter in "ABCD"}
-    for r, row in enumerate(baumert_hall_cells()):
-        for c, (sign, letter) in enumerate(row):
-            patterns[letter][r, c] = sign
-    return patterns
+_WILLIAMSON = _patterns(_WILLIAMSON_CELLS, "ABCD")
+_GOETHALS_SEIDEL = _patterns(_GOETHALS_SEIDEL_CELLS, "ABCDbcd")
+_BAUMERT_HALL = _patterns(_BAUMERT_HALL_CELLS, "ABCD")
 
 
-_BAUMERT_HALL_PATTERNS = _baumert_hall_patterns()
+def _sign_blocks(blocks, names: str) -> np.ndarray:
+    """The four blocks, each checked to be a square +/-1 matrix, stacked
+    into shape (4, k, k) once they share one order k."""
+    blocks = [_as_sign_matrix(X, name) for X, name in zip(blocks, names.split())]
+    if any(X.shape != blocks[0].shape for X in blocks):
+        raise ValueError("blocks must share one order")
+    return np.stack(blocks)
+
+
+def _plug_in(P: np.ndarray, B: np.ndarray) -> SignMatrix:
+    """The sum over the letters l of kron(P[l], B[l]): each cell of the
+    table holds exactly one letter, so cell (r, c) is its signed block."""
+    n = P.shape[1] * B.shape[1]
+    return np.einsum("lrc,lij->ricj", P, B).reshape(n, n)
+
+
+def williamson_array(A, B, C, D) -> SignMatrix:
+    """Order-4k array from the fixed 4x4 sign/letter arrangement."""
+    return _plug_in(_WILLIAMSON, _sign_blocks((A, B, C, D), "A B C D"))
 
 
 def baumert_hall_array(A, B, C, D) -> SignMatrix:
-    """Order-12k array from the fixed 12x12 sign/letter arrangement: the sum
-    over the letters of kron(pattern, block), since each cell holds exactly
-    one letter."""
-    A, B, C, D = (_as_sign_matrix(X, n) for X, n in ((A, "A"), (B, "B"), (C, "C"), (D, "D")))
-    if not (A.shape == B.shape == C.shape == D.shape):
-        raise ValueError("blocks must share one order")
-    P = _BAUMERT_HALL_PATTERNS
-    return np.kron(P["A"], A) + np.kron(P["B"], B) + np.kron(P["C"], C) + np.kron(P["D"], D)
+    """Order-12k array from the fixed 12x12 sign/letter arrangement."""
+    return _plug_in(_BAUMERT_HALL, _sign_blocks((A, B, C, D), "A B C D"))
 
 
 def goethals_seidel(X1, X2, X3, X4) -> SignMatrix:
-    """Order-4k Goethals-Seidel array with R the back-diagonal identity."""
-    X1, X2, X3, X4 = (
-        _as_sign_matrix(X, n) for X, n in ((X1, "X1"), (X2, "X2"), (X3, "X3"), (X4, "X4"))
-    )
-    if not (X1.shape == X2.shape == X3.shape == X4.shape):
-        raise ValueError("blocks must share one order")
-    R = back_diagonal(X1.shape[0])
-    return np.block(
-        [
-            [X1, X2 @ R, X3 @ R, X4 @ R],
-            [-X2 @ R, X1, X4.T @ R, -X3.T @ R],
-            [-X3 @ R, -X4.T @ R, X1, X2.T @ R],
-            [-X4 @ R, X3.T @ R, -X2.T @ R, X1],
-        ]
-    )
+    """Order-4k Goethals-Seidel array with R the back-diagonal identity;
+    X R is X with its columns reversed."""
+    X = _sign_blocks((X1, X2, X3, X4), "X1 X2 X3 X4")
+    XR, XtR = X[:, :, ::-1], X.transpose(0, 2, 1)[:, :, ::-1]
+    return _plug_in(_GOETHALS_SEIDEL, np.concatenate([X[:1], XR[1:], XtR[1:]]))
 
 
 def verify(H) -> tuple[bool, np.ndarray]:

@@ -261,10 +261,11 @@ def exhaustive_min(
 
     With all_ground, every minimizing assignment is returned (occurrences 1
     each); otherwise only the first in state order.  Rejects instances with
-    more than `cap` variables, and instances whose absolute coefficients
-    (the Ising offset included) sum to 2^63 or more, since their energies
-    need not fit the int64 arithmetic.  States are enumerated 2^22 at a
-    time, in two float64 buffers of 32 MB each while the absolute sum is
+    more than `cap` variables or more than 63, the most an int64 state
+    index holds, and instances whose absolute coefficients (the Ising
+    offset included) sum to 2^63 or more, since their energies need not
+    fit the int64 arithmetic.  States are enumerated 2^22 at a time, in
+    two float64 buffers of 32 MB each while the absolute sum is
     below 2^53; past it, in one int64 and three float64 buffers of 32 MB
     each for the split transform (128 MB, the peak measured at 23 variables).
 
@@ -294,6 +295,8 @@ def _enumerate(
     coefficients `masks` holds by monomial bitmask (bit i marks variable i)."""
     if nvars > cap:
         raise ValueError(f"{nvars} variables exceed the exhaustive cap of {cap}")
+    if nvars > 63:  # the most variables an int64 state index holds
+        raise ValueError(f"{nvars} variables exceed the enumeration limit of 63")
     spin = domain is Domain.SPIN
 
     if nvars == 0:
@@ -392,7 +395,7 @@ def _zero_states(model: SquareSum, nvars: int, all_ground: bool) -> np.ndarray |
     does not apply where the spins form one component, or where a side's
     tables would exceed 2^_CHUNK_BITS entries.
     """
-    distinct: dict[frozenset, dict[tuple[int, ...], int]] = {}
+    residuals: list[dict[tuple[int, ...], int]] = []
     for _, residual in model.terms:
         terms: dict[tuple[int, ...], int] = {}
         for m, c in residual.terms.items():
@@ -400,8 +403,7 @@ def _zero_states(model: SquareSum, nvars: int, all_ground: bool) -> np.ndarray |
             terms[m] = terms.get(m, 0) + c
         terms = {m: c for m, c in terms.items() if c}
         if terms:
-            distinct.setdefault(frozenset(terms.items()), terms)
-    residuals = list(distinct.values())
+            residuals.append(terms)
     sides = _sides(residuals, nvars)
     if sides is None or any((1 << len(s)) * (len(s) + len(residuals)) > 1 << _CHUNK_BITS
                             for s in sides):
@@ -526,8 +528,8 @@ class _Kernel:
 
     An Ising model is the one residual sum h s + sum J s s with u = 1,
     w = 0 and c its offset; a `SquareSum` has u = 0 and w its weights, with
-    constant residuals folded into c and identical ones merged.  States are
-    columns of S, shape (n+1, reads), whose last row is the constant 1.
+    constant residuals folded into c.  States are columns of S, shape
+    (n+1, reads), whose last row is the constant 1.
     `flips[i]`, shape (L, n+1), is -2 times the derivative of every residual
     in s_i, so flipping s_i changes R by delta = s_i * (flips[i] @ S).  The
     loop keeps X = 2R: the energy change is w @ ((X + delta) * delta) for a
@@ -581,15 +583,9 @@ class _Kernel:
             terms = {(i,): v for i, v in model.h.items()} | dict(model.J)
             residuals = [(1, 0, terms)] if terms else []
         else:
-            n, c = model.nvars, 0
-            merged: dict[frozenset, list] = {}
-            for w, residual in model.terms:
-                terms = residual.terms
-                if residual.degree() == 0:
-                    c += w * terms.get((), 0) ** 2
-                else:
-                    merged.setdefault(frozenset(terms.items()), [terms, 0])[1] += w
-            residuals = [(0, w, terms) for terms, w in merged.values()]
+            n = model.nvars
+            c = sum(w * r.terms.get((), 0) ** 2 for w, r in model.terms if not r.degree())
+            residuals = [(0, w, r.terms) for w, r in model.terms if r.degree()]
         self.dtype = np.float64 if bound < 1 << 52 else np.int64
         self.squares = isinstance(model, SquareSum)
         self.nvars, self.offset = n, c

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from hadsearch.polynom import Domain, MultilinearPoly, load_poly
+from hadsearch import constructions as cons
+from hadsearch.polynom import Domain, MultilinearPoly, SquareSum, load_poly
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -48,6 +49,23 @@ def polynomials(
     monomials = st.frozensets(st.integers(0, nvars - 1), max_size=min(nvars, max_degree))
     terms = draw(st.dictionaries(monomials, coeffs, max_size=max_terms))
     return MultilinearPoly(domain, {tuple(sorted(m)): c for m, c in terms.items()})
+
+
+def williamson_offset_residuals(k: int) -> SquareSum:
+    """Oracle of `williamson_residuals(k)`: one residual per diagonal offset
+    of V = A^T A + B^T B + C^T C + D^T D, R_d = V_d - 4k [d = 0] for
+    d = 0..k-1, each of weight k (the k cells of that offset), built by
+    polynomial arithmetic from the symbolic first rows."""
+    rows = [[MultilinearPoly.variable(Domain.SPIN, e.var, e.sign) for e in row]
+            for row in cons._williamson_rows(k)]
+    residuals = []
+    for d in range(k):
+        R = MultilinearPoly.constant(Domain.SPIN, -4 * k if d == 0 else 0)
+        for row in rows:
+            for t in range(k):
+                R = R.add(row[t].mul(row[(t + d) % k]))
+        residuals.append((k, R))
+    return SquareSum(cons.williamson_variable_count(k), tuple(residuals))
 
 
 def random_assignment(rng: random.Random, nvars: int, domain: Domain) -> dict[int, int]:

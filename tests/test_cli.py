@@ -61,6 +61,9 @@ class TestArtifactDigests:
         "x8i1": ("build", "--method", "extended-turyn", "--n", 8, "--m", 2,
                  "--prototype-index", 1),
         "w5b": ("build", "--method", "williamson", "--k", 5),
+        # exhaustive searches assembled by the Goethals-Seidel array
+        "search_t4": ("search", "--method", "turyn", "--n", 4),
+        "search_x8_2": ("search", "--method", "extended-turyn", "--n", 8, "--m", 2),
     }
     # `solve` on a file of the `w5b` build: the boolean domain's export, and
     # the Ising model enumerated and annealed
@@ -311,6 +314,14 @@ class TestSolve:
         path.write_text(f"domain spin\nnvars 2\n{2**62} 0\n{2**62} 1\n-1 0 1\n")
         assert run("solve", path, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o" / "samples.txt").exists()
+
+    def test_enumeration_past_63_variables_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.poly"
+        path.write_text("domain spin\nnvars 90\n1 89\n")
+        out = tmp_path / "o"
+        assert run("solve", path, "--solver", "exhaustive", "--cap", 100, "--out", out) == 2
+        assert "error: 90 variables exceed the enumeration limit of 63" in capsys.readouterr().err
+        assert not (out / "samples.txt").exists()
 
     def test_anneal_int64_bound_is_usage_error(self, tmp_path):
         path = tmp_path / "wide.ising"

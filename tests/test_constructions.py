@@ -9,7 +9,7 @@ from hadsearch.hadamard import circulant
 from hadsearch.polynom import Domain, MultilinearPoly, SquareSum
 from hadsearch.solver import exhaustive_min
 
-from conftest import data_poly
+from conftest import data_poly, williamson_offset_residuals
 
 SPIN = Domain.SPIN
 
@@ -102,6 +102,23 @@ class TestWilliamsonEnergy:
         assert p.coeff((18, 19)) == 720
         assert p.coeff((16, 17, 18, 19)) == 432
         assert p.coeff(()) == 5760
+
+    @pytest.mark.parametrize("k", range(3, 14, 2))
+    def test_each_distinct_residual_once(self, k):
+        """(k-1)/2 pairwise distinct non-constant residuals of weight 2k:
+        the oracle's R_1..R_(k-1)/2, whose R_0 is 0 and R_d equals R_(k-d),
+        with the same expansion."""
+        residuals = cons.williamson_residuals(k)
+        oracle = williamson_offset_residuals(k)
+        polys = [r for _, r in residuals.terms]
+        assert [w for w, _ in residuals.terms] == [2 * k] * ((k - 1) // 2)
+        assert all(r.degree() == 2 for r in polys)
+        assert len(set(polys)) == len(polys)
+        R = [r for _, r in oracle.terms]
+        assert R[0].is_zero()
+        assert all(R[d] == R[k - d] for d in range(1, k))
+        assert polys == R[1 : (k + 1) // 2]
+        assert residuals.expand() == oracle.expand()
 
     def test_higher_orders_match_golden_expansions(self):
         for k in (5, 7, 9):

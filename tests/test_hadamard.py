@@ -14,6 +14,65 @@ def ground_blocks(k):
     return [hm.circulant(r) for r in rows]
 
 
+def parse_cells(table):
+    """Per row of a sign/letter table, each cell's (sign, letter)."""
+    return [[(1 if cell[0] == "+" else -1, cell[1]) for cell in line.split()] for line in table]
+
+
+# Block-by-block assemblies, the arrays as written out in the literature:
+# references for the plug-in sum over the sign/letter tables.
+def williamson_reference(A, B, C, D):
+    return np.block(
+        [
+            [A, B, C, D],
+            [-B, A, -D, C],
+            [-C, D, A, -B],
+            [-D, -C, B, A],
+        ]
+    )
+
+
+def goethals_seidel_reference(X1, X2, X3, X4):
+    R = hm.back_diagonal(X1.shape[0])
+    return np.block(
+        [
+            [X1, X2 @ R, X3 @ R, X4 @ R],
+            [-X2 @ R, X1, X4.T @ R, -X3.T @ R],
+            [-X3 @ R, -X4.T @ R, X1, X2.T @ R],
+            [-X4 @ R, X3.T @ R, -X2.T @ R, X1],
+        ]
+    )
+
+
+def baumert_hall_reference(A, B, C, D):
+    blocks = dict(zip("ABCD", (A, B, C, D)))
+    return np.block([[sign * blocks[letter] for sign, letter in row]
+                     for row in parse_cells(hm._BAUMERT_HALL_CELLS)])
+
+
+def check_matches_reference(build, reference, k):
+    rng = np.random.default_rng(k)
+    blocks = [rng.choice([-1, 1], size=(k, k)) for _ in range(4)]
+    H, expect = build(*blocks), reference(*blocks)
+    assert H.dtype == expect.dtype == np.int64
+    assert np.array_equal(H, expect)
+
+
+def check_letter_balance(table, letters, per_line):
+    """Each cell holds one letter, and each block occurs `per_line` times
+    in every row and column, a lower-case letter counted with its block."""
+    cells = parse_cells(table)
+    size = len(cells)
+    assert all(len(row) == size for row in cells)
+    assert {letter for row in cells for _, letter in row} == set(letters)
+    for line in (*cells, *zip(*cells)):
+        blocks = [letter.upper() for _, letter in line]
+        assert all(blocks.count(x) == per_line for x in "ABCD")
+
+
+BLOCK_ORDERS = [1, 3, 9, 23]
+
+
 class TestCirculant:
     def test_single_entry(self):
         assert hm.circulant([1]).tolist() == [[1]]
@@ -81,27 +140,22 @@ class TestWilliamsonArray:
         with pytest.raises(ValueError):
             hm.williamson_array(one, one, one, two)
 
+    def test_letter_balance_tripwire(self):
+        check_letter_balance(hm._WILLIAMSON_CELLS, "ABCD", 1)
+
+    @pytest.mark.parametrize("k", BLOCK_ORDERS)
+    def test_matches_block_assembly(self, k):
+        check_matches_reference(hm.williamson_array, williamson_reference, k)
+
 
 class TestBaumertHallArray:
     def test_letter_balance_tripwire(self):
-        cells = hm.baumert_hall_cells()
-        assert len(cells) == 12 and all(len(r) == 12 for r in cells)
-        for row in cells:
-            letters = [letter for _, letter in row]
-            assert all(letters.count(x) == 3 for x in "ABCD")
-        for c in range(12):
-            letters = [cells[r][c][1] for r in range(12)]
-            assert all(letters.count(x) == 3 for x in "ABCD")
+        assert len(hm._BAUMERT_HALL_CELLS) == 12
+        check_letter_balance(hm._BAUMERT_HALL_CELLS, "ABCD", 3)
 
-    @pytest.mark.parametrize("k", [1, 3, 9])
+    @pytest.mark.parametrize("k", BLOCK_ORDERS)
     def test_matches_block_assembly(self, k):
-        rng = np.random.default_rng(k)
-        blocks = dict(zip("ABCD", (rng.choice([-1, 1], size=(k, k)) for _ in range(4))))
-        expect = np.block([[sign * blocks[letter] for sign, letter in row]
-                           for row in hm.baumert_hall_cells()])
-        H = hm.baumert_hall_array(*blocks.values())
-        assert H.dtype == expect.dtype == np.int64
-        assert np.array_equal(H, expect)
+        check_matches_reference(hm.baumert_hall_array, baumert_hall_reference, k)
 
     def test_unit_blocks_give_order_12(self):
         one = np.array([[1]])
@@ -121,6 +175,25 @@ class TestGoethalsSeidel:
         H = hm.goethals_seidel(one, one, one, one)
         ok, _ = hm.verify(H)
         assert ok and H.shape == (4, 4)
+
+    def test_letter_balance_tripwire(self):
+        check_letter_balance(hm._GOETHALS_SEIDEL_CELLS, "ABCDbcd", 1)
+
+    @pytest.mark.parametrize("k", BLOCK_ORDERS)
+    def test_matches_block_assembly(self, k):
+        check_matches_reference(hm.goethals_seidel, goethals_seidel_reference, k)
+
+    @pytest.mark.parametrize("build", [hm.williamson_array, hm.baumert_hall_array,
+                                       hm.goethals_seidel])
+    def test_block_checks_keep_their_names(self, build):
+        one, two = np.array([[1]]), np.ones((2, 2), dtype=np.int64)
+        names = ("X1", "X2", "X3", "X4") if build is hm.goethals_seidel else tuple("ABCD")
+        with pytest.raises(ValueError, match=f"^{names[2]} entries must be"):
+            build(one, one, np.array([[0]]), one)
+        with pytest.raises(ValueError, match=f"^{names[3]} must be square"):
+            build(one, one, one, np.ones((1, 2)))
+        with pytest.raises(ValueError, match="^blocks must share one order"):
+            build(one, two, one, one)
 
     def test_pipeline_order_44(self):
         X, Y, Z, W = cons.normalized_turyn_quadruple(4).values([-1, -1, -1, 1, 1])

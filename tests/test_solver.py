@@ -24,7 +24,7 @@ from hadsearch.polynom import Domain, MultilinearPoly, SquareSum
 from hadsearch.quadratize import quadratize
 from hadsearch.solver import Sample, SampleSet, anneal, exhaustive_min
 
-from conftest import polynomials
+from conftest import polynomials, williamson_offset_residuals
 
 
 def random_ising(rng: random.Random, nvars: int) -> IsingModel:
@@ -58,6 +58,16 @@ class TestExhaustive:
         p = MultilinearPoly(Domain.SPIN, {tuple(range(2)): 1, (27,): 1})
         with pytest.raises(ValueError, match="28"):
             exhaustive_min(p, cap=26)
+
+    @pytest.mark.parametrize("nvars", [64, 90])
+    @pytest.mark.parametrize("kind", ["spin", "boolean", "square-sum"])
+    def test_state_index_limit_whatever_the_cap(self, kind, nvars):
+        if kind == "square-sum":
+            model = SquareSum(nvars, ((1, MultilinearPoly(Domain.SPIN, {(nvars - 1,): 1, (): 1})),))
+        else:
+            model = MultilinearPoly(Domain(kind), {(nvars - 1,): 1})
+        with pytest.raises(ValueError, match=f"^{nvars} variables exceed the enumeration limit of 63"):
+            exhaustive_min(model, cap=100)
 
     def test_boolean_domain(self):
         p = MultilinearPoly(Domain.BOOLEAN, {(0,): -3, (0, 1): 2})
@@ -548,6 +558,27 @@ def annealable_models(draw, ising: bool):
                           min_size=1, max_size=4))
     # repeated residuals exercise the merge
     return SquareSum(nvars, tuple(terms + terms[: draw(st.integers(0, len(terms)))]))
+
+
+class TestWilliamsonResidualForms:
+    """Each distinct Williamson residual given once, of weight 2k, and the
+    per-offset oracle (R_0 = 0, each other residual twice, weight k) give
+    equal sample sets: the kernel's energy changes are exact integers, and
+    the join's extra table rows repeat its own."""
+
+    @staticmethod
+    def fields(sset):
+        return (sset.domain, sset.values.tolist(), sset.energies.tolist(),
+                sset.occurrences.tolist(), sset.reads)
+
+    @pytest.mark.parametrize("k", [5, 7, 9])
+    def test_same_sample_sets(self, k):
+        once, oracle = williamson_residuals(k), williamson_offset_residuals(k)
+        for seed in (0, 1):
+            a, b = (anneal(model, reads=30, sweeps=40, seed=seed) for model in (once, oracle))
+            assert self.fields(a) == self.fields(b)
+        a, b = (exhaustive_min(model, all_ground=True) for model in (once, oracle))
+        assert a.min_energy == 0 and self.fields(a) == self.fields(b)
 
 
 class TestEnergyBound:
