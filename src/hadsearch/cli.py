@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solving.add_argument("--seed", type=_unsigned, default=0, help="RNG seed (default 0)")
     solving.add_argument("--reads", type=int, default=1000, help="annealing reads")
     solving.add_argument("--sweeps", type=int, default=1000, help="annealing sweeps")
-    solving.add_argument("--cap", type=int, default=26, help="exhaustive bit cap")
+    solving.add_argument("--cap", type=_unsigned, default=26, help="exhaustive bit cap")
     solving.add_argument("--solver", choices=("auto", "exhaustive", "anneal"), default="auto")
     solving.add_argument("--beta-start", type=float, default=None)
     solving.add_argument("--beta-end", type=float, default=None)

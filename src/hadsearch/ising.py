@@ -1,12 +1,13 @@
 """Two-body spin models: energies, export scaling, and the text format.
 
-A model stores linear fields h, ordered-pair couplings J (keys i < j), and a
-constant offset; its energy is
+A model is a spin count and the quadratic spin polynomial of its energy,
 
     E(s) = offset + sum h_i s_i + sum J_ij s_i s_j
 
-over spins s_i in {-1, +1}.  The energies built by this package's
-constructions are minimised at zero.  `normalize_for_export` drops the
+over spins s_i in {-1, +1}, J keyed by pairs i < j.  `h`, `J` and `offset`
+are read off the polynomial, `h` and `J` as read-only views built on first
+use; the writers, `max_abs_coeff`, `normalize_for_export` and the annealing
+kernel read its canonical blocks.  `normalize_for_export` drops the
 offset and scales the largest coefficient to 1, the form annealing hardware
 takes; it keeps the integer model and divides only when read (exact
 `Fraction`s) or written.  Solvers read only the exact integer model.
@@ -15,108 +16,120 @@ takes; it keeps the integer model and divides only when read (exact
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO
+from types import MappingProxyType
+from typing import IO, Callable, Mapping
 
-from .polynom import Assignment, Domain, MultilinearPoly, _content_lines, _parse_int
+import numpy as np
+
+from .polynom import (Assignment, Domain, MultilinearPoly, _content_lines, _max_abs_coeff,
+                      _parse_int)
 
 
-@dataclass(frozen=True)
 class IsingModel:
-    nvars: int
-    h: dict[int, int] = field(default_factory=dict)
-    J: dict[tuple[int, int], int] = field(default_factory=dict)
-    offset: int = 0
+    """A spin count `nvars` and the quadratic spin polynomial `poly` of the
+    energy; neither changes after construction, and equality reads both."""
 
-    def __post_init__(self):
+    __slots__ = ("nvars", "poly", "_h", "_J")
+
+    def __init__(self, nvars: int, h: Mapping[int, int] | None = None,
+                 J: Mapping[tuple[int, int], int] | None = None, offset: int = 0):
         """Every index and value, `nvars` and the offset must be integers,
-        taken through `operator.index` as polynomial coefficients are, and
-        stored as Python ints in dicts the model owns; an index must lie in
-        range, a J key (i, j) must have i < j, and no value may be zero.
-        One pass over each dict; the ValueError names the entry."""
+        taken through `operator.index` and stored as Python ints; an index
+        must lie in range, a J key (i, j) must have i < j, and no value may
+        be zero.  One pass over each dict; the ValueError names the entry."""
         index = operator.index
         try:
-            n, offset = index(self.nvars), index(self.offset)
+            n, offset = index(nvars), index(offset)
         except TypeError:
-            raise ValueError(
-                f"non-integer nvars {self.nvars!r} or offset {self.offset!r}"
-            ) from None
-        h: dict[int, int] = {}
+            raise ValueError(f"non-integer nvars {nvars!r} or offset {offset!r}") from None
+        fields: dict[int, int] = {}
         try:
-            for i, c in self.h.items():
+            for i, c in (h or {}).items():
                 i, c = index(i), index(c)
                 if not 0 <= i < n:
                     raise ValueError(f"h index {i} out of range")
                 if not c:
                     raise ValueError(f"zero value for h index {i} must not be stored")
-                h[i] = c
+                fields[i] = c
         except TypeError:
             raise ValueError(f"non-integer h entry {i!r}: {c!r}") from None
-        J: dict[tuple[int, int], int] = {}
+        couplings: dict[tuple[int, int], int] = {}
         try:
-            for k, c in self.J.items():
+            for k, c in (J or {}).items():
                 i, j = k
                 i, j, c = index(i), index(j), index(c)
                 if not 0 <= i < j < n:
                     raise ValueError(f"J key {k} must satisfy 0 <= i < j < nvars")
                 if not c:
                     raise ValueError(f"zero value for J key {k} must not be stored")
-                J[i, j] = c
+                couplings[i, j] = c
         except TypeError:
             raise ValueError(f"non-integer J entry {k!r}: {c!r}") from None
-        for name, value in (("nvars", n), ("offset", offset), ("h", h), ("J", J)):
-            object.__setattr__(self, name, value)  # the dataclass is frozen
+        terms = {(i,): c for i, c in fields.items()} | couplings | ({(): offset} if offset else {})
+        self.nvars, self.poly = n, MultilinearPoly._from_canonical(Domain.SPIN, terms)
+        self._h, self._J = MappingProxyType(fields), MappingProxyType(couplings)
 
     @classmethod
-    def _from_canonical(
-        cls, nvars: int, h: dict[int, int], J: dict[tuple[int, int], int], offset: int = 0
-    ) -> "IsingModel":
-        """Take `h` and `J` unchecked: every index a Python int in range,
-        every J key (i, j) with i < j, every value a nonzero Python int,
-        and `nvars` and `offset` Python ints, as the public constructor
-        would leave them.  Code in this package that holds such dicts
-        already (a validated model, or a validated polynomial's degree
-        groups) calls this instead of the constructor."""
+    def _from_poly(cls, nvars: int, poly: MultilinearPoly) -> "IsingModel":
+        """Wrap `poly` unchecked, as `from_quadratic` checks it."""
         model = cls.__new__(cls)
-        for name, value in (("nvars", nvars), ("offset", offset), ("h", h), ("J", J)):
-            object.__setattr__(model, name, value)
+        model.nvars, model.poly, model._h, model._J = nvars, poly, None, None
         return model
 
+    def _block(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """The polynomial's canonical block of `degree`, empty if it has none."""
+        blocks = {idx.shape[1]: (idx, coefs) for idx, coefs in self.poly._canonical_blocks()}
+        return blocks.get(degree, (np.empty((0, degree), np.int64), np.empty(0, np.int64)))
+
+    @property
+    def offset(self) -> int:
+        return sum(self._block(0)[1].tolist())
+
+    @property
+    def h(self) -> Mapping[int, int]:
+        if self._h is None:
+            idx, coefs = self._block(1)
+            self._h = MappingProxyType(dict(zip(idx[:, 0].tolist(), coefs.tolist())))
+        return self._h
+
+    @property
+    def J(self) -> Mapping[tuple[int, int], int]:
+        if self._J is None:
+            idx, coefs = self._block(2)
+            self._J = MappingProxyType(dict(zip(map(tuple, idx.tolist()), coefs.tolist())))
+        return self._J
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IsingModel):
+            return NotImplemented
+        return self.nvars == other.nvars and self.poly == other.poly
+
+    def __repr__(self) -> str:
+        return (f"IsingModel(nvars={self.nvars}, h={dict(self.h)}, J={dict(self.J)}, "
+                f"offset={self.offset})")
+
     def max_abs_coeff(self) -> int:
-        vals = [abs(v) for v in self.h.values()] + [abs(v) for v in self.J.values()]
-        return max(vals, default=0)
+        return _max_abs_coeff(self.poly._canonical_blocks())
 
     def energy(self, assignment: Assignment) -> int:
         """Energy at a total spin assignment."""
-        s = []
         for i in range(self.nvars):
             if i not in assignment:
                 raise ValueError(f"assignment missing spin {i}")
-            v = assignment[i]
-            if v not in (-1, 1):
-                raise ValueError(f"spin {i} has non-spin value {v}")
-            s.append(v)
-        lin = sum(c * s[i] for i, c in self.h.items())
-        quad = sum(c * s[i] * s[j] for (i, j), c in self.J.items())
-        return self.offset + lin + quad
+            if assignment[i] not in (-1, 1):
+                raise ValueError(f"spin {i} has non-spin value {assignment[i]}")
+        return self.poly.evaluate(assignment)
 
     def to_polynomial(self) -> MultilinearPoly:
         """Spin polynomial with the same energy function."""
-        terms: dict[tuple[int, ...], int] = {(): self.offset}
-        for i, c in self.h.items():
-            terms[(i,)] = c
-        for (i, j), c in self.J.items():
-            terms[(i, j)] = c
-        return MultilinearPoly(Domain.SPIN, terms)
+        return self.poly
 
 
 def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingModel:
-    """Lossless split of a quadratic spin polynomial into offset/h/J, each
-    of h and J built in index order from the polynomial's canonical blocks.
-
-    The polynomial is validated already: its keys are canonical and its
-    coefficients nonzero Python ints, so only an explicit `nvars` is
+    """The model of a quadratic spin polynomial, which it wraps as it is:
+    the polynomial is validated already, so only an explicit `nvars` is
     checked, which must be an integer no smaller than the polynomial's."""
     if poly.domain is not Domain.SPIN:
         raise ValueError("from_quadratic requires a spin polynomial")
@@ -131,16 +144,7 @@ def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingMode
         if nvars < n:
             raise ValueError(f"nvars {nvars} smaller than the polynomial's {n}")
         n = nvars
-    offset, h, J = 0, {}, {}
-    for idx, coefs in poly._canonical_blocks():
-        keys = [col.tolist() for col in idx.T]
-        if len(keys) == 0:
-            [offset] = coefs.tolist()
-        elif len(keys) == 1:
-            h = dict(zip(keys[0], coefs.tolist()))
-        else:
-            J = dict(zip(zip(*keys), coefs.tolist()))
-    return IsingModel._from_canonical(n, h, J, offset)
+    return IsingModel._from_poly(n, poly)
 
 
 @dataclass(frozen=True)
@@ -169,12 +173,13 @@ class NormalizedIsing:
 
 def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
     """Drop the offset and rescale so the largest |coefficient| becomes 1.
-    The image's model shares `h` and `J` with `model`; neither changes
-    after construction."""
+    The image's polynomial shares its blocks with `model`'s; neither
+    changes after construction."""
     scale = model.max_abs_coeff()
     if scale == 0:
         raise ValueError("cannot normalize an all-zero model")
-    image = IsingModel._from_canonical(model.nvars, model.h, model.J)
+    blocks = [block for block in model.poly._canonical_blocks() if block[0].shape[1]]
+    image = IsingModel._from_poly(model.nvars, MultilinearPoly._from_blocks(Domain.SPIN, blocks))
     return NormalizedIsing(image, scale), scale
 
 
@@ -185,39 +190,34 @@ def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
 # exports carry decimal values.
 
 
+def _sections(model: IsingModel, text: Callable[[np.ndarray], np.ndarray]) -> str:
+    """The `h`, then the `J` lines of `model` in index order, the values
+    `text(coefficients)`: each section one `%` of its repeated line
+    template over its canonical block's fields, each as `str` gives it."""
+    return "".join(("hJ"[idx.shape[1] - 1] + " %s" * (idx.shape[1] + 1) + "\n") * len(coefs)
+                   % tuple(np.column_stack((idx, text(coefs))).ravel().tolist())
+                   for idx, coefs in model.poly._canonical_blocks() if idx.shape[1])
+
+
 def write_ising(model: IsingModel, fp: IO[str]) -> None:
-    """The `c` line, then the `h` and `J` lines in index order, each section
-    one `%` of its repeated line template over a flat argument tuple; the
-    file is written in one call.  Each field is written as `str` gives it."""
-    h, J = model.h, model.J
-    h_args: list = []
-    for i in sorted(h):
-        h_args += (i, h[i])
-    J_args: list = []
-    for k in sorted(J):
-        J_args += k
-        J_args.append(J[k])
-    fp.write(f"c {model.offset}\n" + "h %s %s\n" * len(h) % tuple(h_args)
-             + "J %s %s %s\n" * len(J) % tuple(J_args))
+    """The `c` line, then the `h` and `J` lines in index order; the file is
+    written in one call."""
+    fp.write(f"c {model.offset}\n" + _sections(model, lambda coefs: coefs))
 
 
 def write_normalized(norm: NormalizedIsing, fp: IO[str]) -> None:
     """As `write_ising`, under a `# scale` comment and with offset 0, each
     coefficient c written as `<q>.0` when scale divides it, else as the repr
     of c / scale: int / int true division rounds correctly, as
-    float(Fraction).  Each distinct c is formatted once."""
-    scale, h, J = norm.scale, norm.model.h, norm.model.J
-    text = {c: repr(c / scale) if c % scale else f"{c // scale}.0"
-            for c in {*h.values(), *J.values()}}
-    h_args: list = []
-    for i in sorted(h):
-        h_args += (i, text[h[i]])
-    J_args: list = []
-    for k in sorted(J):
-        J_args += k
-        J_args.append(text[J[k]])
-    fp.write(f"# scale {scale}\nc 0\n" + "h %s %s\n" * len(h) % tuple(h_args)
-             + "J %s %s %s\n" * len(J) % tuple(J_args))
+    float(Fraction).  Each distinct c of a section is formatted once."""
+    scale = norm.scale
+
+    def text(coefs: np.ndarray) -> np.ndarray:
+        distinct, inverse = np.unique(coefs, return_inverse=True)
+        return np.array([repr(c / scale) if c % scale else f"{c // scale}.0"
+                         for c in distinct.tolist()], dtype=object)[inverse]
+
+    fp.write(f"# scale {scale}\nc 0\n" + _sections(norm.model, text))
 
 
 def read_ising(fp: IO[str]) -> IsingModel:

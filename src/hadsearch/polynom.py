@@ -12,42 +12,31 @@ polynomial has no terms.
 Validation happens once, at the boundary: the public constructor (and
 `read_poly`, which goes through it) checks every monomial, takes every index
 and coefficient through `operator.index`, and rejects two keys that name
-the same monomial, so a float, a `Fraction`, a bad monomial or an ambiguous
-term is rejected there.  The algebra (`add`, `scale`, `mul`,
-`SquareSum.expand`) builds canonical, zero-free term dicts and hands them to
-`_from_canonical`; the two transforms and `quadratize` build canonical
-blocks and hand them to `_from_blocks`.  Both store what they are given
-unchecked.
+the same monomial.  The algebra (`add`, `scale`, `mul`) hands canonical,
+zero-free term dicts to `_from_canonical`; `SquareSum.expand`, the two
+transforms and `quadratize` hand canonical blocks to `_from_blocks`.  Both
+store what they are given unchecked.
 
 A polynomial holds its terms in one of two forms and builds the other only
 when something asks for it: the term dict, the public `terms`, which the
 constructor, `read_poly` and the algebra give; or canonical blocks, one per
 degree present, by ascending degree, each an (n, d) index array of its
 monomials in lexicographic row order with their coefficient array beside
-it.  An array is int64, or dtype object, which holds Python ints, where a
-value may not fit int64; `tolist()` gives Python ints either way.  The
-transforms, `quadratize`, `write_poly` and `from_quadratic` read the
+it, int64 or, where a value may not fit, dtype object holding Python ints.
+The transforms, `quadratize`, the writers and the enumeration read the
 blocks, as do `nvars`, `degree()` and `abs_coeff_sum()` where the blocks
-are there, so a chain of those builds no dict.  The terms never change,
-so each form, the variable count and the degree are computed once, on
-first use, and kept.
+are there, so `build`, from the residuals to the written files, builds no
+dict.  The terms never change, so each form, the variable count and the
+degree are computed once, on first use, and kept.
 
 The two domain transforms are value-preserving under the bijection
 s = 2q - 1 (s=+1 <-> q=1): `spin_to_boolean` substitutes s_i = 2q_i - 1 and
-`boolean_to_spin` substitutes q_i = (1 + s_i)/2.  Both sum each term over
-its sub-monomials as one numpy reduction per output degree
-(`_subset_sums`): a block's subsets come from one gather, are lexsorted and
-summed run by run, in int64 where abs_coeff_sum * 2^D (D the degree) is
-below 2^63 and in Python ints past it, so the result is exact either way.
-`boolean_to_spin` works scaled by 2^D and requires every sum to divide
-back exactly.  Each output degree comes out lexicographic, so the sums are
-the result's blocks as they stand.
-
-A `SquareSum` is an energy given as a weighted sum of squared quadratic
-spin residuals, sum of w * R^2, its `nvars` and weights taken through
-`operator.index` as the polynomial constructor takes coefficients.
-`expand` gives the polynomial; `residual_values` gives the residuals of one
-assignment.
+`boolean_to_spin` substitutes q_i = (1 + s_i)/2, the latter scaled by 2^D
+(D the degree) and required to divide back exactly.  Both sum each term
+over its sub-monomials as one exact numpy reduction per output degree
+(`_subset_sums`), whose sums are the result's blocks as they stand.
+`SquareSum`, an energy sum of w * R^2 over quadratic spin residuals,
+holds them as one coefficient array.
 """
 
 from __future__ import annotations
@@ -58,7 +47,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -357,68 +346,115 @@ class MultilinearPoly:
 @dataclass(frozen=True)
 class SquareSum:
     """Spin energy sum of w * R^2 over `terms`, pairs (w, R) of a positive
-    integer weight and a quadratic spin residual over `nvars` variables."""
+    integer weight and a quadratic spin residual over `nvars` variables.
+
+    The residuals are laid out once in `coefficients`, shape (L, n+1, n+1)
+    for n = `nvars`: R_r's coefficient of s_i s_j (i < j) at [r, i, j], of
+    s_i at [r, i, n], its constant at [r, n, n], 0 elsewhere, beside the
+    L `weights`.  Both are int64 where the weights and sum of w * A^2 (A a
+    residual's absolute coefficient sum; it bounds every energy, energy
+    change and expanded coefficient) are below 2^63, else dtype object."""
 
     nvars: int
     terms: tuple[tuple[int, MultilinearPoly], ...]
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Take `nvars` and every weight through `operator.index`, as the
         polynomial constructor takes coefficients, and store Python ints, so
         a float or `Fraction` is rejected and a numpy int never wraps."""
         try:
-            object.__setattr__(self, "nvars", operator.index(self.nvars))
+            n = operator.index(self.nvars)
         except TypeError:
             raise ValueError(f"non-integer nvars {self.nvars!r}") from None
-        terms = []
+        terms, flat, values, bound = [], [], [], 0
         for w, residual in self.terms:
             try:
-                terms.append((operator.index(w), residual))
+                w = operator.index(w)
             except TypeError:
                 raise ValueError(f"non-integer residual weight {w!r}") from None
-        object.__setattr__(self, "terms", tuple(terms))
-        for w, residual in self.terms:
+            terms.append((w, residual))
+        for r, (w, residual) in enumerate(terms):
             if w <= 0:
                 raise ValueError(f"residual weight must be positive, got {w}")
             if residual.domain is not Domain.SPIN or residual.degree() > 2:
                 raise ValueError("residuals must be quadratic spin polynomials")
-            if residual.nvars > self.nvars:
-                raise ValueError(f"residual uses variables past nvars {self.nvars}")
+            if residual.nvars > n:
+                raise ValueError(f"residual uses variables past nvars {n}")
+            # a residual held as a dict is read as it is held
+            for m, c in (residual._terms if residual._dict is None else residual._dict).items():
+                i, j = (*m, n, n)[:2]
+                flat.append((r * (n + 1) + i) * (n + 1) + j)
+                values.append(c)
+            bound += w * residual.abs_coeff_sum() ** 2
+        weights = [w for w, _ in terms]
+        dtype = np.int64 if max([bound, *weights]) < 1 << 63 else object
+        coefficients = np.zeros(len(terms) * (n + 1) ** 2, dtype)
+        coefficients[flat] = values
+        for name, value in (("nvars", n), ("terms", tuple(terms)), ("weights", np.array(
+                weights, dtype)), ("coefficients", coefficients.reshape(-1, n + 1, n + 1))):
+            object.__setattr__(self, name, value)
 
     def expand(self) -> MultilinearPoly:
-        """The energy as one spin polynomial."""
-        terms = {_mask_monomial(mask): c for mask, c in self.expanded_masks().items() if c}
-        return MultilinearPoly._from_canonical(Domain.SPIN, terms)
+        """The energy as one spin polynomial, held as canonical blocks."""
+        return MultilinearPoly._from_blocks(Domain.SPIN, self._expansion())
 
-    def expanded_masks(self) -> dict[int, int]:
-        """The expansion's coefficients keyed by monomial bitmask (bit i is
-        variable i), zeros included: w * c1 * c2 summed into m1 XOR m2 over
-        the term pairs of each residual, since s_i * s_i = 1."""
-        acc: dict[int, int] = {}
-        for w, residual in self.terms:
-            items = [(sum(1 << v for v in m), c) for m, c in residual._terms.items()]
-            for k, (m1, c1) in enumerate(items):
-                acc[0] = acc.get(0, 0) + w * c1 * c1
-                for m2, c2 in items[k + 1:]:
-                    acc[m1 ^ m2] = acc.get(m1 ^ m2, 0) + 2 * w * c1 * c2
-        return acc
+    def _expansion(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The energy's canonical blocks: w * c1 * c2, doubled where the
+        terms differ, summed into m1 m2 (s_i s_i = 1) over every pair of
+        terms c1 m1, c2 m2 of a residual; zero sums dropped.  A term is a
+        nonzero entry of `coefficients`, two ascending indices with n for
+        none; a pair's four, put in order, cancel where met twice.  Keyed by
+        its degree, then its indices as base-(n+1) digits (int64 where
+        5 (n+1)^4 fits), each product sums into its canonical place, in the
+        arrays' dtype."""
+        n, side = self.nvars, self.nvars + 1
+        flat = np.flatnonzero(self.coefficients)
+        c = self.coefficients.ravel()[flat]
+        r, slot = np.divmod(flat, side * side)
+        # pair k <= l of the terms of one residual
+        count = np.searchsorted(r, r, side="right") - np.arange(len(r))
+        first = np.repeat(np.arange(len(r)), count)
+        second = first + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+        coef = self.weights[r[first]] * c[first] * c[second]
+        coef[first != second] *= 2
+        kind = np.int64 if 5 * side**4 < 1 << 63 else object
+        a, b = (x.astype(kind, copy=False) for x in np.divmod(slot, side))
+        a1, a2, b1, b2 = a[first], a[second], b[first], b[second]
+        inner, outer = np.maximum(a1, a2), np.minimum(b1, b2)
+        x = (np.minimum(a1, a2), np.minimum(inner, outer), np.maximum(inner, outer),
+             np.maximum(b1, b2))
+        twice = [False, *(x[j] == x[j + 1] for j in range(3)), False]
+        kept = [(x[j] < n) & ~(twice[j] | twice[j + 1]) for j in range(4)]
+        key, degree = np.zeros(len(first), kind), np.zeros(len(first), kind)
+        for xj, kj in zip(x, kept):
+            key = np.where(kj, key * side + xj, key)
+            degree += kj
+        key += degree * side**4
+        key, inverse = np.unique(key, return_inverse=True)
+        sums = np.zeros(len(key), coef.dtype)
+        np.add.at(sums, inverse, coef)
+        key, sums = key[sums != 0], sums[sums != 0]
+        digits = np.stack([key // side ** (3 - j) % side for j in range(4)], axis=1)
+        ends = np.searchsorted(key // side**4, np.arange(6))
+        return [(digits[lo:hi, 4 - d :].astype(np.int64), sums[lo:hi])
+                for d, (lo, hi) in enumerate(zip(ends, ends[1:])) if hi > lo]
 
     def residual_values(self, values: Sequence[int]) -> list[int]:
         """Each residual at the +/-1 assignment `values` (index i is variable i)."""
         if len(values) != self.nvars:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
-        assignment = dict(enumerate(values))
-        return [residual.evaluate(assignment) for _, residual in self.terms]
+        s = np.array([*values, 1])
+        if len(bad := np.flatnonzero(abs(s) != 1)):
+            raise ValueError(f"value {values[bad[0]]} for variable {bad[0]} outside spin domain")
+        return (self.coefficients @ s.astype(np.int64) @ s.astype(np.int64)).tolist()
 
 
-def _mask_monomial(mask: int) -> Monomial:
-    """The variables of a monomial bitmask, read off its lowest set bits."""
-    m = []
-    while mask:
-        low = mask & -mask
-        m.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(m)
+def _max_abs_coeff(blocks: list[tuple[np.ndarray, np.ndarray]]) -> int:
+    """The largest |coefficient| of the canonical `blocks` of degree >= 1,
+    or 0, from each block's extremes as Python ints (int64 -2^63 has none)."""
+    return max((max(int(c.max()), -int(c.min())) for idx, c in blocks if idx.shape[1]), default=0)
 
 
 def _int_array(values: list[int]) -> np.ndarray:

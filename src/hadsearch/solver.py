@@ -19,43 +19,36 @@ zero exactly where every residual is, and no residual term links spins of
 two connected components of its variable graph (the Williamson and
 Baumert-Hall blocks, the Turyn sequences).  So its zero-energy set is a
 join of two half enumerations (meet in the middle; Kharaghani and
-Tayfeh-Rezaie, J. Combin. Des. 2005): each side's residual parts are
-tabulated in int64 over its own 2^(n/2) or so assignments, and one sort of
-the columns pairs every left assignment with each right one whose negated
-parts equal its own.  Where that finds no zero state, the spins form one
-component, or a side's tables would pass 2^22 entries, the expansion is
-enumerated as above, so a minimum above zero is still reported.  The
-join's tables stay within 2^22 entries a side; it holds one entry per
-zero state only where every one is asked for, as the enumeration does.
+Tayfeh-Rezaie, J. Combin. Des. 2005): each side's residual parts, slices
+of the `SquareSum`'s residual array, are tabulated in int64 over its own
+2^(n/2) or so assignments, and one sort of the columns pairs every left
+assignment with each right one whose negated parts equal its own.  Where
+that finds no zero state, the spins form one component, or a side's
+tables would pass 2^22 entries, the expansion is enumerated as above.
 
 Annealing is single-flip Metropolis with a geometric inverse-temperature
-ladder, vectorised over reads, on either model kind: an Ising model (the
-path `solve` takes) or a method's sum of squared residuals over its own
-logical spins (the path `search` takes, with no ancillas and no penalty
-weight).  One kernel serves both, since an Ising model is a single
-residual entering the energy linearly.  The state keeps every residual
-doubled, X = 2R, so that the sum X + delta a proposal forms for a sum of
-squares also serves the update of X; a flip updates every residual
-incrementally.  A flip attempt runs the same ten unmasked numpy calls on
-every read (nine for an Ising model), into buffers allocated once per run:
-the acceptance test yields a sign, -1 to flip and +1 to keep, that
-multiplies the spin and the residual change.  A move is accepted where its
-energy change dE is below the threshold T = -ln(u) / beta, which holds
-exactly where u < exp(-beta dE) (Isakov et al., Comput. Phys. Commun.
-2015): the uniforms u are logged once when drawn and a block of sweeps
-divides its logs by -beta in one call, so no exponential is taken per
-attempt.  A full sweep that moves no read leaves a frozen state, whose
-energy changes stay fixed until a read moves; they are then formed once,
-and the attempts that no read can accept are passed over in a few array
-operations rather than run.  Every read draws its start state and
-acceptance uniforms from a stream derived from (seed, read index), the
-uniforms of a block of sweeps in one call, and the block's flip orders
-come from one dedicated stream in one call, so a fixed seed gives
-byte-identical samples.  Energies are exact integers: the
-models `anneal` accepts keep every energy and energy change below 2^62 in
-magnitude, and its inverse temperatures are finite.  The accept/reject
-decision is the one rounded step; see `_Kernel` for where it can differ
-from u < exp(-beta dE) evaluated in floating point.
+ladder, vectorised over reads, on an Ising model (the path `solve` takes)
+or a method's sum of squared residuals over its own logical spins (the
+path `search` takes, with no ancillas and no penalty weight).  One kernel
+serves both, since an Ising model is a single residual entering the
+energy linearly; its flip matrices come from the residual array or the
+Ising polynomial's blocks.  The state keeps every residual doubled,
+X = 2R, and a flip attempt runs the same ten unmasked numpy calls on every
+read (nine for an Ising model) into buffers allocated once per run, its
+decision a sign, -1 to flip and +1 to keep (`_Kernel`).  A move is
+accepted where its energy change dE is below the threshold
+T = -ln(u) / beta, which holds exactly where u < exp(-beta dE) (Isakov et
+al., Comput. Phys. Commun. 2015), so no exponential is taken per attempt.
+After a full sweep that moves no read, the attempts that no read can
+accept are passed over in a few array operations rather than run
+(`_metropolis_states`).  Every read draws its start state and acceptance
+uniforms from a stream derived from (seed, read index), a block of sweeps
+in one call, and the flip orders come from one dedicated stream, so a
+fixed seed gives byte-identical samples.  Energies are exact integers:
+the models `anneal` accepts keep every energy and energy change below
+2^62 in magnitude.  The accept/reject decision is the one rounded step;
+see `_Kernel` for where it can differ from u < exp(-beta dE) evaluated in
+floating point.
 
 Both solvers return a `SampleSet`, which holds the distinct samples as
 arrays (int8 values, int64 energies and read counts) in sample order, and
@@ -76,7 +69,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .ising import IsingModel
-from .polynom import Domain, MultilinearPoly, SquareSum
+from .polynom import Domain, MultilinearPoly, SquareSum, _max_abs_coeff
 
 _CHUNK_BITS = 22  # exhaustive enumeration block size: 2^22 states at a time
 _RADIX = 4  # index bits per matrix product of the exhaustive transform
@@ -269,42 +262,37 @@ def exhaustive_min(
     below 2^53; past it, in one int64 and three float64 buffers of 32 MB
     each for the split transform (128 MB, the peak measured at 23 variables).
 
-    A `SquareSum` gives the result, cap check and errors of its expanded
-    polynomial, `exhaustive_min(model.expand(), cap, all_ground)`.  Its
-    zero-energy states come from a join of two half enumerations where
-    that applies (`_zero_states`); otherwise, and where no state reaches
-    energy 0, the expansion is enumerated as above.  The join holds each
-    side's spins and residual parts in at most 2^22 int64 entries (at that
-    limit, two 17-spin sides and 15 residuals, the process peaked at
-    113 MB), and with all_ground a few int64 entries per zero state.
+    A `SquareSum` gives the result, cap check and errors of
+    `exhaustive_min(model.expand(), cap, all_ground)`, by the join of
+    `_zero_states` where that finds a zero state.  The join holds each
+    side's spins and residual parts in at most 2^22 int64 entries (113 MB
+    peak at two 17-spin sides and 15 residuals), and with all_ground a few
+    int64 entries per zero state.
     """
     if isinstance(model, SquareSum):
         return _square_sum_min(model, cap, all_ground)
-    if isinstance(model, IsingModel):
-        poly, nvars, domain = model.to_polynomial(), model.nvars, Domain.SPIN
-    else:
-        poly, nvars, domain = model, model.nvars, model.domain
-    masks = {sum(1 << v for v in m): c for m, c in poly.terms.items()}
-    return _enumerate(masks, nvars, domain, cap, all_ground)
+    poly = model.poly if isinstance(model, IsingModel) else model
+    return _enumerate(poly, model.nvars, cap, all_ground)
 
 
-def _enumerate(
-    masks: dict[int, int], nvars: int, domain: Domain, cap: int, all_ground: bool
-) -> SampleSet:
-    """`exhaustive_min` of the polynomial over variables 0..nvars-1 whose
-    coefficients `masks` holds by monomial bitmask (bit i marks variable i)."""
+def _enumerate(poly: MultilinearPoly, nvars: int, cap: int, all_ground: bool) -> SampleSet:
+    """`exhaustive_min` of the polynomial `poly`, read off its canonical
+    blocks, over variables 0..nvars-1."""
     if nvars > cap:
         raise ValueError(f"{nvars} variables exceed the exhaustive cap of {cap}")
     if nvars > 63:  # the most variables an int64 state index holds
         raise ValueError(f"{nvars} variables exceed the enumeration limit of 63")
+    domain = poly.domain
     spin = domain is Domain.SPIN
+    blocks = poly._canonical_blocks()
 
     if nvars == 0:
-        return _ground_samples(np.zeros(1, dtype=np.int64), 0, domain, masks.get(0, 0))
+        constant = int(blocks[0][1][0]) if blocks else 0
+        return _ground_samples(np.zeros(1, dtype=np.int64), 0, domain, constant)
     # Every partial sum the transform forms, in any order, is a signed sum of
     # distinct coefficients: below 2^53 float64 (and its BLAS products) holds
     # them exactly; below 2^63 the split transform is exact.
-    bound = sum(map(abs, masks.values()))
+    bound = poly.abs_coeff_sum()
     if bound >= 1 << 63:
         raise ValueError(
             "absolute coefficients sum to 2^63 or more; energies could overflow int64"
@@ -312,16 +300,19 @@ def _enumerate(
     split = bound >= 1 << 53
     dtype = np.int64 if split else np.float64
 
-    # State bit i set means s_i = +1 (spin) or q_i = 1 (boolean).  The low
+    # A monomial's bitmask has bit i set for each of its variables i.  State
+    # bit i set means s_i = +1 (spin) or q_i = 1 (boolean).  The low
     # `low_bits` bits of a state index the transformed vector; each
     # high-bit pattern is one chunk.
+    masks, coeffs = [np.zeros(0, np.int64)], [np.zeros(0, dtype)]
+    for idx, c in blocks:
+        masks.append((1 << idx.astype(np.int64)).sum(axis=1))
+        # s_i = -(-1)^bit_i, so a spin monomial is (-1)^|m| * (-1)^popcount(m & state)
+        coeffs.append(c.astype(dtype) * (-1 if spin and idx.shape[1] % 2 else 1))
+    masks, coeffs = np.concatenate(masks), np.concatenate(coeffs)
     low_bits = min(_CHUNK_BITS, nvars)
-    low = np.array([m & ((1 << low_bits) - 1) for m in masks], dtype=np.int64)
-    high = np.array([m >> low_bits for m in masks], dtype=np.int64)
-    # s_i = -(-1)^bit_i, so a spin monomial is (-1)^|m| * (-1)^popcount(m & state)
-    coeffs = np.array(
-        [-c if spin and m.bit_count() % 2 else c for m, c in masks.items()], dtype=dtype
-    )
+    low = masks & ((1 << low_bits) - 1)
+    high = masks >> low_bits
     block = _SYLVESTER if spin else _ZETA
     a = np.empty(1 << low_bits, dtype=dtype)
     spares = [np.empty(a.size) for _ in range(3 if split else 1)]
@@ -365,16 +356,30 @@ def _ground_samples(states: np.ndarray, nvars: int, domain: Domain, energy: int)
 
 def _square_sum_min(model: SquareSum, cap: int, all_ground: bool) -> SampleSet:
     """`exhaustive_min(model.expand(), cap, all_ground)`, by the join where
-    it finds a zero-energy state."""
-    masks = model.expanded_masks()
-    # the expansion's variables: one past the highest it keeps
-    nvars = max((m.bit_length() for m, c in masks.items() if c), default=0)
-    # past the cap or the int64 bound the enumeration raises, as it always has
-    if 0 < nvars <= cap and sum(map(abs, masks.values())) < 1 << 63:
+    it finds a zero-energy state; only the enumeration expands the model."""
+    nvars = _expanded_nvars(model)
+    # past the cap, or where the tables may not fit int64, the enumeration decides
+    if 0 < nvars <= cap and _energy_bound(model) < 1 << 63:
         states = _zero_states(model, nvars, all_ground)
         if states is not None and states.size:
             return _ground_samples(states, nvars, Domain.SPIN, 0)
-    return _enumerate(masks, nvars, Domain.SPIN, cap, all_ground)
+    energy = MultilinearPoly._from_blocks(Domain.SPIN, model._expansion())
+    return _enumerate(energy, nvars, cap, all_ground)
+
+
+def _expanded_nvars(model: SquareSum) -> int:
+    """The expansion's variable count, one past the highest spin it keeps:
+    the highest spin v of the residuals where flipping v at the state of
+    all spins +1 changes the energy (it does on every construction here),
+    else the expansion's own count.  That flip takes 2d off each residual
+    R, d the sum of its terms with v, and 4 sum of w d (R - d) off the energy."""
+    C = model.coefficients
+    used = np.flatnonzero(C[:, :-1].any(axis=(0, 2)) | C[:, :, :-1].any(axis=(0, 1)))
+    if used.size:
+        d = C[:, used[-1]].sum(axis=1) + C[:, :, used[-1]].sum(axis=1)
+        if model.weights @ (d * (C.sum(axis=(1, 2)) - d)):
+            return int(used[-1]) + 1
+    return MultilinearPoly._from_blocks(Domain.SPIN, model._expansion()).nvars
 
 
 def _zero_states(model: SquareSum, nvars: int, all_ground: bool) -> np.ndarray | None:
@@ -387,29 +392,23 @@ def _zero_states(model: SquareSum, nvars: int, all_ground: bool) -> np.ndarray |
     quadratic term links two connected components of the residuals'
     variable graph, so with the components dealt to two sides each
     residual is R = c + L + R', L over the left spins and R' over the right
-    ones.  Each side's parts are enumerated as one int64 table, and R = 0
-    joins c + L to equal values of -R'.  The tables are exact: the caller
-    keeps the expansion's absolute sum below 2^63, and it includes the
-    constant w (c_0^2 + ... + c_k^2) >= (|c_0| + ... + |c_k|)^2 / (k + 1)
-    of each residual, so no residual's absolute sum comes near 2^62.  It
-    does not apply where the spins form one component, or where a side's
-    tables would exceed 2^_CHUNK_BITS entries.
+    ones, each side's parts one int64 table, and R = 0 joins c + L to equal
+    values of -R'.  The tables are exact: the caller keeps sum of w * A^2,
+    A a residual's absolute coefficient sum, below 2^63.  It does not
+    apply where the spins form one component, or where a side's tables
+    would exceed 2^_CHUNK_BITS entries.
     """
-    residuals: list[dict[tuple[int, ...], int]] = []
-    for _, residual in model.terms:
-        terms: dict[tuple[int, ...], int] = {}
-        for m, c in residual.terms.items():
-            m = tuple(v for v in m if v < nvars)  # the energy does not depend on the rest
-            terms[m] = terms.get(m, 0) + c
-        terms = {m: c for m, c in terms.items() if c}
-        if terms:
-            residuals.append(terms)
-    sides = _sides(residuals, nvars)
-    if sides is None or any((1 << len(s)) * (len(s) + len(residuals)) > 1 << _CHUNK_BITS
+    # the residuals over spins 0..nvars-1: P adds the spins set to +1 into the last row and column
+    P = np.eye(nvars + 1, model.nvars + 1, dtype=np.int64)
+    P[nvars, nvars:] = 1
+    D = (P @ model.coefficients @ P.T).astype(np.int64)
+    D = D[D.reshape(len(D), -1).any(axis=1)]
+    sides = _sides(D)
+    if sides is None or any((1 << len(s)) * (len(s) + len(D)) > 1 << _CHUNK_BITS
                             for s in sides):
         return None
-    (left, left_states), (right, right_states) = (_side_table(residuals, s) for s in sides)
-    left += np.array([[terms.get((), 0)] for terms in residuals], dtype=np.int64)
+    (left, left_states), (right, right_states) = (_side_table(D, s) for s in sides)
+    left += D[:, nvars, nvars, None]
     ids = _column_ids(np.concatenate([left, np.negative(right, out=right)], axis=1))
     left_ids, right_ids = ids[: left.shape[1]], ids[left.shape[1] :]
     # right columns run in increasing state order, so a stable sort puts the
@@ -428,25 +427,18 @@ def _zero_states(model: SquareSum, nvars: int, all_ground: bool) -> np.ndarray |
     return left_states[columns] + right_states[order[first + np.arange(columns.size)]]
 
 
-def _sides(residuals: list[dict], nvars: int) -> tuple[list[int], list[int]] | None:
-    """Spins 0..nvars-1 dealt to two sides by connected component of the
-    quadratic terms, largest component first, each to the side with fewer
-    spins; None if they form one component."""
-    root = list(range(nvars))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    for terms in residuals:
-        for m in terms:
-            if len(m) == 2:
-                root[find(m[0])] = find(m[1])
+def _sides(D: np.ndarray) -> tuple[list[int], list[int]] | None:
+    """The spins of `D`, residuals laid out as `SquareSum.coefficients`,
+    dealt to two sides by connected component of the quadratic terms, the
+    largest first, each to the side with fewer spins; None if only one."""
+    nvars = D.shape[1] - 1
+    label = list(range(nvars))
+    for i, j in zip(*(a.tolist() for a in D[:, :nvars, :nvars].any(axis=0).nonzero())):
+        if label[i] != label[j]:  # j's component joins i's
+            label = [label[i] if x == label[j] else x for x in label]
     components: dict[int, list[int]] = {}
-    for v in range(nvars):
-        components.setdefault(find(v), []).append(v)
+    for v, c in enumerate(label):
+        components.setdefault(c, []).append(v)
     if len(components) < 2:
         return None
     sides: tuple[list[int], list[int]] = ([], [])
@@ -455,28 +447,19 @@ def _sides(residuals: list[dict], nvars: int) -> tuple[list[int], list[int]] | N
     return sorted(sides[0]), sorted(sides[1])
 
 
-def _side_table(residuals: list[dict], side: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Each residual's non-constant part over the spins `side` at every
-    assignment of them, shape (L, 2^b), and each column's state index.
-
-    Column i sets s_side[t] = +1 where bit t of i is set.  The table grows
-    one spin at a time: with spin t added it is [part - f, part + f], f the
-    field of spin t, its linear coefficient plus its quadratic coefficients
-    with the earlier spins times their values.
-    """
+def _side_table(D: np.ndarray, side: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each residual's non-constant part in `D` (laid out as in `_sides`)
+    over the spins `side` at every assignment of them, shape (L, 2^b), and
+    each column's state index.  Column i sets s_side[t] = +1 where bit t of
+    i is set.  The table grows one spin at a time: with spin t added it is
+    [part - f, part + f], f the field of spin t, its linear coefficient plus
+    its quadratic coefficients with the earlier spins times their values."""
     b = len(side)
-    local = {v: t for t, v in enumerate(side)}
-    linear = np.zeros((len(residuals), b), dtype=np.int64)
-    quadratic = np.zeros((len(residuals), b, b), dtype=np.int64)
-    for r, terms in enumerate(residuals):
-        for m, c in terms.items():
-            if len(m) == 1 and m[0] in local:
-                linear[r, local[m[0]]] = c
-            elif len(m) == 2 and m[0] in local:
-                # m[0] < m[1]: the later spin's row, the earlier one's column
-                quadratic[r, local[m[1]], local[m[0]]] = c
+    linear = D[:, side, -1]
+    # the later spin's row, the earlier one's column
+    quadratic = D[:, side][:, :, side].transpose(0, 2, 1).copy()
     spins = ((np.arange(1 << b) >> np.arange(b)[:, None]) & 1) * 2 - 1
-    parts = np.zeros((len(residuals), 1), dtype=np.int64)
+    parts = np.zeros((len(D), 1), dtype=np.int64)
     for t in range(b):
         field = linear[:, t, None] + quadratic[:, t, :t] @ spins[:t, : 1 << t]
         parts = np.concatenate([parts - field, parts + field], axis=1)
@@ -500,11 +483,8 @@ def _column_ids(table: np.ndarray) -> np.ndarray:
 def default_beta_range(model: IsingModel | SquareSum) -> tuple[float, float]:
     """Hot end keeps the largest energy coefficient flippable; cold end
     freezes unit gaps.  A `SquareSum` counts its expanded coefficients."""
-    if isinstance(model, IsingModel):
-        top = model.max_abs_coeff()
-    else:
-        top = max((abs(c) for m, c in model.expanded_masks().items() if m), default=0)
-    return 0.01 / max(1, top), 10.0
+    blocks = model.poly._canonical_blocks() if isinstance(model, IsingModel) else model._expansion()
+    return 0.01 / max(1, _max_abs_coeff(blocks)), 10.0
 
 
 def _read_generator(seed: int, read_index: int) -> np.random.Generator:
@@ -513,13 +493,13 @@ def _read_generator(seed: int, read_index: int) -> np.random.Generator:
 
 
 def _energy_bound(model: IsingModel | SquareSum) -> int:
-    """Bound on every |energy| and |energy change| of a model: the absolute
-    coefficient sum of an Ising model (offset included), and sum of
-    w * A^2 over a `SquareSum`, A the absolute coefficient sum of a
-    residual, which bounds |R| and |(R + delta)^2 - R^2|."""
+    """Bound on every |energy| and |energy change| of a model: an Ising
+    model's absolute coefficient sum (offset included), and a `SquareSum`'s
+    sum of w * A^2, A a residual's absolute coefficient sum, which bounds
+    |R| and |(R + delta)^2 - R^2|."""
     if isinstance(model, IsingModel):
-        return abs(model.offset) + sum(map(abs, model.h.values())) + sum(map(abs, model.J.values()))
-    return sum(w * r.abs_coeff_sum() ** 2 for w, r in model.terms)
+        return model.poly.abs_coeff_sum()
+    return int((model.weights * np.abs(model.coefficients).sum(axis=(1, 2)) ** 2).sum())
 
 
 class _Kernel:
@@ -566,41 +546,35 @@ class _Kernel:
     the Williamson k=9 schedule, dE within 2 of T, gave no difference.
 
     An attempt costs one (L, n+1) @ (n+1, reads) product and nine more
-    calls (eight for an Ising model) on arrays of L x reads or reads
-    entries.  `changes` forms the dE of every spin in every read at once,
-    the values attempts would form, from one (n*L, n+1) @ (n+1, reads)
-    product; `_metropolis_states` uses it on a frozen state, one that a
-    full sweep left unmoved, to pass over the attempts at which no read
-    flips.  That lookahead holds arrays of n*L x reads entries and, over a
-    window of the block's sweeps, arrays no larger than the block's
-    thresholds: `_UNIFORM_BLOCK` entries, or n x reads where one sweep's
-    uniforms are more.
+    calls (eight for an Ising model).  `changes` forms the dE of every
+    spin in every read from one (n*L, n+1) @ (n+1, reads) product, for
+    `_metropolis_states` to pass over a frozen state's idle attempts.
     """
 
     def __init__(self, model: IsingModel | SquareSum, bound: int):
-        if isinstance(model, IsingModel):
-            n, c = model.nvars, model.offset
-            terms = {(i,): v for i, v in model.h.items()} | dict(model.J)
-            residuals = [(1, 0, terms)] if terms else []
-        else:
-            n = model.nvars
-            c = sum(w * r.terms.get((), 0) ** 2 for w, r in model.terms if not r.degree())
-            residuals = [(0, w, r.terms) for w, r in model.terms if r.degree()]
         self.dtype = np.float64 if bound < 1 << 52 else np.int64
         self.squares = isinstance(model, SquareSum)
-        self.nvars, self.offset = n, c
-        self.u = np.array([u for u, _, _ in residuals], dtype=self.dtype)
-        self.w = np.array([w for _, w, _ in residuals], dtype=self.dtype)
-        self.constants = np.zeros((len(residuals), 1), dtype=self.dtype)
-        self.flips = np.zeros((n, len(residuals), n + 1), dtype=self.dtype)
-        for r, (_, _, terms) in enumerate(residuals):
-            for m, v in terms.items():
-                if not m:
-                    self.constants[r] = v
-                elif len(m) == 1:
-                    self.flips[m[0], r, n] = -2 * v
-                else:
-                    self.flips[m[0], r, m[1]] = self.flips[m[1], r, m[0]] = -2 * v
+        n = self.nvars = model.nvars
+        if self.squares:
+            C = model.coefficients
+            # a constant residual adds w c^2 to the offset
+            varying = C.reshape(len(C), -1)[:, :-1].any(axis=1)
+            self.offset = int((model.weights[~varying] * C[~varying, n, n] ** 2).sum())
+            C, w = C[varying], model.weights[varying]
+            u = np.zeros(len(C))
+        else:
+            # the one residual h s + sum J s s in the same layout, if any
+            C = np.zeros((1, n + 1, n + 1), dtype=np.int64)
+            for idx, coefs in model.poly._canonical_blocks():
+                if idx.shape[1]:
+                    C[0, idx[:, 0], idx[:, 1] if idx.shape[1] == 2 else n] = coefs
+            C, self.offset = C[: int(C.any())], model.offset
+            u, w = np.ones(len(C)), np.zeros(len(C))
+        self.u, self.w = u.astype(self.dtype), w.astype(self.dtype)
+        self.constants = C[:, n, n, None].astype(self.dtype)
+        # row i < n of C + C^T is the derivative of R in s_i
+        self.flips = (-2 * (C + C.transpose(0, 2, 1))[:, :n]).transpose(1, 0, 2).astype(
+            self.dtype, order="C")
 
     def states(self, spins: np.ndarray) -> np.ndarray:
         """S for +/-1 spins of shape (reads, n)."""
@@ -781,25 +755,14 @@ def anneal(
 
     Each read starts from a random spin state and runs `sweeps` full passes
     with a geometric inverse-temperature schedule; identical inputs give
-    bit-identical results.  Each read draws the acceptance uniforms of
-    several sweeps in one call, as many as keep all reads' uniforms within
-    `_UNIFORM_BLOCK` doubles (at least one sweep), and the flip orders of
-    those sweeps come in one call.  The loop keeps every residual doubled,
-    2R, and applies an accepted or rejected flip alike as a +-1 sign, so
-    one flip attempt is a fixed sequence of ten unmasked numpy calls (nine
-    for an Ising model) on buffers allocated once per run.  It accepts a
-    flip where the energy change is below the threshold -ln(u) / beta: the
-    uniforms are logged once when drawn and divided by -beta once per
-    block, and the decision differs from u < exp(-beta dE) only within
-    rounding (`_Kernel`).  After a full sweep that moves no read, the
-    attempts at which no read can flip are passed over, not run, up to the
-    next one at which some read can (`_metropolis_states`); the samples
-    are those of running them all.  Rejects a model whose `_energy_bound`
-    is 2^62 or more: for an Ising model, absolute coefficients (the offset
-    included) summing that high; for a `SquareSum`, a sum of w * A^2 that
-    high, A the absolute coefficient sum of a residual.  Rejects inverse
-    temperatures that are not positive and finite, NaN included, and a
-    schedule between them that overflows to inf.  An n-spin Ising model
+    bit-identical results.  The step, its threshold rule and the pass over
+    frozen stretches are those of the module docstring, `_Kernel` and
+    `_metropolis_states`.  Rejects a model whose `_energy_bound` is 2^62 or
+    more: for an Ising model, absolute coefficients (the offset included)
+    summing that high; for a `SquareSum`, a sum of w * A^2 that high, A the
+    absolute coefficient sum of a residual.  Rejects inverse temperatures
+    that are not positive and finite, NaN included, and a schedule between
+    them that overflows to inf.  An n-spin Ising model
     holds a dense n x (n+1) flip matrix, sparse or not: a 3000-spin chain
     used +74 MB peak RSS, against +9 MB for a neighbour-list loop.  The
     check for a frozen state keeps a copy of the states, and the lookahead

@@ -88,3 +88,37 @@ class CountingWriter(io.StringIO):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+# The dict expansion that `SquareSum.expand` replaced, kept as its oracle.
+
+
+def expanded_masks(model: SquareSum) -> dict[int, int]:
+    """The expansion's coefficients keyed by monomial bitmask (bit i is
+    variable i), zeros included: w * c1 * c2 summed into m1 XOR m2 over
+    the term pairs of each residual, since s_i * s_i = 1."""
+    acc: dict[int, int] = {}
+    for w, residual in model.terms:
+        items = [(sum(1 << v for v in m), c) for m, c in residual.terms.items()]
+        for k, (m1, c1) in enumerate(items):
+            acc[0] = acc.get(0, 0) + w * c1 * c1
+            for m2, c2 in items[k + 1:]:
+                acc[m1 ^ m2] = acc.get(m1 ^ m2, 0) + 2 * w * c1 * c2
+    return acc
+
+
+def mask_monomial(mask: int) -> tuple[int, ...]:
+    """The variables of a monomial bitmask, read off its lowest set bits."""
+    m = []
+    while mask:
+        low = mask & -mask
+        m.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(m)
+
+
+def dict_expansion(model: SquareSum) -> MultilinearPoly:
+    """`model.expand()` as the oracle gives it, through the validating
+    constructor."""
+    return MultilinearPoly(Domain.SPIN, {mask_monomial(m): c
+                                         for m, c in expanded_masks(model).items() if c})

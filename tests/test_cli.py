@@ -1,14 +1,16 @@
 import hashlib
 import os
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from hadsearch import cli
 from hadsearch import constructions as cons
 from hadsearch import hadamard as hm
-from hadsearch import solver
-from hadsearch.polynom import load_poly
+from hadsearch import ising, solver
+from hadsearch.polynom import MultilinearPoly, load_poly
 
 
 def run(*args):
@@ -64,6 +66,7 @@ class TestArtifactDigests:
         # exhaustive searches assembled by the Goethals-Seidel array
         "search_t4": ("search", "--method", "turyn", "--n", 4),
         "search_x8_2": ("search", "--method", "extended-turyn", "--n", 8, "--m", 2),
+        "build_t16": ("build", "--method", "turyn", "--n", 16),
     }
     # `solve` on a file of the `w5b` build: the boolean domain's export, and
     # the Ising model enumerated and annealed
@@ -71,6 +74,9 @@ class TestArtifactDigests:
         "solve_w5_ek_q": ("ek_q.poly", "--all-ground"),
         "solve_w5_ising": ("model.ising", "--all-ground", "--cap", 30),
         "solve_w5_anneal": ("e2_s.poly", "--solver", "anneal", "--reads", 50, "--sweeps", 50),
+        # the same model, read from the Ising file
+        "solve_w5_ising_anneal": ("model.ising", "--solver", "anneal", "--reads", 50,
+                                  "--sweeps", 50),
     }
 
     def test_every_file_matches_recorded_sha256(self, tmp_path):
@@ -85,6 +91,27 @@ class TestArtifactDigests:
         with open(os.path.join(DATA, "artifact_sha256.txt"), encoding="utf-8") as fp:
             expect = {path: digest for digest, path in (line.split() for line in fp)}
         assert got == expect
+        # `model.ising` and `e2_s.poly` hold the same model
+        assert snapshot(tmp_path / "solve_w5_ising_anneal") == snapshot(tmp_path / "solve_w5_anneal")
+
+
+@pytest.mark.parametrize("name", ["build_t12", "build_w9"])
+def test_build_makes_no_term_dict(tmp_path, name):
+    """From the residuals to the written files, `build` reads arrays: no
+    polynomial's term dict and no Ising model's `h` or `J` is built."""
+    def refuse(self):
+        raise AssertionError("a term dict was built")
+
+    with (mock.patch.object(MultilinearPoly, "_terms", property(refuse)),
+          mock.patch.object(ising.IsingModel, "h", property(refuse)),
+          mock.patch.object(ising.IsingModel, "J", property(refuse))):
+        assert run(*TestArtifactDigests.RUNS[name], "--out", tmp_path / name) == 0
+    got = {f"{name}/{path}": hashlib.sha256(data).hexdigest()
+           for path, data in snapshot(tmp_path / name).items()}
+    with open(os.path.join(DATA, "artifact_sha256.txt"), encoding="utf-8") as fp:
+        expect = {path: digest for digest, path in (line.split() for line in fp)
+                  if path.startswith(f"{name}/")}
+    assert len(got) == 7 and got == expect
 
 
 USAGE_ERRORS = {
@@ -109,6 +136,23 @@ def test_usage_error_names_value_and_leaves_no_out_dir(tmp_path, capsys, command
     out = tmp_path / "out"
     assert run(command, *argv, "--out", out) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["search", "solve"])
+def test_negative_cap_is_usage_error(tmp_path, capsys, command):
+    if command == "search":
+        argv = ("search", "--method", "williamson", "--k", 3)
+    else:
+        path = tmp_path / "pair.ising"
+        path.write_text("c 0\nJ 0 1 1\n")
+        argv = ("solve", path)
+    out = tmp_path / "out"
+    # argparse rejects the value before any command runs
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--cap", -1, "--out", out)
+    assert exc.value.code == 2
+    assert "--cap: must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hadsearch import constructions as cons
 from hadsearch.polynom import (
     Domain,
     MultilinearPoly,
@@ -22,7 +23,8 @@ from hadsearch.polynom import (
 )
 from hadsearch.quadratize import quadratize
 
-from conftest import CountingWriter, polynomials, random_assignment, random_poly
+from conftest import (CountingWriter, dict_expansion, expanded_masks, polynomials,
+                      random_assignment, random_poly)
 
 SPIN = Domain.SPIN
 BOOL = Domain.BOOLEAN
@@ -394,11 +396,23 @@ class TestMeasures:
 
 
 @st.composite
-def square_sums(draw, coeffs=st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))):
+def square_sums(draw, coeffs=st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40)),
+                weights=st.integers(1, 5)):
     nvars = draw(st.integers(1, 6))
-    residuals = st.tuples(st.integers(1, 5),
+    residuals = st.tuples(weights,
                           polynomials(SPIN, max_vars=nvars, coeffs=coeffs, max_degree=2))
     return SquareSum(nvars, tuple(draw(st.lists(residuals, max_size=4))))
+
+
+def assert_same_blocks(model: SquareSum) -> None:
+    """The expansion's canonical blocks equal the dict expansion's, array
+    for array: int64 index arrays, and coefficients of the dtype of
+    `model.coefficients`, which is object only past its int64 bound."""
+    a, b = model.expand()._canonical_blocks(), dict_expansion(model)._canonical_blocks()
+    assert len(a) == len(b)
+    for (i1, c1), (i2, c2) in zip(a, b):
+        assert i1.dtype == i2.dtype == np.int64 and c1.dtype == model.coefficients.dtype
+        assert np.array_equal(i1, i2) and c1.tolist() == c2.tolist()
 
 
 class TestSquareSum:
@@ -409,10 +423,52 @@ class TestSquareSum:
         for w, residual in model.terms:
             expected = expected.add(residual.mul(residual).scale(w))
         assert model.expand() == expected
-        masks = model.expanded_masks()
+        masks = expanded_masks(model)
         assert {m: c for m, c in masks.items() if c} == {
             sum(1 << v for v in m): c for m, c in expected.terms.items()
         }
+
+    @pytest.mark.parametrize("name", [*(f"W{k}" for k in (3, 5, 7, 9, 11, 13)),
+                                      *(f"T{n}" for n in (4, 6, 8, 10, 12))])
+    def test_blocks_are_those_of_the_dict_expansion(self, name):
+        build = cons.williamson_residuals if name[0] == "W" else cons.turyn_residuals
+        model = build(int(name[1:]))
+        assert_same_blocks(model)
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=square_sums(
+        coeffs=st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)),
+        weights=st.one_of(st.integers(1, 5), st.integers(2**62 - 3, 2**62 + 3),
+                          st.integers(2**63 - 3, 2**63 + 3))))
+    @example(model=SquareSum(1, ((2**62, spoly({(0,): 1})),)))
+    @example(model=SquareSum(2, ((2**61, spoly({(0,): 1, (1,): 1})),)))
+    @example(model=SquareSum(2, ((2**63, spoly({})), (1, spoly({(0, 1): 1})))))
+    def test_array_and_expansion_across_the_int64_bound(self, model):
+        bound = sum(w * r.abs_coeff_sum() ** 2 for w, r in model.terms)
+        weights = [w for w, _ in model.terms]
+        small = max([bound, *weights]) < 2**63
+        assert model.coefficients.dtype == (np.int64 if small else object)
+        assert model.weights.tolist() == weights
+        for (w, residual), table in zip(model.terms, model.coefficients.tolist()):
+            n = model.nvars
+            laid = {(i, j): c for i, row in enumerate(table) for j, c in enumerate(row) if c}
+            assert laid == {(*m, n, n)[:2]: c for m, c in residual.terms.items()}
+        assert_same_blocks(model)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), model=square_sums(
+        weights=st.one_of(st.integers(1, 5), st.integers(2**62 - 3, 2**62 + 3))))
+    def test_residual_values_evaluate_each_residual(self, data, model):
+        values = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=model.nvars,
+                                    max_size=model.nvars))
+        got = model.residual_values(values)
+        assert got == [r.evaluate(dict(enumerate(values))) for _, r in model.terms]
+        assert all(type(v) is int for v in got)
+
+    def test_residual_values_reject_non_spin_values(self):
+        model = SquareSum(2, ((1, spoly({(0,): 1})),))
+        with pytest.raises(ValueError, match="value 0 for variable 1 outside spin domain"):
+            model.residual_values([1, 0])
 
     @pytest.mark.parametrize("weight", [1.5, 3.0, Fraction(3, 2), np.float64(2.0)],
                              ids=["float", "integral-float", "fraction", "numpy-float"])

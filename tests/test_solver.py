@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import tracemalloc
@@ -19,7 +20,7 @@ from hadsearch.constructions import (
     williamson_energy,
     williamson_residuals,
 )
-from hadsearch.ising import IsingModel, from_quadratic
+from hadsearch.ising import IsingModel, from_quadratic, read_ising, write_ising
 from hadsearch.polynom import Domain, MultilinearPoly, SquareSum
 from hadsearch.quadratize import quadratize
 from hadsearch.solver import Sample, SampleSet, anneal, exhaustive_min
@@ -579,6 +580,66 @@ class TestWilliamsonResidualForms:
             assert self.fields(a) == self.fields(b)
         a, b = (exhaustive_min(model, all_ground=True) for model in (once, oracle))
         assert a.min_energy == 0 and self.fields(a) == self.fields(b)
+
+
+def dict_kernel(model: IsingModel | SquareSum):
+    """(flips, constants, offset, u, w) as the kernel built them by walking
+    the residuals' term dicts, or an Ising model's `h` and `J`, kept as the
+    oracle of the array-built kernel."""
+    if isinstance(model, IsingModel):
+        n, c = model.nvars, model.offset
+        terms = {(i,): v for i, v in model.h.items()} | dict(model.J)
+        residuals = [(1, 0, terms)] if terms else []
+    else:
+        n = model.nvars
+        c = sum(w * r.terms.get((), 0) ** 2 for w, r in model.terms if not r.degree())
+        residuals = [(0, w, r.terms) for w, r in model.terms if r.degree()]
+    constants = np.zeros((len(residuals), 1), dtype=np.int64)
+    flips = np.zeros((n, len(residuals), n + 1), dtype=np.int64)
+    for r, (_, _, terms) in enumerate(residuals):
+        for m, v in terms.items():
+            if not m:
+                constants[r] = v
+            elif len(m) == 1:
+                flips[m[0], r, n] = -2 * v
+            else:
+                flips[m[0], r, m[1]] = flips[m[1], r, m[0]] = -2 * v
+    return flips, constants, c, [u for u, _, _ in residuals], [w for _, w, _ in residuals]
+
+
+def ising_file_model(energy: MultilinearPoly) -> IsingModel:
+    """The build chain's Ising model of `energy`, written and read back."""
+    buf = io.StringIO()
+    write_ising(from_quadratic(quadratize(energy.spin_to_boolean())[0].boolean_to_spin()), buf)
+    return read_ising(io.StringIO(buf.getvalue()))
+
+
+class TestKernelMatchesDictOracle:
+    @pytest.mark.parametrize("name", ["W3", "W5", "W7", "W9", "T4", "T6", "T8", "I5", "I6"])
+    def test_arrays_equal_the_dict_built_ones(self, name):
+        size = int(name[1:])
+        model = {"W": williamson_residuals, "T": turyn_residuals,
+                 "I": lambda k: ising_file_model(turyn_energy(k) if k % 2 == 0
+                                                 else williamson_energy(k))}[name[0]](size)
+        kernel = solver._Kernel(model, solver._energy_bound(model))
+        flips, constants, offset, u, w = dict_kernel(model)
+        assert kernel.flips.flags.c_contiguous and kernel.flips.dtype == kernel.dtype
+        assert np.array_equal(kernel.flips, flips) and np.array_equal(kernel.constants, constants)
+        assert kernel.offset == offset and type(kernel.offset) is int
+        assert kernel.u.tolist() == u and kernel.w.tolist() == w
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_models(self, data):
+        for ising in (True, False):
+            model = data.draw(annealable_models(ising))
+            bound = solver._energy_bound(model)
+            assume(bound < 2**62)
+            kernel = solver._Kernel(model, bound)
+            flips, constants, offset, u, w = dict_kernel(model)
+            assert np.array_equal(kernel.flips, flips) and kernel.offset == offset
+            assert np.array_equal(kernel.constants, constants)
+            assert kernel.u.tolist() == u and kernel.w.tolist() == w
 
 
 class TestEnergyBound:
