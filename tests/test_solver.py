@@ -350,6 +350,18 @@ class TestSquareSumJoin:
         every = exhaustive_min(model, all_ground=True)
         assert [s.values for s in every.samples] == [(1, 1), (-1, -1)]
 
+    @pytest.mark.parametrize("terms", [
+        ((2**62, {(0,): 1, (1,): -1}), (2**61, {(1, 2): 1, (): -1})),
+        ((2**70, {}), (1, {(0,): 1, (1,): -1})),
+        ((2**63, {(0,): 1, (1,): 1}), (3, {(2, 3): 1, (): 1})),
+    ], ids=["sum-past-2^63", "huge-weight-on-zero", "weight-2^63"])
+    def test_arrays_past_int64(self, terms):
+        # residual arrays of dtype object: the variable count and the join's
+        # gate read them exactly, and the expansion decides what it can
+        model = SquareSum(4, tuple((w, MultilinearPoly(Domain.SPIN, t)) for w, t in terms))
+        assert model.coefficients.dtype == object
+        self.check(model)
+
     def test_cap_applies_to_the_expansion_first(self):
         model = SquareSum(30, tuple((1, MultilinearPoly(Domain.SPIN, {(i,): 1, (): -1}))
                                     for i in range(30)))
