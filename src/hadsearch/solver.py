@@ -44,19 +44,20 @@ accept are passed over in a few array operations rather than run
 (`_metropolis_states`).  Every read draws its start state and acceptance
 uniforms from a stream derived from (seed, read index), a block of sweeps
 in one call, and the flip orders come from one dedicated stream, so a
-fixed seed gives byte-identical samples.  Energies are exact integers:
-the models `anneal` accepts keep every energy and energy change below
-2^62 in magnitude.  The accept/reject decision is the one rounded step;
-see `_Kernel` for where it can differ from u < exp(-beta dE) evaluated in
-floating point.
+fixed seed gives byte-identical samples.  The uniforms become their
+thresholds in place, in the one buffer they are drawn into.  Energies are
+exact integers: the models `anneal` accepts keep every energy and energy
+change below 2^62 in magnitude.  The accept/reject decision is the one
+rounded step; see `_Kernel` for where it can differ from u < exp(-beta dE)
+evaluated in floating point.
 
 Both solvers return a `SampleSet`, which holds the distinct samples as
 arrays (int8 values, int64 energies and read counts) in sample order, and
 both build it through `_sample_set`, one lexsort of the rows: the
 enumeration passes its decoded ground states, annealing its final states
-grouped by `np.unique`.  No per-sample Python object is made unless
-`samples` or `best()` asks for one, and `to_text` writes the value strings
-through one byte lookup.
+grouped by `np.unique` with each row's bytes as one item.  No per-sample
+Python object is made unless `samples` or `best()` asks for one, and
+`to_text` writes the value strings through one byte lookup.
 """
 
 from __future__ import annotations
@@ -700,7 +701,8 @@ def _metropolis_states(
     perm_gen = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(_PERM_STREAM_KEY,)))
     )
-    S = kernel.states(np.array([g.integers(0, 2, size=n) * 2 - 1 for g in gens]).reshape(reads, n))
+    starts = np.array([g.integers(0, 2, size=n) for g in gens]).reshape(reads, n)
+    S = kernel.states(starts * 2 - 1)
     X = 2 * kernel.residuals(S)
     sweep = kernel.sweeper(S, X)
     # Generator.random fills doubles in stream order, so drawing `block`
@@ -709,7 +711,6 @@ def _metropolis_states(
     # block in turn, each as Generator.permutation(n) would
     block = max(1, _UNIFORM_BLOCK // max(1, reads * n))
     drawn = np.empty((reads, block * n))
-    logs = np.empty((block, n, reads))
     # the state as the last sweep left it; attempts passed over keep it
     last, frozen = S.tobytes(), False
     # ln(0.0) is -inf, so a drawn 0.0 gets the threshold +inf and accepts
@@ -721,10 +722,13 @@ def _metropolis_states(
             count = min(block, sweeps - t0)
             for g, row in zip(gens, drawn):
                 g.random(out=row[: count * n])
-            thresholds = logs[:count]
-            np.log(drawn[:, : count * n].T.reshape(count, n, reads), out=thresholds)
-            # the thresholds -ln(u) / beta of every sweep of the block
-            np.divide(thresholds, -betas[t0 : t0 + count, None, None], out=thresholds)
+            # each read's uniforms become its thresholds -ln(u) / beta in
+            # place, in the read's own row; the kernel reads them transposed,
+            # one (n, reads) slice per sweep
+            uniforms = drawn[:, : count * n].reshape(reads, count, n)
+            np.log(uniforms, out=uniforms)
+            np.divide(uniforms, -betas[t0 : t0 + count, None], out=uniforms)
+            thresholds = uniforms.transpose(1, 2, 0)
             orders = perm_gen.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
             order_lists = orders.tolist()
             t = 0
@@ -739,7 +743,7 @@ def _metropolis_states(
                 state = S.tobytes()
                 frozen, last = n > 0 and state == last, state
                 t += 1
-    return S[:n].T.astype(np.int8), np.array(kernel.energies(X), dtype=np.int64)
+    return S[:n].T.astype(np.int8, order="C"), np.array(kernel.energies(X), dtype=np.int64)
 
 
 def anneal(
@@ -764,11 +768,16 @@ def anneal(
     that are not positive and finite, NaN included, and a schedule between
     them that overflows to inf.  An n-spin Ising model
     holds a dense n x (n+1) flip matrix, sparse or not: a 3000-spin chain
-    used +74 MB peak RSS, against +9 MB for a neighbour-list loop.  The
+    used +74 MB peak RSS, against +9 MB for a neighbour-list loop.  A run
+    keeps one scratch buffer, whose uniforms become the thresholds in
+    place: 2 MB, or one sweep's n x reads doubles where that is more.  The
     check for a frozen state keeps a copy of the states, and the lookahead
-    holds two more arrays of n x reads doubles for an Ising model: a
-    1500-spin chain at 200 reads on a cold schedule peaked at 33.5 MB of
-    traced memory, against 26.2 MB for the loop without the skip.
+    holds the energy changes, n x reads doubles, and their differences
+    with a window of thresholds, at most the size of that buffer.  A
+    1500-spin chain with unit fields, at 200 reads and 20 sweeps from
+    beta 1 to 10, where the lookahead runs 12 times, peaked at 54.1 MB of
+    traced memory while its 18.0 MB flip matrix was formed; the run after
+    that added at most 16.0 MB to what the kernel holds.
     """
     bound = _energy_bound(model)
     if bound >= 1 << 62:
@@ -794,8 +803,12 @@ def anneal(
             )
 
     states, energies = _metropolis_states(_Kernel(model, bound), reads, sweeps, betas, seed)
-    values, first, counts = np.unique(states, axis=0, return_index=True, return_counts=True)
-    return _sample_set(Domain.SPIN, values, energies[first], counts, reads)
+    # one void item per row, its n bytes, which np.unique sorts as strings
+    # (a view cannot make the zero-byte items of a spinless model);
+    # `_sample_set` puts the groups in sample order
+    rows = np.ndarray(reads, np.dtype((np.void, states.shape[1])), states)
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    return _sample_set(Domain.SPIN, states[first], energies[first], counts, reads)
 
 
 def write_samples(sampleset: SampleSet, fp: IO[str]) -> None:

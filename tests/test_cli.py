@@ -67,6 +67,9 @@ class TestArtifactDigests:
         "search_t4": ("search", "--method", "turyn", "--n", 4),
         "search_x8_2": ("search", "--method", "extended-turyn", "--n", 8, "--m", 2),
         "build_t16": ("build", "--method", "turyn", "--n", 16),
+        # uniforms drawn in blocks of 16, 16 and 8 sweeps
+        "search_w7_blocks": ("search", "--method", "williamson", "--k", 7, "--solver", "anneal",
+                             "--reads", 1000, "--sweeps", 40, "--seed", 2),
     }
     # `solve` on a file of the `w5b` build: the boolean domain's export, and
     # the Ising model enumerated and annealed

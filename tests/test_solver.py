@@ -442,6 +442,19 @@ class TestAnneal:
             for a, (i, j) in amap.entries:
                 assert bits[a] == bits[i] * bits[j]
 
+    def test_thresholds_share_the_uniforms_buffer(self):
+        # W9's 100 reads x 100 sweeps draw one block of 2 MB of uniforms;
+        # a second buffer of thresholds would take the peak past 4.5 MB
+        model = williamson_residuals(9)
+        anneal(model, reads=1, sweeps=1, seed=1)  # the model's cached expansion
+        tracemalloc.start()
+        try:
+            anneal(model, reads=100, sweeps=100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
     def test_zero_reads_rejected(self):
         m = IsingModel(nvars=1, h={0: 1})
         with pytest.raises(ValueError):
@@ -677,6 +690,25 @@ def thresholds(uniforms: np.ndarray, beta: float) -> np.ndarray:
     `_metropolis_states` forms them: logged, then divided by -beta."""
     with np.errstate(divide="ignore", over="ignore"):
         return np.divide(np.log(uniforms), -beta)
+
+
+def test_log_bits_do_not_depend_on_layout():
+    """`_metropolis_states` logs each read's uniforms in place, in the
+    read's own row, and the kernel reads them transposed.  The pinned
+    samples were drawn with the logs taken on the transposed view, so they
+    hold only while np.log gives the same bits on a strided view as on a
+    contiguous array, its SIMD and its scalar loops alike."""
+    rng = np.random.default_rng(3)
+    uniforms = rng.random((97, 4099))
+    uniforms.flat[:4] = 0.0, 5e-324, 2.0**-53, 1 - 2.0**-53
+    with np.errstate(divide="ignore"):
+        contiguous = np.log(uniforms)
+        strided = np.log(uniforms.T)
+        in_place = uniforms.copy()
+        np.log(in_place, out=in_place)
+    for got in (strided.T, in_place):
+        assert np.array_equal(got.view(np.uint64), contiguous.view(np.uint64)), (
+            "np.log depends on the memory layout; the annealed samples would change")
 
 
 class TestKernelProperty:
@@ -1063,6 +1095,21 @@ class TestFrozenSkip:
         assert runs["moves"] == [] and set(runs["orders"]) == {0}
 
 
+def anneal_with_states(model, **kwargs) -> tuple[SampleSet, np.ndarray, np.ndarray]:
+    """`anneal`'s sample set, and the final states and energies that
+    `_metropolis_states` gave it to group."""
+    captured = []
+
+    def capture(*args):
+        captured.append(real(*args))
+        return captured[-1]
+
+    real = solver._metropolis_states
+    with mock.patch.object(solver, "_metropolis_states", capture):
+        got = anneal(model, **kwargs)
+    return got, *captured[0]
+
+
 def sample_set(values, energies, occurrences, reads=None, domain=Domain.SPIN) -> SampleSet:
     return SampleSet(domain=domain, values=values, energies=energies, occurrences=occurrences,
                      reads=sum(occurrences) if reads is None else reads)
@@ -1168,17 +1215,29 @@ class TestSampleSet:
         """On small random Ising models, where reads often end in the same
         state, `anneal`'s set is the dict-count-and-sort of its final states."""
         model = random_ising(random.Random(data.draw(st.integers(0, 2**32 - 1))), nvars)
-        captured = []
-
-        def capture(*args):
-            captured.append(real(*args))
-            return captured[-1]
-
-        real = solver._metropolis_states
-        with mock.patch.object(solver, "_metropolis_states", capture):
-            got = anneal(model, reads=reads, sweeps=sweeps, seed=seed)
-        states, energies = captured[0]
+        got, states, energies = anneal_with_states(model, reads=reads, sweeps=sweeps, seed=seed)
         assert got == reference_sample_set(states.tolist(), energies.tolist(), reads)
         assert got.to_text() == "".join(
             f"{s.energy} {s.occurrences} {s.value_string()}\n"
             for s in reference_samples(states.tolist(), energies.tolist()))
+
+    @pytest.mark.parametrize("case", ["one-spin", "chain-100", "one-read"])
+    def test_anneal_groups_as_tuple_keys(self, case):
+        """`anneal` groups its final states by each row's bytes; the groups,
+        their energies and read counts are those of keying on tuples."""
+        if case == "one-spin":
+            # hot enough that both values end some reads
+            model, kwargs = IsingModel(1, h={0: 1}), dict(beta_start=0.01, beta_end=0.1)
+        elif case == "chain-100":
+            # 100-byte rows: a field holds spins 0..96, spins 97..99 are free
+            # and end each read in one of eight patterns
+            model = IsingModel(100, h={i: -3 for i in range(97)},
+                               J={(i, i + 1): -1 for i in range(96)})
+            kwargs = dict(beta_start=1.0, beta_end=10.0)
+        else:
+            model, kwargs = williamson_residuals(7), {}
+        reads = 1 if case == "one-read" else 40
+        got, states, energies = anneal_with_states(model, reads=reads, sweeps=20, seed=0, **kwargs)
+        assert got == reference_sample_set(states.tolist(), energies.tolist(), reads)
+        if case != "one-read":
+            assert 1 < len(got.occurrences) < reads
