@@ -51,18 +51,11 @@ AUTO_EXHAUSTIVE_LIMIT = 24
 METHODS = ("williamson", "baumert-hall", "turyn", "extended-turyn")
 
 
-class UsageError(Exception):
-    pass
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # looked up per call, so a replaced cmd_* function takes effect
         return globals()[f"cmd_{args.command}"](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -145,7 +138,7 @@ def _method_size(args) -> int:
     name = _size_name(args)
     size = getattr(args, name)
     if size is None:
-        raise UsageError(f"--{name} is required for method {args.method}")
+        raise ValueError(f"--{name} is required for method {args.method}")
     return size
 
 
@@ -173,12 +166,12 @@ def _candidates(args, default_index: int | None):
         return [(None, None)]
     protos = list(cons.enumerate_prototypes(args.n, args.m))
     if not protos:
-        raise UsageError(f"no prototypes pass the filter for n={args.n}, m={args.m}")
+        raise ValueError(f"no prototypes pass the filter for n={args.n}, m={args.m}")
     index = default_index if args.prototype_index is None else args.prototype_index
     if index is None:
         return list(enumerate(protos))
     if not 0 <= index < len(protos):
-        raise UsageError(f"prototype index {index} out of range 0..{len(protos) - 1}")
+        raise ValueError(f"prototype index {index} out of range 0..{len(protos) - 1}")
     return [(index, protos[index])]
 
 
@@ -378,16 +371,16 @@ def _quadratic_ising(model: MultilinearPoly | ising.IsingModel) -> ising.IsingMo
     if isinstance(model, ising.IsingModel):
         return model
     if model.domain is not Domain.SPIN:
-        raise UsageError("anneal needs a quadratic spin model, and this polynomial is in the "
+        raise ValueError("anneal needs a quadratic spin model, and this polynomial is in the "
                          "boolean domain; anneal its spin form (a build's e2_s.poly)")
     if model.degree() > 2:
-        raise UsageError("anneal needs a quadratic spin model; quadratize first")
+        raise ValueError("anneal needs a quadratic spin model; quadratize first")
     return ising.from_quadratic(model)
 
 
 def cmd_prototypes(args) -> int:
     if args.n % 2 or args.n < 4 or not 1 <= args.m < args.n / 2:
-        raise UsageError(f"need even n >= 4 and 1 <= m < n/2, got n={args.n}, m={args.m}")
+        raise ValueError(f"need even n >= 4 and 1 <= m < n/2, got n={args.n}, m={args.m}")
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, f"prototypes_n{args.n}_m{args.m}.txt")
     count = 0
@@ -406,18 +399,17 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = hm.report_line(H)
+    ok, D = hm.verify(H)
     if not hm.order_admissible(H.shape[0]):
         print(f"warning: order {H.shape[0]} is not 1, 2, or a multiple of 4", file=sys.stderr)
-    print(report)
-    ok, _ = hm.verify(H)
+    print(hm._format_report(ok, D))
     return EXIT_OK if ok else EXIT_NO_SOLUTION
 
 
 def cmd_quadratize(args) -> int:
     poly = polynom.load_poly(args.poly)
     if poly.domain is not Domain.BOOLEAN:
-        raise UsageError("quadratize expects a boolean polynomial file")
+        raise ValueError("quadratize expects a boolean polynomial file")
     reduced, amap = quadratize(poly)
     os.makedirs(args.out, exist_ok=True)
     out_poly = os.path.join(args.out, "quadratic.poly")

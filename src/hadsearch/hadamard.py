@@ -158,8 +158,12 @@ def max_offdiagonal(D: np.ndarray) -> int:
 
 
 def report_line(H) -> str:
-    ok, D = verify(H)
-    return f"ORDER={H.shape[0]} HADAMARD={'yes' if ok else 'no'} MAX_OFFDIAG={max_offdiagonal(D)}"
+    return _format_report(*verify(H))
+
+
+def _format_report(ok: bool, D: np.ndarray) -> str:
+    """The report line of a `verify` result; D's order is the matrix's."""
+    return f"ORDER={D.shape[0]} HADAMARD={'yes' if ok else 'no'} MAX_OFFDIAG={max_offdiagonal(D)}"
 
 
 # -- file formats -------------------------------------------------------------

@@ -5,9 +5,9 @@ A model is a spin count and the quadratic spin polynomial of its energy,
     E(s) = offset + sum h_i s_i + sum J_ij s_i s_j
 
 over spins s_i in {-1, +1}, J keyed by pairs i < j.  `h`, `J` and `offset`
-are read off the polynomial, `h` and `J` as read-only views built on first
-use; the writers, `max_abs_coeff`, `normalize_for_export` and the annealing
-kernel read its canonical blocks.  `normalize_for_export` drops the
+are read off the polynomial, `h` and `J` as read-only views built on each
+access; the writers, `max_abs_coeff`, `normalize_for_export` and the
+annealing kernel read its canonical blocks.  `normalize_for_export` drops the
 offset and scales the largest coefficient to 1, the form annealing hardware
 takes; it keeps the integer model and divides only when read (exact
 `Fraction`s) or written.  Solvers read only the exact integer model.
@@ -31,7 +31,7 @@ class IsingModel:
     """A spin count `nvars` and the quadratic spin polynomial `poly` of the
     energy; neither changes after construction, and equality reads both."""
 
-    __slots__ = ("nvars", "poly", "_h", "_J")
+    __slots__ = ("nvars", "poly")
 
     def __init__(self, nvars: int, h: Mapping[int, int] | None = None,
                  J: Mapping[tuple[int, int], int] | None = None, offset: int = 0):
@@ -44,7 +44,7 @@ class IsingModel:
             n, offset = index(nvars), index(offset)
         except TypeError:
             raise ValueError(f"non-integer nvars {nvars!r} or offset {offset!r}") from None
-        fields: dict[int, int] = {}
+        terms: dict[tuple[int, ...], int] = {}
         try:
             for i, c in (h or {}).items():
                 i, c = index(i), index(c)
@@ -52,10 +52,9 @@ class IsingModel:
                     raise ValueError(f"h index {i} out of range")
                 if not c:
                     raise ValueError(f"zero value for h index {i} must not be stored")
-                fields[i] = c
+                terms[(i,)] = c
         except TypeError:
             raise ValueError(f"non-integer h entry {i!r}: {c!r}") from None
-        couplings: dict[tuple[int, int], int] = {}
         try:
             for k, c in (J or {}).items():
                 i, j = k
@@ -64,18 +63,18 @@ class IsingModel:
                     raise ValueError(f"J key {k} must satisfy 0 <= i < j < nvars")
                 if not c:
                     raise ValueError(f"zero value for J key {k} must not be stored")
-                couplings[i, j] = c
+                terms[i, j] = c
         except TypeError:
             raise ValueError(f"non-integer J entry {k!r}: {c!r}") from None
-        terms = {(i,): c for i, c in fields.items()} | couplings | ({(): offset} if offset else {})
+        if offset:
+            terms[()] = offset
         self.nvars, self.poly = n, MultilinearPoly._from_canonical(Domain.SPIN, terms)
-        self._h, self._J = MappingProxyType(fields), MappingProxyType(couplings)
 
     @classmethod
     def _from_poly(cls, nvars: int, poly: MultilinearPoly) -> "IsingModel":
         """Wrap `poly` unchecked, as `from_quadratic` checks it."""
         model = cls.__new__(cls)
-        model.nvars, model.poly, model._h, model._J = nvars, poly, None, None
+        model.nvars, model.poly = nvars, poly
         return model
 
     def _block(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,17 +88,13 @@ class IsingModel:
 
     @property
     def h(self) -> Mapping[int, int]:
-        if self._h is None:
-            idx, coefs = self._block(1)
-            self._h = MappingProxyType(dict(zip(idx[:, 0].tolist(), coefs.tolist())))
-        return self._h
+        idx, coefs = self._block(1)
+        return MappingProxyType(dict(zip(idx[:, 0].tolist(), coefs.tolist())))
 
     @property
     def J(self) -> Mapping[tuple[int, int], int]:
-        if self._J is None:
-            idx, coefs = self._block(2)
-            self._J = MappingProxyType(dict(zip(map(tuple, idx.tolist()), coefs.tolist())))
-        return self._J
+        idx, coefs = self._block(2)
+        return MappingProxyType(dict(zip(map(tuple, idx.tolist()), coefs.tolist())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IsingModel):
@@ -122,29 +117,15 @@ class IsingModel:
                 raise ValueError(f"spin {i} has non-spin value {assignment[i]}")
         return self.poly.evaluate(assignment)
 
-    def to_polynomial(self) -> MultilinearPoly:
-        """Spin polynomial with the same energy function."""
-        return self.poly
 
-
-def from_quadratic(poly: MultilinearPoly, nvars: int | None = None) -> IsingModel:
-    """The model of a quadratic spin polynomial, which it wraps as it is:
-    the polynomial is validated already, so only an explicit `nvars` is
-    checked, which must be an integer no smaller than the polynomial's."""
+def from_quadratic(poly: MultilinearPoly) -> IsingModel:
+    """The model of a quadratic spin polynomial over its `nvars` spins,
+    which it wraps as it is: the polynomial is validated already."""
     if poly.domain is not Domain.SPIN:
         raise ValueError("from_quadratic requires a spin polynomial")
     if poly.degree() > 2:
         raise ValueError(f"polynomial has degree {poly.degree()} > 2")
-    n = poly.nvars
-    if nvars is not None:
-        try:
-            nvars = operator.index(nvars)
-        except TypeError:
-            raise ValueError(f"non-integer nvars {nvars!r}") from None
-        if nvars < n:
-            raise ValueError(f"nvars {nvars} smaller than the polynomial's {n}")
-        n = nvars
-    return IsingModel._from_poly(n, poly)
+    return IsingModel._from_poly(poly.nvars, poly)
 
 
 @dataclass(frozen=True)

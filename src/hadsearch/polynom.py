@@ -369,13 +369,12 @@ class SquareSum:
         except TypeError:
             raise ValueError(f"non-integer nvars {self.nvars!r}") from None
         terms, flat, values, bound = [], [], [], 0
-        for w, residual in self.terms:
+        for r, (w, residual) in enumerate(self.terms):
             try:
                 w = operator.index(w)
             except TypeError:
                 raise ValueError(f"non-integer residual weight {w!r}") from None
             terms.append((w, residual))
-        for r, (w, residual) in enumerate(terms):
             if w <= 0:
                 raise ValueError(f"residual weight must be positive, got {w}")
             if residual.domain is not Domain.SPIN or residual.degree() > 2:
@@ -568,23 +567,19 @@ def _subset_sums(
 # `#` begins a comment.
 
 
-def write_poly(poly: MultilinearPoly, fp: IO[str], nvars: int | None = None) -> None:
-    top = poly.nvars
-    n = top if nvars is None else nvars
-    if n < top:
-        raise ValueError(f"nvars {n} smaller than largest index in polynomial")
-    chunks = [f"domain {poly.domain.value}\nnvars {n}\n"]
+def write_poly(poly: MultilinearPoly, fp: IO[str]) -> None:
+    chunks = [f"domain {poly.domain.value}\nnvars {poly.nvars}\n"]
     for idx, coefs in poly._canonical_blocks():
         line = "%d" + " %d" * idx.shape[1] + "\n"
         chunks.append(line * len(coefs) % tuple(np.column_stack((coefs, idx)).ravel().tolist()))
     fp.write("".join(chunks))
 
 
-def poly_to_text(poly: MultilinearPoly, nvars: int | None = None) -> str:
+def poly_to_text(poly: MultilinearPoly) -> str:
     import io
 
     buf = io.StringIO()
-    write_poly(poly, buf, nvars=nvars)
+    write_poly(poly, buf)
     return buf.getvalue()
 
 
@@ -622,9 +617,9 @@ def load_poly(path) -> MultilinearPoly:
         return read_poly(fp)
 
 
-def save_poly(poly: MultilinearPoly, path, nvars: int | None = None) -> None:
+def save_poly(poly: MultilinearPoly, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        write_poly(poly, fp, nvars=nvars)
+        write_poly(poly, fp)
 
 
 _INT_TOKEN = re.compile(r"-?[0-9]+")

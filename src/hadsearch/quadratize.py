@@ -51,16 +51,6 @@ class AncillaMap:
                 raise ValueError(f"pair {(i, j)} substituted twice")
             seen_pairs.add((i, j))
 
-    @property
-    def ancillas(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.entries)
-
-    def pair_of(self, ancilla: int) -> tuple[int, int]:
-        for a, pair in self.entries:
-            if a == ancilla:
-                return pair
-        raise KeyError(ancilla)
-
 
 def compute_delta(poly: MultilinearPoly) -> int:
     """Penalty weight: twice the absolute coefficient sum of the input."""

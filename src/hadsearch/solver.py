@@ -563,19 +563,26 @@ class _Kernel:
             self.offset = int((model.weights[~varying] * C[~varying, n, n] ** 2).sum())
             C, w = C[varying], model.weights[varying]
             u = np.zeros(len(C))
+            self.constants = C[:, n, n, None].astype(self.dtype)
+            # row i < n of C + C^T is the derivative of R in s_i
+            self.flips = (-2 * (C + C.transpose(0, 2, 1))[:, :n]).transpose(1, 0, 2).astype(
+                self.dtype, order="C")
         else:
-            # the one residual h s + sum J s s in the same layout, if any
-            C = np.zeros((1, n + 1, n + 1), dtype=np.int64)
-            for idx, coefs in model.poly._canonical_blocks():
-                if idx.shape[1]:
-                    C[0, idx[:, 0], idx[:, 1] if idx.shape[1] == 2 else n] = coefs
-            C, self.offset = C[: int(C.any())], model.offset
-            u, w = np.ones(len(C)), np.zeros(len(C))
+            # the one residual h s + sum J s s, if any, its blocks scattered
+            # into place: flips[i] holds -2 h_i in column n, -2 J_ij in column j
+            blocks = [(idx, -2 * coefs.astype(np.int64))
+                      for idx, coefs in model.poly._canonical_blocks() if idx.shape[1]]
+            L, self.offset = (1 if blocks else 0), model.offset
+            self.flips = np.zeros((n, L, n + 1), self.dtype)
+            for idx, coefs in blocks:
+                i, j = idx[:, 0], idx[:, -1]
+                if idx.shape[1] == 1:
+                    self.flips[i, 0, n] = coefs
+                else:
+                    self.flips[i, 0, j] = self.flips[j, 0, i] = coefs
+            u, w = np.ones(L), np.zeros(L)
+            self.constants = np.zeros((L, 1), self.dtype)
         self.u, self.w = u.astype(self.dtype), w.astype(self.dtype)
-        self.constants = C[:, n, n, None].astype(self.dtype)
-        # row i < n of C + C^T is the derivative of R in s_i
-        self.flips = (-2 * (C + C.transpose(0, 2, 1))[:, :n]).transpose(1, 0, 2).astype(
-            self.dtype, order="C")
 
     def states(self, spins: np.ndarray) -> np.ndarray:
         """S for +/-1 spins of shape (reads, n)."""
@@ -767,17 +774,18 @@ def anneal(
     absolute coefficient sum of a residual.  Rejects inverse temperatures
     that are not positive and finite, NaN included, and a schedule between
     them that overflows to inf.  An n-spin Ising model
-    holds a dense n x (n+1) flip matrix, sparse or not: a 3000-spin chain
-    used +74 MB peak RSS, against +9 MB for a neighbour-list loop.  A run
+    holds a dense n x (n+1) flip matrix, sparse or not, its blocks
+    scattered into it in place: a 3000-spin chain at 10 reads and 2 sweeps
+    used +75 MB peak RSS, of which the matrix is 72 MB.  A run
     keeps one scratch buffer, whose uniforms become the thresholds in
     place: 2 MB, or one sweep's n x reads doubles where that is more.  The
     check for a frozen state keeps a copy of the states, and the lookahead
     holds the energy changes, n x reads doubles, and their differences
     with a window of thresholds, at most the size of that buffer.  A
-    1500-spin chain with unit fields, at 200 reads and 20 sweeps from
-    beta 1 to 10, where the lookahead runs 12 times, peaked at 54.1 MB of
-    traced memory while its 18.0 MB flip matrix was formed; the run after
-    that added at most 16.0 MB to what the kernel holds.
+    1500-spin chain with unit fields and couplings, at 200 reads and 20
+    sweeps from beta 1 to 10, where the lookahead runs 12 times, peaked
+    at 31.4 MB of traced memory: its 18.0 MB flip matrix and 13.4 MB for
+    the run.
     """
     bound = _energy_bound(model)
     if bound >= 1 << 62:

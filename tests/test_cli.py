@@ -485,6 +485,21 @@ class TestVerify:
         path.write_text("++\n+\n")
         assert run("verify", path) == 2
 
+    @pytest.mark.parametrize("rows, out, err, code", [
+        ("++\n+-\n", "ORDER=2 HADAMARD=yes MAX_OFFDIAG=0\n", "", 0),
+        ("++\n++\n", "ORDER=2 HADAMARD=no MAX_OFFDIAG=2\n", "", 1),
+        ("+++\n+-+\n++-\n", "ORDER=3 HADAMARD=no MAX_OFFDIAG=1\n",
+         "warning: order 3 is not 1, 2, or a multiple of 4\n", 1),
+    ], ids=["hadamard", "non-hadamard", "inadmissible"])
+    def test_one_verify_call(self, tmp_path, capsys, rows, out, err, code):
+        # the report and the exit code come from the same check
+        path = tmp_path / "m.txt"
+        path.write_text(rows)
+        with mock.patch.object(hm, "verify", wraps=hm.verify) as verify:
+            assert run("verify", path) == code
+        assert verify.call_count == 1
+        assert capsys.readouterr() == (out, err)
+
     def test_search_output_reverifies(self, tmp_path):
         out = tmp_path / "t4"
         assert run("search", "--method", "turyn", "--n", 4, "--out", out) == 0

@@ -43,7 +43,7 @@ class TestFromQuadratic:
     def test_round_trip_identity(self, rng):
         for _ in range(30):
             p = random_poly(rng, Domain.SPIN, max_degree=2)
-            assert from_quadratic(p).to_polynomial() == p
+            assert from_quadratic(p).poly == p
 
     def test_cubic_rejected(self):
         with pytest.raises(ValueError):
@@ -53,33 +53,26 @@ class TestFromQuadratic:
         with pytest.raises(ValueError):
             from_quadratic(MultilinearPoly(Domain.BOOLEAN, {(0,): 1}))
 
-    def test_explicit_nvars_must_cover_indices(self):
-        p = spoly({(0, 3): 1})
-        assert from_quadratic(p, nvars=6).nvars == 6
-        with pytest.raises(ValueError, match=re.escape("nvars 3 smaller than the polynomial's 4")):
-            from_quadratic(p, nvars=3)
-        with pytest.raises(ValueError, match=re.escape("non-integer nvars 5.0")):
-            from_quadratic(p, nvars=5.0)
-
     @settings(max_examples=150, deadline=None)
     @given(p=polynomials(Domain.SPIN, max_vars=8, max_degree=2, max_terms=20,
                          coeffs=st.integers(-(2**70), 2**70)),
            extra=st.integers(0, 3))
     def test_unchecked_paths_match_validating_constructor(self, p, extra):
         # from_quadratic and normalize_for_export skip the constructor's
-        # checks; their models must equal the ones it builds
+        # checks; their models must equal the ones it builds, the exported
+        # one also with `extra` spins past the polynomial's
         terms = p.terms
         h = {m[0]: c for m, c in terms.items() if len(m) == 1}
         J = {m: c for m, c in terms.items() if len(m) == 2}
         n = p.nvars + extra
-        model = from_quadratic(p, nvars=n)
-        assert model == IsingModel(n, h=h, J=J, offset=terms.get((), 0))
-        assert from_quadratic(p) == IsingModel(p.nvars, h=h, J=J, offset=terms.get((), 0))
+        model = from_quadratic(p)
+        assert model == IsingModel(p.nvars, h=h, J=J, offset=terms.get((), 0))
         ints = [model.nvars, model.offset, *model.h, *model.h.values(),
                 *itertools.chain(*model.J), *model.J.values()]
         assert all(type(v) is int for v in ints)
-        if model.max_abs_coeff():
-            norm, scale = normalize_for_export(model)
+        wide = IsingModel(n, h=h, J=J, offset=terms.get((), 0))
+        if wide.max_abs_coeff():
+            norm, scale = normalize_for_export(wide)
             assert norm == NormalizedIsing(IsingModel(n, h=h, J=J), scale)
 
 

@@ -681,50 +681,38 @@ class TestTextFormat:
         p = read_poly(io.StringIO("domain boolean\nnvars 3\n5 2 0 1\n-4 1 0\n"))
         assert p.terms == {(0, 1, 2): 5, (0, 1): -4}
 
-    def test_explicit_nvars_must_cover_indices(self):
-        p = spoly({(4,): 1})
-        with pytest.raises(ValueError):
-            write_poly(p, io.StringIO(), nvars=2)
 
-
-def reference_write_poly(poly, fp, nvars=None):
+def reference_write_poly(poly, fp):
     """The line-by-line writer the bulk `write_poly` replaced, kept verbatim
     apart from the sort, which inlines the old `term_sort_key` order so the
-    reference does not read the order under test."""
-    top = poly.nvars
-    n = top if nvars is None else nvars
-    if n < top:
-        raise ValueError(f"nvars {n} smaller than largest index in polynomial")
+    reference does not read the order under test, and the `nvars` keyword,
+    which both writers dropped."""
     fp.write(f"domain {poly.domain.value}\n")
-    fp.write(f"nvars {n}\n")
+    fp.write(f"nvars {poly.nvars}\n")
     for m, c in sorted(poly.terms.items(), key=lambda t: (len(t[0]), t[0])):
         fp.write(" ".join([str(c)] + [str(v) for v in m]) + "\n")
 
 
-def reference_poly_text(poly, nvars=None):
+def reference_poly_text(poly):
     buf = io.StringIO()
-    reference_write_poly(poly, buf, nvars=nvars)
+    reference_write_poly(poly, buf)
     return buf.getvalue()
 
 
-def per_line_write_poly(poly, fp, nvars=None):
+def per_line_write_poly(poly, fp):
     """The writer before each degree group became one `%`: one `%` per term,
     with the order's two full sorts inlined."""
-    top = poly.nvars
-    n = top if nvars is None else nvars
-    if n < top:
-        raise ValueError(f"nvars {n} smaller than largest index in polynomial")
     terms = poly.terms
-    lines = [f"domain {poly.domain.value}\nnvars {n}\n"]
+    lines = [f"domain {poly.domain.value}\nnvars {poly.nvars}\n"]
     for d, group in itertools.groupby(sorted(sorted(terms), key=len), len):
         line = "%d" + " %d" * d + "\n"
         lines += [line % (terms[m], *m) for m in group]
     fp.write("".join(lines))
 
 
-def per_line_poly_text(poly, nvars=None):
+def per_line_poly_text(poly):
     buf = io.StringIO()
-    per_line_write_poly(poly, buf, nvars=nvars)
+    per_line_write_poly(poly, buf)
     return buf.getvalue()
 
 
@@ -754,16 +742,15 @@ class TestWriterMatchesReference:
         assert all(type(c) is int for _, c in p.sorted_terms())
 
     @settings(max_examples=300, deadline=None)
-    @given(p=written_polys(), pad=st.none() | st.integers(0, 3))
-    @example(p=MultilinearPoly.zero(SPIN), pad=None)
-    @example(p=spoly({(): -(2**64), (0, 3, 5): 2**63, (1, 2, 4, 6): -1}), pad=2)
-    @example(p=bpoly({(0,): 2**63 - 1, (0, 1, 2, 3, 4): -(2**63) - 1}), pad=None)
-    def test_same_text_in_one_write(self, p, pad):
-        nvars = None if pad is None else p.nvars + pad
+    @given(p=written_polys())
+    @example(p=MultilinearPoly.zero(SPIN))
+    @example(p=spoly({(): -(2**64), (0, 3, 5): 2**63, (1, 2, 4, 6): -1}))
+    @example(p=bpoly({(0,): 2**63 - 1, (0, 1, 2, 3, 4): -(2**63) - 1}))
+    def test_same_text_in_one_write(self, p):
         buf = CountingWriter()
-        write_poly(p, buf, nvars=nvars)
-        assert buf.getvalue() == reference_poly_text(p, nvars=nvars)
-        assert buf.getvalue() == per_line_poly_text(p, nvars=nvars)
+        write_poly(p, buf)
+        assert buf.getvalue() == reference_poly_text(p)
+        assert buf.getvalue() == per_line_poly_text(p)
         assert buf.calls == 1
 
     @settings(max_examples=100, deadline=None)

@@ -455,6 +455,23 @@ class TestAnneal:
             tracemalloc.stop()
         assert peak < 3_000_000
 
+    def test_ising_kernel_peak_memory(self):
+        # the 1500-spin chain's flip matrix is 17.2 MiB; forming it through
+        # dense (n+1)^2 int64 copies of the model took the peak to 51.6 MiB
+        n = 1500
+        model = IsingModel(n, dict.fromkeys(range(n), 1),
+                           dict.fromkeys(zip(range(n - 1), range(1, n)), 1))
+        bound = solver._energy_bound(model)
+        model.poly._canonical_blocks()  # the model's cached blocks
+        tracemalloc.start()
+        try:
+            kernel = solver._Kernel(model, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel.flips.nbytes == n * (n + 1) * 8
+        assert peak < 20 << 20
+
     def test_zero_reads_rejected(self):
         m = IsingModel(nvars=1, h={0: 1})
         with pytest.raises(ValueError):
@@ -579,7 +596,10 @@ def annealable_models(draw, ising: bool):
     nvars = draw(st.integers(1, 6))
     coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**28), 2**28))
     if ising:
-        return from_quadratic(draw(quadratic_polys(nvars, coeffs)), nvars=nvars)
+        # nvars spins, some past the polynomial's
+        terms = draw(quadratic_polys(nvars, coeffs)).terms
+        return IsingModel(nvars, {m[0]: c for m, c in terms.items() if len(m) == 1},
+                          {m: c for m, c in terms.items() if len(m) == 2}, terms.get((), 0))
     terms = draw(st.lists(st.tuples(st.integers(1, 5), quadratic_polys(nvars, coeffs)),
                           min_size=1, max_size=4))
     # repeated residuals exercise the merge
@@ -676,12 +696,12 @@ class TestEnergyBound:
            offset=st.integers(-(2**70), 2**70))
     def test_equals_the_polynomials_sum(self, model, offset):
         model = IsingModel(model.nvars, model.h, model.J, offset)
-        assert solver._energy_bound(model) == model.to_polynomial().abs_coeff_sum()
+        assert solver._energy_bound(model) == model.poly.abs_coeff_sum()
 
     @pytest.mark.parametrize("model", [IsingModel(0), IsingModel(0, offset=-7),
                                        IsingModel(3, offset=5)], ids=["empty", "offset", "spins"])
     def test_offset_only_and_empty(self, model):
-        assert solver._energy_bound(model) == model.to_polynomial().abs_coeff_sum()
+        assert solver._energy_bound(model) == model.poly.abs_coeff_sum()
         assert solver._energy_bound(model) == abs(model.offset)
 
 
@@ -726,7 +746,7 @@ class TestKernelProperty:
             assume(bound < 2**62)
             kernel = solver._Kernel(model, bound)
             assert kernel.squares is not ising
-            self.check_steps(kernel, model.to_polynomial() if ising else model.expand(), data)
+            self.check_steps(kernel, model.poly if ising else model.expand(), data)
 
     @staticmethod
     def check_steps(kernel, energy, data):
