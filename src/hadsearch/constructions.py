@@ -66,14 +66,14 @@ def minus(var: int | None = None) -> SymEntry:
 SymbolicSequence = list[SymEntry]
 
 
-def _pair_sum(pairs: Iterable[tuple[int, SymEntry, SymEntry]], constant=0) -> MultilinearPoly:
-    """Quadratic spin polynomial constant + sum of w * e * f over (w, e, f).
+def _pair_sum(pairs: Iterable[tuple[int, SymEntry, SymEntry]]) -> MultilinearPoly:
+    """Quadratic spin polynomial sum of w * e * f over (w, e, f).
 
     A pair of equal variables (both constants, or the same index) gives
     the empty monomial, since s * s = 1.  Every key is built canonical, so
     the terms, zero sums dropped, are taken unchecked.
     """
-    terms: dict[Monomial, int] = {(): constant}
+    terms: dict[Monomial, int] = {}
     for w, e, f in pairs:
         m = () if e.var == f.var else tuple(sorted(v for v in (e.var, f.var) if v is not None))
         terms[m] = terms.get(m, 0) + w * e.sign * f.sign

@@ -23,8 +23,10 @@ Tayfeh-Rezaie, J. Combin. Des. 2005): each side's residual parts, slices
 of the `SquareSum`'s residual array, are tabulated in int64 over its own
 2^(n/2) or so assignments, and one sort of the columns pairs every left
 assignment with each right one whose negated parts equal its own.  Where
-that finds no zero state, the spins form one component, or a side's
-tables would pass 2^22 entries, the expansion is enumerated as above.
+that finds no zero state, every residual is zero, the spins form one
+component, or a side's tables would pass 2^22 entries, the expansion is
+enumerated as above.  Both run over the `nvars` spins the `SquareSum`
+declares, the spins annealing reports too.
 
 Annealing is single-flip Metropolis with a geometric inverse-temperature
 ladder, vectorised over reads, on an Ising model (the path `solve` takes)
@@ -163,6 +165,8 @@ class SampleSet:
     def to_text(self) -> str:
         """One line per sample: energy, occurrences and value string."""
         k, n = self.values.shape
+        if not k:
+            return ""
         chars = np.empty((k, n + 1), dtype=np.uint8)
         chars[:, :n] = np.frombuffer(b"-+", dtype=np.uint8)[(self.values > 0).astype(np.intp)]
         chars[:, n] = ord("\n")
@@ -263,16 +267,22 @@ def exhaustive_min(
     below 2^53; past it, in one int64 and three float64 buffers of 32 MB
     each for the split transform (128 MB, the peak measured at 23 variables).
 
-    A `SquareSum` gives the result, cap check and errors of
-    `exhaustive_min(model.expand(), cap, all_ground)`, by the join of
-    `_zero_states` where that finds a zero state.  The join holds each
-    side's spins and residual parts in at most 2^22 int64 entries (113 MB
-    peak at two 17-spin sides and 15 residuals), and with all_ground a few
-    int64 entries per zero state.
+    A `SquareSum` gives the result, cap check and errors of its expansion
+    enumerated over its `nvars` spins, by the join of `_zero_states` where
+    that finds a zero state.  The join holds each side's spins and residual
+    parts in at most 2^22 int64 entries (113 MB peak at two 17-spin sides
+    and 15 residuals), and with all_ground a few int64 entries per zero
+    state.
     """
     if isinstance(model, SquareSum):
-        return _square_sum_min(model, cap, all_ground)
-    poly = model.poly if isinstance(model, IsingModel) else model
+        # past the cap, or where the tables may not fit int64, the enumeration decides
+        if model.nvars <= cap and _energy_bound(model) < 1 << 63:
+            states = _zero_states(model, all_ground)
+            if states is not None and states.size:
+                return _ground_samples(states, model.nvars, Domain.SPIN, 0)
+        poly = MultilinearPoly._from_blocks(Domain.SPIN, model._expansion())
+    else:
+        poly = model.poly if isinstance(model, IsingModel) else model
     return _enumerate(poly, model.nvars, cap, all_ground)
 
 
@@ -355,39 +365,10 @@ def _ground_samples(states: np.ndarray, nvars: int, domain: Domain, energy: int)
                        np.ones(k, dtype=np.int64), k)
 
 
-def _square_sum_min(model: SquareSum, cap: int, all_ground: bool) -> SampleSet:
-    """`exhaustive_min(model.expand(), cap, all_ground)`, by the join where
-    it finds a zero-energy state; only the enumeration expands the model."""
-    nvars = _expanded_nvars(model)
-    # past the cap, or where the tables may not fit int64, the enumeration decides
-    if 0 < nvars <= cap and _energy_bound(model) < 1 << 63:
-        states = _zero_states(model, nvars, all_ground)
-        if states is not None and states.size:
-            return _ground_samples(states, nvars, Domain.SPIN, 0)
-    energy = MultilinearPoly._from_blocks(Domain.SPIN, model._expansion())
-    return _enumerate(energy, nvars, cap, all_ground)
-
-
-def _expanded_nvars(model: SquareSum) -> int:
-    """The expansion's variable count, one past the highest spin it keeps:
-    the highest spin v of the residuals where flipping v at the state of
-    all spins +1 changes the energy (it does on every construction here),
-    else the expansion's own count.  That flip takes 2d off each residual
-    R, d the sum of its terms with v, and 4 sum of w d (R - d) off the energy."""
-    C = model.coefficients
-    used = np.flatnonzero(C[:, :-1].any(axis=(0, 2)) | C[:, :, :-1].any(axis=(0, 1)))
-    if used.size:
-        d = C[:, used[-1]].sum(axis=1) + C[:, :, used[-1]].sum(axis=1)
-        if model.weights @ (d * (C.sum(axis=(1, 2)) - d)):
-            return int(used[-1]) + 1
-    return MultilinearPoly._from_blocks(Domain.SPIN, model._expansion()).nvars
-
-
-def _zero_states(model: SquareSum, nvars: int, all_ground: bool) -> np.ndarray | None:
-    """The state indices of spins 0..nvars-1 at which all of the model's
-    residuals vanish, spins from `nvars` on set to +1: every one with
-    all_ground, otherwise the lowest (an empty array where there is none);
-    None where the join does not apply.
+def _zero_states(model: SquareSum, all_ground: bool) -> np.ndarray | None:
+    """The state indices of the model's spins at which all of its
+    residuals vanish: every one with all_ground, otherwise the lowest (an
+    empty array where there is none); None where the join does not apply.
 
     Weights are positive, so these are exactly the zero-energy states.  No
     quadratic term links two connected components of the residuals'
@@ -396,20 +377,17 @@ def _zero_states(model: SquareSum, nvars: int, all_ground: bool) -> np.ndarray |
     ones, each side's parts one int64 table, and R = 0 joins c + L to equal
     values of -R'.  The tables are exact: the caller keeps sum of w * A^2,
     A a residual's absolute coefficient sum, below 2^63.  It does not
-    apply where the spins form one component, or where a side's tables
-    would exceed 2^_CHUNK_BITS entries.
+    apply where every residual is zero, where the spins form one
+    component, or where a side's tables would exceed 2^_CHUNK_BITS entries.
     """
-    # the residuals over spins 0..nvars-1: P adds the spins set to +1 into the last row and column
-    P = np.eye(nvars + 1, model.nvars + 1, dtype=np.int64)
-    P[nvars, nvars:] = 1
-    D = (P @ model.coefficients @ P.T).astype(np.int64)
+    D = model.coefficients.astype(np.int64, copy=False)
     D = D[D.reshape(len(D), -1).any(axis=1)]
-    sides = _sides(D)
+    sides = _sides(D) if len(D) else None
     if sides is None or any((1 << len(s)) * (len(s) + len(D)) > 1 << _CHUNK_BITS
                             for s in sides):
         return None
     (left, left_states), (right, right_states) = (_side_table(D, s) for s in sides)
-    left += D[:, nvars, nvars, None]
+    left += D[:, -1, -1, None]
     ids = _column_ids(np.concatenate([left, np.negative(right, out=right)], axis=1))
     left_ids, right_ids = ids[: left.shape[1]], ids[left.shape[1] :]
     # right columns run in increasing state order, so a stable sort puts the

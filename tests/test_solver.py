@@ -284,23 +284,23 @@ PAPER_SQUARE_SUMS = {
 
 
 class TestSquareSumJoin:
-    """`exhaustive_min` of a `SquareSum` equals `exhaustive_min` of its
-    expansion, for both `all_ground` values, errors included: by the join
-    of two half enumerations where a zero state exists and the residuals
-    split, by enumerating the expansion otherwise."""
+    """`exhaustive_min` of a `SquareSum` equals its expansion enumerated
+    over the `nvars` spins it declares, for both `all_ground` values,
+    errors included: by the join of two half enumerations where a zero
+    state exists and the residuals split, by that enumeration otherwise."""
 
     @staticmethod
-    def check(model, **kwargs) -> tuple[object, int]:
-        """The expansion's result (or error), and how often the `SquareSum`
-        path enumerated the expansion; it never builds the expanded
-        polynomial, nor calls `exhaustive_min` again."""
+    def check(model, cap: int = 26) -> tuple[object, int]:
+        """The expansion's result (or error) over the declared spins, and
+        how often the `SquareSum` path enumerated it; that path never calls
+        `SquareSum.expand`, nor `exhaustive_min` again."""
         calls = 0
         for every in (True, False):
-            expected = outcome(lambda: exhaustive_min(model.expand(), all_ground=every, **kwargs))
+            expected = outcome(lambda: solver._enumerate(model.expand(), model.nvars, cap, every))
             with (mock.patch.object(solver, "_enumerate", wraps=solver._enumerate) as spy,
                   mock.patch.object(SquareSum, "expand", side_effect=AssertionError),
                   mock.patch.object(solver, "exhaustive_min", side_effect=AssertionError)):
-                got = outcome(lambda: exhaustive_min(model, all_ground=every, **kwargs))
+                got = outcome(lambda: exhaustive_min(model, cap, all_ground=every))
             assert got == expected
             calls += spy.call_count
         return expected, calls
@@ -334,21 +334,47 @@ class TestSquareSumJoin:
     def test_connected_model_enumerates(self):
         # R = s0 s1 + s1 s2 vanishes where s0 = -s2, but links all three spins
         model = SquareSum(3, ((2, MultilinearPoly(Domain.SPIN, {(0, 1): 1, (1, 2): 1})),))
-        assert solver._zero_states(model, 3, True) is None
+        assert solver._zero_states(model, True) is None
         sset, enumerations = self.check(model)
         assert sset.min_energy == 0 and enumerations == 2
 
-    def test_spins_the_energy_drops_are_dropped(self):
-        # (s1 s3 - s0 s3)^2 = (s1 - s0)^2: the expansion has two variables
+    def test_all_zero_residuals_enumerate(self):
+        # no residual row is left to join: every state has energy 0
+        model = SquareSum(2, ((1, MultilinearPoly.zero(Domain.SPIN)),))
+        assert solver._zero_states(model, True) is None
+        sset, enumerations = self.check(model)
+        assert sset.min_energy == 0 and enumerations == 2
+        every = exhaustive_min(model, all_ground=True)
+        assert [s.values for s in every.samples] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+    def test_spins_the_energy_drops_are_kept(self):
+        # (s1 s3 - s0 s3)^2 = (s1 - s0)^2: the expansion drops spins 2 and 3,
+        # but the model declares four
         model = SquareSum(4, (
             (1, MultilinearPoly(Domain.SPIN, {(0,): 1, (1,): -1})),
             (1, MultilinearPoly(Domain.SPIN, {(1, 3): 1, (0, 3): -1})),
         ))
         sset, enumerations = self.check(model)
         # the first in state order, bit i set where s_i = +1
-        assert [s.values for s in sset.samples] == [(-1, -1)] and enumerations == 0
+        assert [s.values for s in sset.samples] == [(-1, -1, -1, -1)] and enumerations == 0
         every = exhaustive_min(model, all_ground=True)
-        assert [s.values for s in every.samples] == [(1, 1), (-1, -1)]
+        assert every.values.shape == (8, 4)
+        assert (every.values[:, 0] == every.values[:, 1]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=separable_square_sums())
+    def test_solvers_report_the_declared_spins(self, case):
+        model, _ = case
+        assume(solver._energy_bound(model) < 1 << 62)  # within anneal's int64 bound
+        assert exhaustive_min(model).values.shape[1] == model.nvars
+        assert anneal(model, reads=2, sweeps=1).values.shape[1] == model.nvars
+
+    def test_cap_counts_the_declared_spins(self):
+        # one residual on spin 0 of 40 declared: both solvers count all 40
+        model = SquareSum(40, ((1, MultilinearPoly(Domain.SPIN, {(0,): 1, (): -1})),))
+        with pytest.raises(ValueError, match="40 variables exceed the exhaustive cap of 26"):
+            exhaustive_min(model)
+        assert anneal(model, reads=2, sweeps=1).values.shape == (2, 40)
 
     @pytest.mark.parametrize("terms", [
         ((2**62, {(0,): 1, (1,): -1}), (2**61, {(1, 2): 1, (): -1})),
@@ -1187,6 +1213,13 @@ class TestSampleSet:
     def test_export_format(self):
         sset = sample_set([[-1, 1], [1, -1]], [-2, 5], [3, 1])
         assert sset.to_text() == "-2 3 -+\n5 1 +-\n"
+
+    def test_empty_set_writes_nothing(self):
+        sset = SampleSet(Domain.SPIN, np.zeros((0, 3), np.int8), [], [], 0)
+        assert sset.to_text() == ""
+        out = io.StringIO()
+        solver.write_samples(sset, out)
+        assert out.getvalue() == ""
 
     @pytest.mark.parametrize("domain, values, energies, occurrences", [
         (Domain.SPIN, [[1, 1, -1], [-1, 1, 1], [1, -1, -1]], [-7, -7, 2**62], [2, 1, 4]),
