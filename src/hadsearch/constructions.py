@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .polynom import Domain, Monomial, MultilinearPoly, SquareSum
+from .polynom import Domain, Monomial, MultilinearPoly, SquareSum, _canonical_blocks
 
 
 @dataclass(frozen=True)
@@ -66,23 +66,30 @@ def minus(var: int | None = None) -> SymEntry:
 SymbolicSequence = list[SymEntry]
 
 
-def _pair_sum(pairs: Iterable[tuple[int, SymEntry, SymEntry]]) -> MultilinearPoly:
-    """Quadratic spin polynomial sum of w * e * f over (w, e, f).
+def _pair_sum(rows: Iterable[tuple[int, Sequence[SymEntry], Sequence[SymEntry]]]
+              ) -> MultilinearPoly:
+    """Quadratic spin polynomial sum of w * e * f over (w, a, b) and the
+    entries e, f at each position of both a and b.
 
     A pair of equal variables (both constants, or the same index) gives
     the empty monomial, since s * s = 1.  Every key is built canonical, so
-    the terms, zero sums dropped, are taken unchecked.
+    the terms go to `_canonical_blocks` unchecked, which drops zero sums.
     """
     terms: dict[Monomial, int] = {}
-    for w, e, f in pairs:
-        m = () if e.var == f.var else tuple(sorted(v for v in (e.var, f.var) if v is not None))
-        terms[m] = terms.get(m, 0) + w * e.sign * f.sign
-    return MultilinearPoly._from_canonical(Domain.SPIN, {m: c for m, c in terms.items() if c})
+    for w, a, b in rows:
+        for e, f in zip(a, b):
+            u, v = e.var, f.var
+            if u is None or v is None:
+                m = () if u is v else (u if v is None else v,)
+            else:
+                m = () if u == v else (u, v) if u < v else (v, u)
+            terms[m] = terms.get(m, 0) + w * e.sign * f.sign
+    return MultilinearPoly._from_blocks(Domain.SPIN, _canonical_blocks(terms))
 
 
 def nac(seq: SymbolicSequence, r: int) -> MultilinearPoly:
     """Nonperiodic autocorrelation at lag r as a spin polynomial; zero for r >= len(seq)."""
-    return _pair_sum((1, seq[t], seq[t + r]) for t in range(len(seq) - r))
+    return _pair_sum([(1, seq, seq[r:])])
 
 
 def nac_values(seq: Sequence[int], r: int) -> int:
@@ -132,7 +139,7 @@ def williamson_residuals(k: int) -> SquareSum:
     rows = _williamson_rows(k)
 
     def cell(d: int) -> MultilinearPoly:
-        return _pair_sum((1, row[t], row[(t + d) % k]) for row in rows for t in range(k))
+        return _pair_sum((1, row, row[d:] + row[:d]) for row in rows)
 
     return SquareSum(williamson_variable_count(k),
                      tuple((2 * k, cell(d)) for d in range(1, (k + 1) // 2)))
@@ -186,19 +193,13 @@ def normalized_turyn_quadruple(n: int) -> TurynQuadruple:
     """
     if n % 2 != 0 or n < 4:
         raise ValueError(f"n must be even and at least 4, got {n}")
-    idx = 0
-
-    def take() -> int:
-        nonlocal idx
-        idx += 1
-        return idx - 1
-
-    X = [plus(), plus()] + [plus(take()) for _ in range(n - 4)] + [plus(), minus()]
-    y_first = idx
-    Y = [plus()] + [plus(take()) for _ in range(n - 3)] + [minus(y_first), minus()]
-    Z = [plus()] + [plus(take()) for _ in range(n - 2)] + [plus()]
-    W = [plus()] + [plus(take()) for _ in range(n - 2)]
-    assert idx == 4 * n - 11
+    one, minus_one, idx = plus(), minus(), itertools.count()  # entries are immutable
+    X = [one, one] + [plus(next(idx)) for _ in range(n - 4)] + [one, minus_one]
+    Y = [one] + [plus(next(idx)) for _ in range(n - 3)]
+    Y += [minus(Y[1].var), minus_one]
+    Z = [one] + [plus(next(idx)) for _ in range(n - 2)] + [one]
+    W = [one] + [plus(next(idx)) for _ in range(n - 2)]
+    assert next(idx) == 4 * n - 11
     return TurynQuadruple(n=n, X=tuple(X), Y=tuple(Y), Z=tuple(Z), W=tuple(W))
 
 
@@ -220,9 +221,7 @@ def _autocorrelation_residuals(quad: TurynQuadruple) -> SquareSum:
     seqs = quad.sequences()
 
     def lag(r: int) -> MultilinearPoly:
-        return _pair_sum(
-            (w, seq[t], seq[t + r]) for seq, w in zip(seqs, TT_WEIGHTS) for t in range(len(seq) - r)
-        )
+        return _pair_sum((w, seq, seq[r:]) for seq, w in zip(seqs, TT_WEIGHTS))
 
     return SquareSum(quad.free_variable_count, tuple((1, lag(r)) for r in range(1, quad.n)))
 

@@ -23,8 +23,8 @@ from typing import IO, Callable, Mapping
 
 import numpy as np
 
-from .polynom import (Assignment, Domain, MultilinearPoly, _content_lines, _max_abs_coeff,
-                      _parse_int)
+from .polynom import (Assignment, Domain, MultilinearPoly, _canonical_blocks, _content_lines,
+                      _max_abs_coeff, _parse_int)
 
 
 class IsingModel:
@@ -68,7 +68,8 @@ class IsingModel:
             raise ValueError(f"non-integer J entry {k!r}: {c!r}") from None
         if offset:
             terms[()] = offset
-        self.nvars, self.poly = n, MultilinearPoly._from_canonical(Domain.SPIN, terms)
+        self.nvars = n
+        self.poly = MultilinearPoly._from_blocks(Domain.SPIN, _canonical_blocks(terms))
 
     @classmethod
     def _from_poly(cls, nvars: int, poly: MultilinearPoly) -> "IsingModel":
@@ -79,7 +80,7 @@ class IsingModel:
 
     def _block(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
         """The polynomial's canonical block of `degree`, empty if it has none."""
-        blocks = {idx.shape[1]: (idx, coefs) for idx, coefs in self.poly._canonical_blocks()}
+        blocks = {idx.shape[1]: (idx, coefs) for idx, coefs in self.poly._blocks}
         return blocks.get(degree, (np.empty((0, degree), np.int64), np.empty(0, np.int64)))
 
     @property
@@ -106,7 +107,7 @@ class IsingModel:
                 f"offset={self.offset})")
 
     def max_abs_coeff(self) -> int:
-        return _max_abs_coeff(self.poly._canonical_blocks())
+        return _max_abs_coeff(self.poly._blocks)
 
     def energy(self, assignment: Assignment) -> int:
         """Energy at a total spin assignment."""
@@ -159,7 +160,7 @@ def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
     scale = model.max_abs_coeff()
     if scale == 0:
         raise ValueError("cannot normalize an all-zero model")
-    blocks = [block for block in model.poly._canonical_blocks() if block[0].shape[1]]
+    blocks = [block for block in model.poly._blocks if block[0].shape[1]]
     image = IsingModel._from_poly(model.nvars, MultilinearPoly._from_blocks(Domain.SPIN, blocks))
     return NormalizedIsing(image, scale), scale
 
@@ -177,7 +178,7 @@ def _sections(model: IsingModel, text: Callable[[np.ndarray], np.ndarray]) -> st
     template over its canonical block's fields, each as `str` gives it."""
     return "".join(("hJ"[idx.shape[1] - 1] + " %s" * (idx.shape[1] + 1) + "\n") * len(coefs)
                    % tuple(np.column_stack((idx, text(coefs))).ravel().tolist())
-                   for idx, coefs in model.poly._canonical_blocks() if idx.shape[1])
+                   for idx, coefs in model.poly._blocks if idx.shape[1])
 
 
 def write_ising(model: IsingModel, fp: IO[str]) -> None:

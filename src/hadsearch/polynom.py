@@ -9,25 +9,27 @@ variable.  Coefficients are arbitrary-precision Python ints and every
 operation is exact; zero coefficients are never stored, and the zero
 polynomial has no terms.
 
-Validation happens once, at the boundary: the public constructor (and
-`read_poly`, which goes through it) checks every monomial, takes every index
-and coefficient through `operator.index`, and rejects two keys that name
-the same monomial.  The algebra (`add`, `scale`, `mul`) hands canonical,
-zero-free term dicts to `_from_canonical`; `SquareSum.expand`, the two
-transforms and `quadratize` hand canonical blocks to `_from_blocks`.  Both
-store what they are given unchecked.
+Validation happens once, at the boundary: the public constructor checks
+every monomial, takes every index and coefficient through `operator.index`,
+and rejects two keys that name the same monomial; `read_poly` checks each
+line as it parses it.
 
-A polynomial holds its terms in one of two forms and builds the other only
-when something asks for it: the term dict, the public `terms`, which the
-constructor, `read_poly` and the algebra give; or canonical blocks, one per
-degree present, by ascending degree, each an (n, d) index array of its
-monomials in lexicographic row order with their coefficient array beside
-it, int64 or, where a value may not fit, dtype object holding Python ints.
-The transforms, `quadratize`, the writers and the enumeration read the
-blocks, as do `nvars`, `degree()` and `abs_coeff_sum()` where the blocks
-are there, so `build`, from the residuals to the written files, builds no
-dict.  The terms never change, so each form, the variable count and the
-degree are computed once, on first use, and kept.
+A polynomial holds its terms in one form, canonical blocks: one per degree
+present, by ascending degree, each an (n, d) index array of its monomials
+in lexicographic row order with their coefficient array beside it, int64
+or, where a value may not fit, dtype object holding Python ints.  Every
+polynomial is made by `_from_blocks`, which stores the blocks unchecked.
+The constructor, `read_poly`, the algebra (`add`, `scale`, `mul`), the
+residual builders and `IsingModel` gather a term dict first and turn it
+into blocks with `_canonical_blocks`, the one conversion, which drops zero
+coefficients; `SquareSum.expand`, the two transforms and `quadratize` make
+blocks directly.  The writers, the transforms, `quadratize` and the solvers
+read the blocks, as do `degree()`, `nvars` and `abs_coeff_sum()`, so
+`build`, from the residuals to the written files, builds no term dict.
+`terms`, `sorted_terms()` and the methods that read terms one by one build
+them from the blocks on each call and keep nothing.  `nvars` is the count
+the file declared where `read_poly` made the polynomial, and otherwise one
+past the largest index used.
 
 The two domain transforms are value-preserving under the bijection
 s = 2q - 1 (s=+1 <-> q=1): `spin_to_boolean` substitutes s_i = 2q_i - 1 and
@@ -81,22 +83,25 @@ def _canonical_monomial(vars_: Iterable[int]) -> Monomial:
 
 
 class MultilinearPoly:
-    """Immutable multilinear polynomial with exact integer coefficients.
+    """Immutable multilinear polynomial with exact integer coefficients,
+    held as its canonical blocks alone.
 
-    The terms are set once, at construction, as a dict or as canonical
-    blocks, and never change, so the other form and the caches of `nvars`
-    and `degree()` are each set once, on first use, and never go stale.
-    Equality and hashing read only the domain and the terms."""
+    The blocks are set once, at construction, and never change; `terms`,
+    `sorted_terms()` and everything that reads terms one by one build them
+    from the blocks on each call and keep nothing.  `nvars` is the count a
+    file declared where `read_poly` built the polynomial, and otherwise one
+    past the largest index used, computed on first use.  Equality and
+    hashing read only the domain and the terms, not `nvars`."""
 
-    __slots__ = ("domain", "_dict", "_blocks", "_nvars", "_degree")
+    __slots__ = ("domain", "_blocks", "_nvars")
 
     def __init__(self, domain: Domain, terms: Mapping[Iterable[int], int] | None = None):
         """Validate `terms`: each monomial is sorted and checked for negative,
         repeated or non-integer indices, each coefficient must be an integer,
         two keys must not name the same monomial once sorted, and zero
         coefficients are dropped after these checks.  Code in this package
-        that builds terms already canonical and zero-free calls
-        `_from_canonical` or `_from_blocks` instead."""
+        that builds its terms canonical hands them to `_canonical_blocks`
+        and `_from_blocks` unchecked instead."""
         clean: dict[Monomial, int] = {}
         for m, c in (terms or {}).items():
             try:
@@ -109,32 +114,17 @@ class MultilinearPoly:
             if m in clean:
                 raise ValueError(f"duplicate term for monomial {m}")
             clean[m] = c
-        if 0 in clean.values():
-            clean = {m: c for m, c in clean.items() if c}
-        self.domain = domain
-        self._dict = clean
-        self._blocks = self._nvars = self._degree = None
-
-    @classmethod
-    def _from_canonical(cls, domain: Domain, terms: dict[Monomial, int]) -> "MultilinearPoly":
-        """Take ownership of `terms` unchecked: every key an ascending tuple
-        of distinct non-negative indices, every value a nonzero int."""
-        poly = cls.__new__(cls)
-        poly.domain = domain
-        poly._dict = terms
-        poly._blocks = poly._nvars = poly._degree = None
-        return poly
+        self.domain, self._blocks, self._nvars = domain, _canonical_blocks(clean), None
 
     @classmethod
     def _from_blocks(
-        cls, domain: Domain, blocks: list[tuple[np.ndarray, np.ndarray]]
+        cls, domain: Domain, blocks: list[tuple[np.ndarray, np.ndarray]], nvars: int | None = None
     ) -> "MultilinearPoly":
         """Take ownership of `blocks` unchecked: canonical blocks as
-        `_canonical_blocks` gives them, every coefficient nonzero."""
+        `_canonical_blocks` gives them, every coefficient nonzero, over
+        `nvars` variables, or one past the largest index used if None."""
         poly = cls.__new__(cls)
-        poly.domain = domain
-        poly._blocks = blocks
-        poly._dict = poly._nvars = poly._degree = None
+        poly.domain, poly._blocks, poly._nvars = domain, blocks, nvars
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -154,85 +144,50 @@ class MultilinearPoly:
     # -- inspection --------------------------------------------------------
 
     @property
-    def _terms(self) -> dict[Monomial, int]:
-        """The term dict, built from the blocks on first use.  Shared, so
-        callers must not change it."""
-        if self._dict is None:
-            terms: dict[Monomial, int] = {}
-            for idx, coefs in self._blocks:
-                terms.update(zip(map(tuple, idx.tolist()), coefs.tolist()))
-            self._dict = terms
-        return self._dict
-
-    @property
     def terms(self) -> dict[Monomial, int]:
-        return dict(self._terms)
+        """A new term dict, built from the blocks."""
+        return dict(self.sorted_terms())
+
+    def sorted_terms(self) -> list[tuple[Monomial, int]]:
+        return [term for idx, coefs in self._blocks
+                for term in zip(map(tuple, idx.tolist()), coefs.tolist())]
 
     def coeff(self, monomial: Iterable[int]) -> int:
-        return self._terms.get(_canonical_monomial(monomial), 0)
+        return self.terms.get(_canonical_monomial(monomial), 0)
 
     def is_zero(self) -> bool:
-        return not (self._dict if self._blocks is None else self._blocks)
+        return not self._blocks
 
     def degree(self) -> int:
-        if self._degree is None:
-            if self._blocks is None:
-                self._degree = max(map(len, self._dict), default=0)
-            else:
-                self._degree = self._blocks[-1][0].shape[1] if self._blocks else 0
-        return self._degree
+        return self._blocks[-1][0].shape[1] if self._blocks else 0
 
     def variables(self) -> set[int]:
-        return {v for m in self._terms for v in m}
+        return {v for idx, _ in self._blocks for v in idx.ravel().tolist()}
 
     @property
     def nvars(self) -> int:
-        """Dense variable count: one past the largest index used."""
+        """Dense variable count: as declared, else one past the largest index used."""
         if self._nvars is None:
             # the last index of a (sorted) monomial is its largest
-            if self._blocks is None:
-                last = map(operator.itemgetter(-1), filter(None, self._dict))
-            else:
-                last = (int(idx[:, -1].max()) for idx, _ in self._blocks if idx.shape[1])
+            last = (int(idx[:, -1].max()) for idx, _ in self._blocks if idx.shape[1])
             self._nvars = max(last, default=-1) + 1
         return self._nvars
 
     def abs_coeff_sum(self) -> int:
-        if self._blocks is None:
-            return sum(map(abs, self._dict.values()))
         return sum(sum(map(abs, coefs.tolist())) for _, coefs in self._blocks)
-
-    def _canonical_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The terms as canonical blocks, built from the dict on first use,
-        each array int64 where every value fits and dtype object past it.
-        Shared, so callers must not change them."""
-        if self._blocks is None:
-            groups: dict[int, list[Monomial]] = {}
-            for m in self._dict:
-                groups.setdefault(len(m), []).append(m)
-            self._blocks = []
-            for d in sorted(groups):
-                group = sorted(groups[d])
-                idx = _int_array(list(itertools.chain.from_iterable(group)))
-                coefs = _int_array(list(map(self._dict.__getitem__, group)))
-                self._blocks.append((idx.reshape(len(group), d), coefs))
-        return self._blocks
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return [term for idx, coefs in self._canonical_blocks()
-                for term in zip(map(tuple, idx.tolist()), coefs.tolist())]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultilinearPoly):
             return NotImplemented
-        return self.domain is other.domain and self._terms == other._terms
+        return self.domain is other.domain and self.sorted_terms() == other.sorted_terms()
 
     def __hash__(self):
-        return hash((self.domain, frozenset(self._terms.items())))
+        return hash((self.domain, tuple(self.sorted_terms())))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{m}: {c}" for m, c in self.sorted_terms()[:6])
-        more = "" if len(self._terms) <= 6 else f", ... {len(self._terms)} terms"
+        terms = self.sorted_terms()
+        shown = ", ".join(f"{m}: {c}" for m, c in terms[:6])
+        more = "" if len(terms) <= 6 else f", ... {len(terms)} terms"
         return f"MultilinearPoly({self.domain.value}, {{{shown}{more}}})"
 
     # -- arithmetic --------------------------------------------------------
@@ -245,24 +200,18 @@ class MultilinearPoly:
 
     def add(self, other: "MultilinearPoly") -> "MultilinearPoly":
         self._require_same_domain(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return MultilinearPoly._from_canonical(self.domain, out)
+        out = self.terms
+        for m, c in other.sorted_terms():
+            out[m] = out.get(m, 0) + c
+        return MultilinearPoly._from_blocks(self.domain, _canonical_blocks(out))
 
     def scale(self, factor: int) -> "MultilinearPoly":
         try:
             factor = operator.index(factor)  # a numpy int would wrap at 2^63
         except TypeError:
             raise ValueError(f"non-integer scale factor {factor!r}") from None
-        if factor == 0:
-            return MultilinearPoly(self.domain)
-        terms = {m: c * factor for m, c in self._terms.items()}
-        return MultilinearPoly._from_canonical(self.domain, terms)
+        terms = {m: c * factor for m, c in self.sorted_terms()}
+        return MultilinearPoly._from_blocks(self.domain, _canonical_blocks(terms))
 
     def neg(self) -> "MultilinearPoly":
         return self.scale(-1)
@@ -275,18 +224,14 @@ class MultilinearPoly:
         self._require_same_domain(other)
         spin = self.domain is Domain.SPIN
         out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
+        right = other.sorted_terms()
+        for m1, c1 in self.sorted_terms():
             s1 = set(m1)
-            for m2, c2 in other._terms.items():
+            for m2, c2 in right:
                 # s_i*s_i = 1 drops shared variables; q_i*q_i = q_i keeps them
-                merged = s1 ^ set(m2) if spin else s1 | set(m2)
-                m = tuple(sorted(merged))
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return MultilinearPoly._from_canonical(self.domain, out)
+                m = tuple(sorted(s1 ^ set(m2) if spin else s1 | set(m2)))
+                out[m] = out.get(m, 0) + c1 * c2
+        return MultilinearPoly._from_blocks(self.domain, _canonical_blocks(out))
 
     def square(self) -> "MultilinearPoly":
         return self.mul(self)
@@ -316,7 +261,7 @@ class MultilinearPoly:
                 )
             cache[v] = val
         total = 0
-        for m, c in self._terms.items():
+        for m, c in self.sorted_terms():
             prod = c
             for v in m:
                 prod *= cache[v]
@@ -368,7 +313,8 @@ class SquareSum:
             n = operator.index(self.nvars)
         except TypeError:
             raise ValueError(f"non-integer nvars {self.nvars!r}") from None
-        terms, flat, values, bound = [], [], [], 0
+        side, terms, bound = n + 1, [], 0
+        parts = [([], [], []) for _ in range(3)]  # per degree: rows, index arrays, coefficients
         for r, (w, residual) in enumerate(self.terms):
             try:
                 w = operator.index(w)
@@ -379,20 +325,26 @@ class SquareSum:
                 raise ValueError(f"residual weight must be positive, got {w}")
             if residual.domain is not Domain.SPIN or residual.degree() > 2:
                 raise ValueError("residuals must be quadratic spin polynomials")
-            if residual.nvars > n:
-                raise ValueError(f"residual uses variables past nvars {n}")
-            # a residual held as a dict is read as it is held
-            for m, c in (residual._terms if residual._dict is None else residual._dict).items():
-                i, j = (*m, n, n)[:2]
-                flat.append((r * (n + 1) + i) * (n + 1) + j)
-                values.append(c)
-            bound += w * residual.abs_coeff_sum() ** 2
+            size = 0  # the residual's absolute coefficient sum
+            for idx, coefs in residual._blocks:
+                rows, indices, values = parts[idx.shape[1]]
+                coefs = coefs.tolist()
+                rows += [r] * len(coefs)
+                indices.append(idx)
+                values += coefs
+                size += sum(map(abs, coefs))
+            bound += w * size**2
         weights = [w for w, _ in terms]
         dtype = np.int64 if max([bound, *weights]) < 1 << 63 else object
-        coefficients = np.zeros(len(terms) * (n + 1) ** 2, dtype)
-        coefficients[flat] = values
+        coefficients = np.zeros((len(terms), side, side), dtype)
+        for d, (rows, indices, values) in enumerate(parts):  # [r, i, j], n for an index missing
+            if rows:
+                columns = np.concatenate(indices).T if d else ()
+                if d and columns[-1].max() >= n:
+                    raise ValueError(f"residual uses variables past nvars {n}")
+                coefficients[(rows, *columns, *[n] * (2 - d))] = values
         for name, value in (("nvars", n), ("terms", tuple(terms)), ("weights", np.array(
-                weights, dtype)), ("coefficients", coefficients.reshape(-1, n + 1, n + 1))):
+                weights, dtype)), ("coefficients", coefficients)):
             object.__setattr__(self, name, value)
 
     def expand(self) -> MultilinearPoly:
@@ -456,11 +408,30 @@ def _max_abs_coeff(blocks: list[tuple[np.ndarray, np.ndarray]]) -> int:
     return max((max(int(c.max()), -int(c.min())) for idx, c in blocks if idx.shape[1]), default=0)
 
 
+def _canonical_blocks(terms: Mapping[Monomial, int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The terms `terms`, each key an ascending tuple of distinct
+    non-negative indices and each value an int, as canonical blocks, zero
+    coefficients dropped: one block per degree present, by ascending
+    degree, each an (n, d) index array of its monomials in lexicographic
+    row order with their coefficient array beside it.  The index arrays are
+    views of one array, as are the coefficient arrays, each int64 where
+    every value fits and dtype object past it."""
+    keys = sorted(sorted(filter(terms.get, terms)), key=len)  # stable: lex in a degree
+    idx = _int_array(list(itertools.chain.from_iterable(keys)))
+    coefs = _int_array(list(map(terms.__getitem__, keys)))
+    blocks, lo, at = [], 0, 0
+    for d, group in itertools.groupby(keys, len):
+        count = len(list(group))
+        blocks.append((idx[at:at + count * d].reshape(count, d), coefs[lo:lo + count]))
+        lo, at = lo + count, at + count * d
+    return blocks
+
+
 def _int_array(values: list[int]) -> np.ndarray:
     """`values` as an int64 array where every one fits, else as dtype
     object, which keeps Python ints."""
     try:
-        return np.fromiter(values, np.int64, count=len(values))
+        return np.array(values, np.int64)
     except OverflowError:
         return np.array(values, object)
 
@@ -522,7 +493,7 @@ def _subset_sums(
     dtype = np.int64 if poly.abs_coeff_sum() << top < 1 << 63 else object
     const = 0
     blocks = []  # (index columns, coefficients) of each block of degree >= 1
-    for idx, coefs in poly._canonical_blocks():
+    for idx, coefs in poly._blocks:
         coefs = coefs.astype(dtype, copy=False)
         d = idx.shape[1]
         const += int(coefs.sum()) * weight(d, 0)
@@ -569,7 +540,7 @@ def _subset_sums(
 
 def write_poly(poly: MultilinearPoly, fp: IO[str]) -> None:
     chunks = [f"domain {poly.domain.value}\nnvars {poly.nvars}\n"]
-    for idx, coefs in poly._canonical_blocks():
+    for idx, coefs in poly._blocks:
         line = "%d" + " %d" * idx.shape[1] + "\n"
         chunks.append(line * len(coefs) % tuple(np.column_stack((coefs, idx)).ravel().tolist()))
     fp.write("".join(chunks))
@@ -584,7 +555,8 @@ def poly_to_text(poly: MultilinearPoly) -> str:
 
 
 def read_poly(fp: IO[str]) -> MultilinearPoly:
-    """Parse the text format; reject a non-integer token or a negative `nvars`."""
+    """Parse the text format over the `nvars` variables it declares; reject
+    a non-integer token, a negative `nvars` or an index past it."""
     lines = (line.split() for line in _content_lines(fp))
     try:
         head = next(lines)
@@ -609,7 +581,7 @@ def read_poly(fp: IO[str]) -> MultilinearPoly:
         if m in terms:
             raise ValueError(f"duplicate term for monomial {m}")
         terms[m] = coeff
-    return MultilinearPoly(domain, terms)
+    return MultilinearPoly._from_blocks(domain, _canonical_blocks(terms), nvars)
 
 
 def load_poly(path) -> MultilinearPoly:

@@ -151,18 +151,20 @@ def quadratize(poly: MultilinearPoly) -> tuple[MultilinearPoly, AncillaMap]:
     n=16 boolean energy (16600 degree >= 3 monomials, 326 rounds, 379 local
     ids), its blocks built beforehand, is about 4.2 MB.
 
-    Ancilla indices are fresh: allocation starts one past the largest input
-    index and follows substitution order.
+    Ancilla indices are fresh: allocation starts at the input's `nvars`
+    (one past its largest index, or the count its file declared) and
+    follows substitution order.  An input of degree <= 2 is returned as it
+    is, with no ancillas.
     """
     if poly.domain is not Domain.BOOLEAN:
         raise ValueError("quadratize requires a boolean polynomial")
     if poly.is_zero():
         raise ValueError("cannot quadratize the zero polynomial")
     delta = compute_delta(poly)
-    blocks = poly._canonical_blocks()
+    blocks = poly._blocks
     high = [block for block in blocks if block[0].shape[1] >= 3]
     if not high:
-        return MultilinearPoly._from_blocks(Domain.BOOLEAN, blocks), AncillaMap(delta=delta)
+        return poly, AncillaMap(delta=delta)
     rows, variables = _index_rows([idx for idx, _ in high])
     nrows, width = rows.shape
     la = len(variables)  # the local id of the next ancilla

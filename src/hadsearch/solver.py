@@ -295,7 +295,7 @@ def _enumerate(poly: MultilinearPoly, nvars: int, cap: int, all_ground: bool) ->
         raise ValueError(f"{nvars} variables exceed the enumeration limit of 63")
     domain = poly.domain
     spin = domain is Domain.SPIN
-    blocks = poly._canonical_blocks()
+    blocks = poly._blocks
 
     if nvars == 0:
         constant = int(blocks[0][1][0]) if blocks else 0
@@ -462,7 +462,7 @@ def _column_ids(table: np.ndarray) -> np.ndarray:
 def default_beta_range(model: IsingModel | SquareSum) -> tuple[float, float]:
     """Hot end keeps the largest energy coefficient flippable; cold end
     freezes unit gaps.  A `SquareSum` counts its expanded coefficients."""
-    blocks = model.poly._canonical_blocks() if isinstance(model, IsingModel) else model._expansion()
+    blocks = model.poly._blocks if isinstance(model, IsingModel) else model._expansion()
     return 0.01 / max(1, _max_abs_coeff(blocks)), 10.0
 
 
@@ -549,7 +549,7 @@ class _Kernel:
             # the one residual h s + sum J s s, if any, its blocks scattered
             # into place: flips[i] holds -2 h_i in column n, -2 J_ij in column j
             blocks = [(idx, -2 * coefs.astype(np.int64))
-                      for idx, coefs in model.poly._canonical_blocks() if idx.shape[1]]
+                      for idx, coefs in model.poly._blocks if idx.shape[1]]
             L, self.offset = (1 if blocks else 0), model.offset
             self.flips = np.zeros((n, L, n + 1), self.dtype)
             for idx, coefs in blocks:

@@ -101,11 +101,13 @@ class TestArtifactDigests:
 @pytest.mark.parametrize("name", ["build_t12", "build_w9"])
 def test_build_makes_no_term_dict(tmp_path, name):
     """From the residuals to the written files, `build` reads arrays: no
-    polynomial's term dict and no Ising model's `h` or `J` is built."""
+    polynomial's term dict and no Ising model's `h` or `J` is built.  Every
+    term dict, and every other per-term read of a polynomial, is built by
+    `sorted_terms`."""
     def refuse(self):
         raise AssertionError("a term dict was built")
 
-    with (mock.patch.object(MultilinearPoly, "_terms", property(refuse)),
+    with (mock.patch.object(MultilinearPoly, "sorted_terms", refuse),
           mock.patch.object(ising.IsingModel, "h", property(refuse)),
           mock.patch.object(ising.IsingModel, "J", property(refuse))):
         assert run(*TestArtifactDigests.RUNS[name], "--out", tmp_path / name) == 0
@@ -356,6 +358,13 @@ class TestSearch:
 
 
 class TestSolve:
+    def test_declared_variables_are_enumerated(self, tmp_path):
+        path = tmp_path / "declared.poly"
+        path.write_text("domain spin\nnvars 10\n1 4\n")
+        assert run("solve", path, "--all-ground", "--out", tmp_path / "o") == 0
+        rows = [line.split() for line in (tmp_path / "o" / "samples.txt").read_text().splitlines()]
+        assert len(rows) == 512 and {(e, len(v)) for e, _, v in rows} == {("-1", 10)}
+
     def test_int64_overflow_is_usage_error(self, tmp_path):
         path = tmp_path / "wide.poly"
         path.write_text(f"domain spin\nnvars 2\n{2**62} 0\n{2**62} 1\n-1 0 1\n")
@@ -507,6 +516,14 @@ class TestVerify:
 
 
 class TestQuadratizeCommand:
+    def test_ancillas_follow_the_declared_count(self, tmp_path):
+        path = tmp_path / "cubic.poly"
+        path.write_text("domain boolean\nnvars 10\n1 0 1 2\n")
+        assert run("quadratize", path, "--out", tmp_path / "q") == 0
+        reduced = load_poly(tmp_path / "q" / "quadratic.poly")
+        assert reduced.nvars == 11 and reduced.coeff((2, 10)) == 1
+        assert read_manifest(tmp_path / "q" / "ancilla_map.txt")["ancilla_10"] == "0,1"
+
     def test_round_trip(self, tmp_path):
         build = tmp_path / "b"
         run("build", "--method", "turyn", "--n", 4, "--out", build)
@@ -519,7 +536,7 @@ class TestQuadratizeCommand:
 
     @pytest.mark.parametrize("name", ["build_t8", "build_w7", "build_x8_2"])
     def test_writes_the_builds_e2_q(self, tmp_path, name):
-        # a read file is dict-first, where a build hands quadratize blocks
+        # the file read back gives quadratize the blocks the build gave it
         build = tmp_path / name
         assert run(*TestArtifactDigests.RUNS[name], "--out", build) == 0
         assert run("quadratize", build / "ek_q.poly", "--out", tmp_path / "q") == 0

@@ -383,8 +383,8 @@ class TestResiduals:
 
     def test_unchecked_terms_equal_validated_ones(self):
         """Residuals are built unchecked from canonical keys; building every
-        polynomial through the validating constructor instead gives the same
-        residuals and energies, term order included."""
+        residual's blocks through the validating constructor instead gives
+        the same residuals and energies, term order included."""
         def instances():
             for name, residuals, _ in residual_instances():
                 yield name, residuals
@@ -399,8 +399,8 @@ class TestResiduals:
                     list(residuals.expand().terms.items()))
 
         fast = {name: terms(residuals) for name, residuals in instances()}
-        validating = classmethod(lambda cls, domain, t: cls(domain, t))
-        with mock.patch.object(MultilinearPoly, "_from_canonical", validating):
+        validating = lambda terms: MultilinearPoly(Domain.SPIN, terms)._blocks
+        with mock.patch.object(cons, "_canonical_blocks", validating):
             checked = {name: terms(residuals) for name, residuals in instances()}
         assert len(fast) > 30 and fast == checked
 

@@ -302,11 +302,10 @@ class TestTransformArithmetic:
         (bound, exact), polys = case
         for p in polys + [p.neg() for p in polys]:
             out = transform(p)
-            dtypes = {coefs.dtype for _, coefs in out._canonical_blocks()}
+            dtypes = {coefs.dtype for _, coefs in out._blocks}
             assert dtypes == {np.dtype(np.int64 if exact else object)}
             expected = MultilinearPoly(out.domain, subset_oracle(p))
             assert poly_to_text(out) == reference_poly_text(expected)
-            assert out._dict is None
             assert out.terms == expected.terms
             assert all(type(c) is int for c in out.terms.values())
 
@@ -408,7 +407,7 @@ def assert_same_blocks(model: SquareSum) -> None:
     """The expansion's canonical blocks equal the dict expansion's, array
     for array: int64 index arrays, and coefficients of the dtype of
     `model.coefficients`, which is object only past its int64 bound."""
-    a, b = model.expand()._canonical_blocks(), dict_expansion(model)._canonical_blocks()
+    a, b = model.expand()._blocks, dict_expansion(model)._blocks
     assert len(a) == len(b)
     for (i1, c1), (i2, c2) in zip(a, b):
         assert i1.dtype == i2.dtype == np.int64 and c1.dtype == model.coefficients.dtype
@@ -498,7 +497,7 @@ SMALL_OR_WIDE = st.one_of(st.integers(-3, 3), WIDE)  # small ones cancel often
 def assert_canonical(p: MultilinearPoly) -> None:
     """`p` stores what the validating constructor would: canonical
     monomials and nonzero Python int coefficients."""
-    for m, c in p._terms.items():
+    for m, c in p.sorted_terms():
         assert m == _canonical_monomial(m)
         assert type(c) is int and c != 0
     assert p == MultilinearPoly(p.domain, p.terms)
@@ -617,6 +616,33 @@ class TestOutputsStayCanonical:
             assert set(expected) <= set(out)
 
 
+class TestStorage:
+    def test_blocks_are_the_only_form(self):
+        assert MultilinearPoly.__slots__ == ("domain", "_blocks", "_nvars")
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.one_of(
+        polynomials(SPIN, max_vars=8, coeffs=st.integers(-(2**63), 2**63 - 1)),
+        polynomials(BOOL, max_vars=8, coeffs=st.one_of(st.integers(-3, 3), WIDE)),
+        st.sampled_from([MultilinearPoly.zero(SPIN), MultilinearPoly.zero(BOOL)])),
+        data=st.data())
+    def test_equality_and_hash_read_terms_not_storage(self, p, data):
+        """The constructor, a written and read copy and blocks of int64 or
+        dtype object coefficients give equal polynomials of equal hash."""
+        terms, blocks = p.terms, p._blocks
+        copies = [MultilinearPoly(p.domain, terms), read_poly(io.StringIO(poly_to_text(p))),
+                  MultilinearPoly._from_blocks(p.domain, [
+                      (idx, np.array(coefs.tolist(), object)) for idx, coefs in blocks])]
+        if all(-(2**63) <= c < 2**63 for c in terms.values()):
+            copies.append(MultilinearPoly._from_blocks(p.domain, [
+                (idx, coefs.astype(np.int64)) for idx, coefs in blocks]))
+        for q in copies:
+            assert q == p and hash(q) == hash(p)
+        m = data.draw(st.sampled_from(sorted(terms) or [()]))
+        changed = MultilinearPoly(p.domain, {**terms, m: terms.get(m, 0) + 1})
+        assert all(q != changed for q in copies)
+
+
 class TestTextFormat:
     def test_round_trip(self, rng):
         for domain in (SPIN, BOOL):
@@ -677,6 +703,13 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=re.escape(message)):
             read_poly(io.StringIO(f"domain spin\nnvars 3\n{line}\n"))
 
+    def test_declared_nvars_is_kept(self):
+        # equality and hashing read the terms, not the declared count
+        text = "domain spin\nnvars 10\n1 4\n"
+        p, used = read_poly(io.StringIO(text)), spoly({(4,): 1})
+        assert (p.nvars, used.nvars) == (10, 5) and poly_to_text(p) == text
+        assert p == used and hash(p) == hash(used)
+
     def test_unsorted_indices_read_sorted(self):
         p = read_poly(io.StringIO("domain boolean\nnvars 3\n5 2 0 1\n-4 1 0\n"))
         assert p.terms == {(0, 1, 2): 5, (0, 1): -4}
@@ -736,7 +769,7 @@ class TestWriterMatchesReference:
         # one degree's coefficients as one array: int64 where all fit
         a, b, c = values
         p = bpoly({(0, 1): a, (1, 2): b, (0, 2): c, (): 1})
-        assert p._canonical_blocks()[1][1].dtype == np.dtype(dtype)
+        assert p._blocks[1][1].dtype == np.dtype(dtype)
         assert poly_to_text(p) == reference_poly_text(p)
         assert p.sorted_terms()[1:] == [((0, 1), a), ((0, 2), c), ((1, 2), b)]
         assert all(type(c) is int for _, c in p.sorted_terms())

@@ -15,6 +15,7 @@ from hadsearch import cli, solver
 from hadsearch.constructions import (
     enumerate_prototypes,
     extended_residuals,
+    normalized_turyn_quadruple,
     turyn_energy,
     turyn_residuals,
     williamson_energy,
@@ -424,6 +425,37 @@ class TestSquareSumJoin:
             assert (a == b) == (ka == kb)
 
 
+class TestPrototypeZeroStates:
+    """The zero states of the filtered prototypes of (n, m), each read back
+    as a full (X, Y, Z, W), partition the TT(n) ground set: the prototype
+    filter drops no solution, and no solution comes from two prototypes."""
+
+    @staticmethod
+    def quadruples(quad, residuals) -> list[tuple[tuple[int, ...], ...]]:
+        states = solver._zero_states(residuals, True)
+        assert states is not None  # the join applies
+        bits = range(residuals.nvars)  # bit i set where spin i is +1
+        return [tuple(map(tuple, quad.values([1 if s >> i & 1 else -1 for i in bits])))
+                for s in states.tolist()]
+
+    def prototype_quadruples(self, n: int, m: int) -> set:
+        found = [q for p in enumerate_prototypes(n, m)
+                 for q in self.quadruples(p.quadruple(), extended_residuals(p))]
+        assert len(set(found)) == len(found)
+        return set(found)
+
+    @pytest.mark.parametrize("n, ms, count", [(8, (2,), 32), (10, (2, 3), 298)])
+    def test_prototypes_partition_the_turyn_ground_set(self, n, ms, count):
+        ground = self.quadruples(normalized_turyn_quadruple(n), turyn_residuals(n))
+        assert len(set(ground)) == len(ground) == count
+        for m in ms:
+            assert self.prototype_quadruples(n, m) == set(ground)
+
+    def test_n12_end_fills_agree(self):
+        two, three = self.prototype_quadruples(12, 2), self.prototype_quadruples(12, 3)
+        assert len(two) == 988 and two == three
+
+
 class TestAnneal:
     def test_zero_coupling_model_reports_offset(self):
         m = IsingModel(nvars=3, offset=42)
@@ -488,7 +520,6 @@ class TestAnneal:
         model = IsingModel(n, dict.fromkeys(range(n), 1),
                            dict.fromkeys(zip(range(n - 1), range(1, n)), 1))
         bound = solver._energy_bound(model)
-        model.poly._canonical_blocks()  # the model's cached blocks
         tracemalloc.start()
         try:
             kernel = solver._Kernel(model, bound)
