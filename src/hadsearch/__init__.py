@@ -8,7 +8,7 @@ and assembles and verifies the resulting matrices.
 
 from .polynom import Assignment, Domain, Monomial, MultilinearPoly, SquareSum
 from .quadratize import AncillaMap, compute_delta, quadratize, select_pair, substitute_pair
-from .ising import IsingModel, from_quadratic, normalize_for_export
+from .ising import IsingModel, from_quadratic
 from .constructions import (
     PrototypeSpec,
     TurynQuadruple,
@@ -65,7 +65,6 @@ __all__ = [
     "goethals_seidel",
     "nac",
     "nac_values",
-    "normalize_for_export",
     "normalized_turyn_quadruple",
     "prototype_filter",
     "quadratize",

@@ -225,9 +225,8 @@ def cmd_build(args) -> int:
     polynom.save_poly(e2_q, join("e2_q.poly"))
     polynom.save_poly(e2_s, join("e2_s.poly"))
     ising.save_ising(model, join("model.ising"))
-    normalized, _scale = ising.normalize_for_export(model)
     with open(join("model_normalized.ising"), "w", encoding="utf-8", newline="\n") as fp:
-        ising.write_normalized(normalized, fp)
+        ising.write_normalized(model, fp)
     logical = energy.nvars
     pairs = [("method", args.method), (_size_name(args), size)]
     pairs += _prototype_fields(args, index, proto)

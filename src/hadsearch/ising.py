@@ -6,18 +6,15 @@ A model is a spin count and the quadratic spin polynomial of its energy,
 
 over spins s_i in {-1, +1}, J keyed by pairs i < j.  `h`, `J` and `offset`
 are read off the polynomial, `h` and `J` as read-only views built on each
-access; the writers, `max_abs_coeff`, `normalize_for_export` and the
-annealing kernel read its canonical blocks.  `normalize_for_export` drops the
-offset and scales the largest coefficient to 1, the form annealing hardware
-takes; it keeps the integer model and divides only when read (exact
-`Fraction`s) or written.  Solvers read only the exact integer model.
+access; the writers, `max_abs_coeff` and the annealing kernel read its
+canonical blocks.  `write_normalized` writes the form annealing hardware
+takes: the offset dropped and every coefficient divided by the largest
+magnitude, the scale.  Solvers read only the exact integer model.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import IO, Callable, Mapping
 
@@ -129,40 +126,14 @@ def from_quadratic(poly: MultilinearPoly) -> IsingModel:
     return IsingModel._from_poly(poly.nvars, poly)
 
 
-@dataclass(frozen=True)
-class NormalizedIsing:
-    """Unit-scale export image of an integer model: its offset dropped and
-    every coefficient divided by `scale`, the largest magnitude.  Only the
-    numerators are stored, as an offset-free copy `model`, so equality and
-    repr are those of the image; `h` and `J` build exact `Fraction`s on
-    access."""
-
-    model: IsingModel
-    scale: int
-
-    @property
-    def nvars(self) -> int:
-        return self.model.nvars
-
-    @property
-    def h(self) -> dict[int, Fraction]:
-        return {i: Fraction(c, self.scale) for i, c in self.model.h.items()}
-
-    @property
-    def J(self) -> dict[tuple[int, int], Fraction]:
-        return {k: Fraction(c, self.scale) for k, c in self.model.J.items()}
-
-
-def normalize_for_export(model: IsingModel) -> tuple[NormalizedIsing, int]:
-    """Drop the offset and rescale so the largest |coefficient| becomes 1.
-    The image's polynomial shares its blocks with `model`'s; neither
-    changes after construction."""
+def normalize_for_export(model: IsingModel) -> int:
+    """The scale of `model`'s export: its largest |coefficient|, by which
+    `write_normalized` divides every coefficient; an all-zero model has
+    none and is rejected."""
     scale = model.max_abs_coeff()
     if scale == 0:
         raise ValueError("cannot normalize an all-zero model")
-    blocks = [block for block in model.poly._blocks if block[0].shape[1]]
-    image = IsingModel._from_poly(model.nvars, MultilinearPoly._from_blocks(Domain.SPIN, blocks))
-    return NormalizedIsing(image, scale), scale
+    return scale
 
 
 # -- text format --------------------------------------------------------------
@@ -187,19 +158,20 @@ def write_ising(model: IsingModel, fp: IO[str]) -> None:
     fp.write(f"c {model.offset}\n" + _sections(model, lambda coefs: coefs))
 
 
-def write_normalized(norm: NormalizedIsing, fp: IO[str]) -> None:
-    """As `write_ising`, under a `# scale` comment and with offset 0, each
-    coefficient c written as `<q>.0` when scale divides it, else as the repr
-    of c / scale: int / int true division rounds correctly, as
-    float(Fraction).  Each distinct c of a section is formatted once."""
-    scale = norm.scale
+def write_normalized(model: IsingModel, fp: IO[str]) -> None:
+    """As `write_ising`, under a `# scale` comment and with offset 0, the
+    scale `normalize_for_export(model)`: each coefficient c written as
+    `<q>.0` when scale divides it, else as the repr of c / scale: int / int
+    true division rounds correctly.  Each distinct c of a section is
+    formatted once."""
+    scale = normalize_for_export(model)
 
     def text(coefs: np.ndarray) -> np.ndarray:
         distinct, inverse = np.unique(coefs, return_inverse=True)
         return np.array([repr(c / scale) if c % scale else f"{c // scale}.0"
                          for c in distinct.tolist()], dtype=object)[inverse]
 
-    fp.write(f"# scale {scale}\nc 0\n" + _sections(norm.model, text))
+    fp.write(f"# scale {scale}\nc 0\n" + _sections(model, text))
 
 
 def read_ising(fp: IO[str]) -> IsingModel:

@@ -28,17 +28,24 @@ read the blocks, as do `degree()`, `nvars` and `abs_coeff_sum()`, so
 `build`, from the residuals to the written files, builds no term dict.
 `terms`, `sorted_terms()` and the methods that read terms one by one build
 them from the blocks on each call and keep nothing.  `nvars` is the count
-the file declared where `read_poly` made the polynomial, and otherwise one
-past the largest index used.
+the file declared where `read_poly` made the polynomial, the input's count
+for a transform's result, and otherwise one past the largest index used.
+
+Where terms that name the same monomial are summed, one keyed sum does it:
+`_keyed_sums` takes one key per term, its indices as base-b digits (int64
+where b^width < 2^63, Python ints past it), and returns the distinct keys
+in ascending order, which is canonical order, with their sums; `_digits`
+turns the keys back into index columns.
 
 The two domain transforms are value-preserving under the bijection
 s = 2q - 1 (s=+1 <-> q=1): `spin_to_boolean` substitutes s_i = 2q_i - 1 and
 `boolean_to_spin` substitutes q_i = (1 + s_i)/2, the latter scaled by 2^D
 (D the degree) and required to divide back exactly.  Both sum each term
-over its sub-monomials as one exact numpy reduction per output degree
-(`_subset_sums`), whose sums are the result's blocks as they stand.
-`SquareSum`, an energy sum of w * R^2 over quadratic spin residuals,
-holds them as one coefficient array.
+over its sub-monomials, one output degree at a time, as one keyed sum of
+every block's subsets (`_subset_sums`), whose sums are the result's blocks
+as they stand.  `SquareSum`, an energy sum of w * R^2 over quadratic spin
+residuals, holds them as one coefficient array and expands them by the
+same keyed sum.
 """
 
 from __future__ import annotations
@@ -357,8 +364,8 @@ class SquareSum:
         terms c1 m1, c2 m2 of a residual; zero sums dropped.  A term is a
         nonzero entry of `coefficients`, two ascending indices with n for
         none; a pair's four, put in order, cancel where met twice.  Keyed by
-        its degree, then its indices as base-(n+1) digits (int64 where
-        5 (n+1)^4 fits), each product sums into its canonical place, in the
+        five base-(n+1) digits, its degree (at most n), then its indices,
+        each product sums into its canonical place (`_keyed_sums`), in the
         arrays' dtype."""
         n, side = self.nvars, self.nvars + 1
         flat = np.flatnonzero(self.coefficients)
@@ -370,7 +377,7 @@ class SquareSum:
         second = first + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
         coef = self.weights[r[first]] * c[first] * c[second]
         coef[first != second] *= 2
-        kind = np.int64 if 5 * side**4 < 1 << 63 else object
+        kind = _key_kind(side, 5)
         a, b = (x.astype(kind, copy=False) for x in np.divmod(slot, side))
         a1, a2, b1, b2 = a[first], a[second], b[first], b[second]
         inner, outer = np.maximum(a1, a2), np.minimum(b1, b2)
@@ -382,14 +389,11 @@ class SquareSum:
         for xj, kj in zip(x, kept):
             key = np.where(kj, key * side + xj, key)
             degree += kj
-        key += degree * side**4
-        key, inverse = np.unique(key, return_inverse=True)
-        sums = np.zeros(len(key), coef.dtype)
-        np.add.at(sums, inverse, coef)
-        key, sums = key[sums != 0], sums[sums != 0]
-        digits = np.stack([key // side ** (3 - j) % side for j in range(4)], axis=1)
-        ends = np.searchsorted(key // side**4, np.arange(6))
-        return [(digits[lo:hi, 4 - d :].astype(np.int64), sums[lo:hi])
+        key, sums = _keyed_sums(key + degree * side**4, coef)
+        nonzero = sums != 0
+        digits, sums = _digits(key[nonzero], side, 5).astype(np.int64, copy=False), sums[nonzero]
+        ends = np.searchsorted(digits[0], np.arange(6))
+        return [(digits[5 - d :, lo:hi].T, sums[lo:hi])
                 for d, (lo, hi) in enumerate(zip(ends, ends[1:])) if hi > lo]
 
     def residual_values(self, values: Sequence[int]) -> list[int]:
@@ -436,14 +440,38 @@ def _int_array(values: list[int]) -> np.ndarray:
         return np.array(values, object)
 
 
+def _key_kind(base: int, width: int) -> type:
+    """The dtype of keys of `width` base-`base` digits: int64 where
+    base^width is below 2^63, else object, which keeps Python ints."""
+    return np.int64 if base**width < 1 << 63 else object
+
+
+def _keyed_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct `keys` in ascending order and, beside them, the sum of
+    the `values` of each key, zero sums included, in the values' dtype.
+    The one place where terms are grouped: a key is a term's indices as
+    digits, so its sum is its canonical coefficient."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(keys), values.dtype)
+    np.add.at(sums, inverse, values)
+    return keys, sums
+
+
+def _digits(keys: np.ndarray, base: int, width: int) -> np.ndarray:
+    """The (width, count) array of the `width` base-`base` digits of each
+    of `keys`, most significant first, in the keys' dtype."""
+    return np.stack([keys // base ** (width - 1 - j) % base for j in range(width)])
+
+
 def _substitute(
     poly: MultilinearPoly, domain: Domain, weight: Callable[[int, int], int], shift: int
 ) -> MultilinearPoly:
     """The polynomial over `domain` whose coefficient of S is the subset sum
     of S (`_subset_sums`) divided by 2^shift, which must divide every sum
-    exactly; zero sums are dropped.  Each degree's sums come out in
-    canonical order, so they are the result's blocks; the top block's
-    index array is the input's own."""
+    exactly; zero sums are dropped, and the result is over the input's
+    `nvars` variables.  Each degree's sums come out in canonical order, so
+    they are the result's blocks; the top block's index array is the
+    input's own."""
     top = poly.degree()
     low = (1 << shift) - 1
     blocks = []
@@ -462,7 +490,7 @@ def _substitute(
             cols, sums = cols.take(kept, axis=1), sums[kept]
         if len(sums):
             blocks.append((cols.T, sums))
-    return MultilinearPoly._from_blocks(domain, blocks)
+    return MultilinearPoly._from_blocks(domain, blocks, poly.nvars)
 
 
 def _subset_sums(
@@ -476,20 +504,21 @@ def _subset_sums(
 
     One degree k is reduced at a time, so memory is that of one degree's
     arrays.  Each block of degree d >= k, its index array transposed to
-    the (d, n) array M of its n monomials, gives all its k-subsets in one
-    gather M[combos.T], combos the (C(d, k), k) array of the
-    k-combinations of range(d), and its coefficients times weight(d, k)
-    are tiled C(d, k) times beside them; the columns are lexsorted, and
-    each run of equal columns summed with `np.add.reduceat`.  The constant
-    is a plain sum, and the top block, the only one holding D-subsets, is
-    its own D-subsets in order, so it is passed through.
+    the (d, n) array M of its n monomials, keys all its k-subsets as their
+    indices in base-nvars digits, one row M[combos[:, j]] at a time, combos
+    the (C(d, k), k) array of the k-combinations of range(d); its
+    coefficients times weight(d, k) are tiled C(d, k) times beside them.
+    `_keyed_sums` sums the keys of every block and `_digits` turns them
+    back into index columns.  The constant is a plain sum, and the top
+    block, the only one holding D-subsets, is its own D-subsets in order,
+    so it is passed through.
 
     Every |weight(d, k)| is at most 2^D, so every product and partial sum
     is at most abs_coeff_sum * 2^D in magnitude: the arithmetic is int64
     where that bound is below 2^63, and Python ints (dtype object) past it,
     on the same code path.  Index arrays keep their dtype.
     """
-    top = poly.degree()
+    top, base = poly.degree(), poly.nvars
     dtype = np.int64 if poly.abs_coeff_sum() << top < 1 << 63 else object
     const = 0
     blocks = []  # (index columns, coefficients) of each block of degree >= 1
@@ -501,7 +530,8 @@ def _subset_sums(
             blocks.append((idx.T, coefs))
     yield 0, np.empty((0, 1), np.int64), np.array([const], dtype)
     for k in range(1, top):
-        subsets, scaled = [], []
+        kind = _key_kind(base, k)
+        keys, scaled = [], []
         for cols, coefs in blocks:
             d = len(cols)
             if d >= k:
@@ -509,19 +539,14 @@ def _subset_sums(
                 combos = np.fromiter(
                     itertools.chain.from_iterable(itertools.combinations(range(d), k)),
                     np.intp, count=count * k,
-                )
-                subsets.append(cols[combos.reshape(count, k).T].reshape(k, -1))
+                ).reshape(count, k)
+                key = np.zeros((count, cols.shape[1]), kind)
+                for j in range(k):
+                    key = key * base + cols[combos[:, j]].astype(kind, copy=False)
+                keys.append(key.ravel())
                 scaled.append(np.tile(coefs * weight(d, k), count))
-        cols = np.concatenate(subsets, axis=1)
-        order = np.lexsort(cols[::-1])
-        cols = cols.take(order, axis=1)
-        starts = np.ones(cols.shape[1], dtype=bool)
-        starts[1:] = cols[0, 1:] != cols[0, :-1]
-        for col in cols[1:]:
-            starts[1:] |= col[1:] != col[:-1]
-        starts = starts.nonzero()[0]
-        sums = np.add.reduceat(np.concatenate(scaled).take(order), starts)
-        yield k, cols.take(starts, axis=1), sums
+        keys, sums = _keyed_sums(np.concatenate(keys), np.concatenate(scaled))
+        yield k, _digits(keys, base, k).astype(blocks[-1][0].dtype, copy=False), sums
     if top:
         cols, coefs = blocks[-1]
         yield top, cols, coefs * weight(top, top)

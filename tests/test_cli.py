@@ -70,6 +70,8 @@ class TestArtifactDigests:
         # uniforms drawn in blocks of 16, 16 and 8 sweeps
         "search_w7_blocks": ("search", "--method", "williamson", "--k", 7, "--solver", "anneal",
                              "--reads", 1000, "--sweeps", 40, "--seed", 2),
+        "build_w11": ("build", "--method", "williamson", "--k", 11),
+        "build_x10_2": ("build", "--method", "extended-turyn", "--n", 10, "--m", 2),
     }
     # `solve` on a file of the `w5b` build: the boolean domain's export, and
     # the Ising model enumerated and annealed

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hadsearch.constructions import williamson_energy
 from hadsearch.ising import (
     IsingModel,
-    NormalizedIsing,
     from_quadratic,
     normalize_for_export,
     read_ising,
@@ -58,9 +57,9 @@ class TestFromQuadratic:
                          coeffs=st.integers(-(2**70), 2**70)),
            extra=st.integers(0, 3))
     def test_unchecked_paths_match_validating_constructor(self, p, extra):
-        # from_quadratic and normalize_for_export skip the constructor's
-        # checks; their models must equal the ones it builds, the exported
-        # one also with `extra` spins past the polynomial's
+        # from_quadratic skips the constructor's checks; its model must
+        # equal the one it builds, and the export must not depend on
+        # `extra` spins past the polynomial's
         terms = p.terms
         h = {m[0]: c for m, c in terms.items() if len(m) == 1}
         J = {m: c for m, c in terms.items() if len(m) == 2}
@@ -72,8 +71,7 @@ class TestFromQuadratic:
         assert all(type(v) is int for v in ints)
         wide = IsingModel(n, h=h, J=J, offset=terms.get((), 0))
         if wide.max_abs_coeff():
-            norm, scale = normalize_for_export(wide)
-            assert norm == NormalizedIsing(IsingModel(n, h=h, J=J), scale)
+            assert normalized_text(wide) == normalized_text(model)
 
 
 class TestEnergy:
@@ -147,62 +145,43 @@ class TestValidation:
         assert model.h == {1: 2**62}
 
 
+def normalized_text(model: IsingModel) -> str:
+    buf = io.StringIO()
+    write_normalized(model, buf)
+    return buf.getvalue()
+
+
 class TestNormalize:
     def test_single_field(self):
         m = IsingModel(nvars=1, h={0: 10})
-        norm, scale = normalize_for_export(m)
-        assert scale == 10
-        assert norm.h == {0: Fraction(1)}
+        assert normalize_for_export(m) == 10
+        assert normalized_text(m) == "# scale 10\nc 0\nh 0 1.0\n"
 
     def test_symmetric_model(self):
         m = IsingModel(nvars=2, h={0: -7, 1: 7})
-        norm, _ = normalize_for_export(m)
-        assert norm.h == {0: Fraction(-1), 1: Fraction(1)}
+        assert normalized_text(m) == "# scale 7\nc 0\nh 0 -1.0\nh 1 1.0\n"
 
     def test_williamson_k3_coupler_family(self):
         reduced, _ = quadratize(williamson_energy(3).spin_to_boolean())
         model = from_quadratic(reduced.boolean_to_spin())
         assert max(abs(c) for c in model.J.values()) == 26976
-        norm, scale = normalize_for_export(model)
-        assert scale == model.max_abs_coeff()
-        assert max(abs(v) for v in list(norm.h.values()) + list(norm.J.values())) == 1
+        scale = model.max_abs_coeff()
+        assert normalize_for_export(model) == scale
+        lines = normalized_text(model).splitlines()
+        assert lines[0] == f"# scale {scale}"
+        assert max(abs(float(line.split()[-1])) for line in lines[2:]) == 1
 
     def test_image_drops_offset_and_owns_its_coefficients(self):
         h, J = {0: 4, 1: -2}, {(0, 1): 8}
-        norm, _ = normalize_for_export(IsingModel(nvars=2, h=h, J=J, offset=5))
-        assert norm == normalize_for_export(IsingModel(nvars=2, h=h, J=J))[0]
+        model = IsingModel(nvars=2, h=h, J=J, offset=5)
+        text = normalized_text(model)
+        assert text == normalized_text(IsingModel(nvars=2, h=h, J=J))
         h[0], J[0, 1] = 1, 1
-        assert norm.h == {0: Fraction(1, 2), 1: Fraction(-1, 4)}
-        assert norm.J == {(0, 1): Fraction(1)}
+        assert normalized_text(model) == text == "# scale 8\nc 0\nh 0 0.5\nh 1 -0.25\nJ 0 1 1.0\n"
 
     def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_for_export(IsingModel(nvars=1, offset=3))
-
-    def test_argmin_invariant(self, rng):
-        for _ in range(15):
-            p = random_poly(rng, Domain.SPIN, max_vars=5, max_degree=2)
-            if p.nvars == 0:
-                continue
-            m = from_quadratic(p)
-            if m.max_abs_coeff() == 0:
-                continue
-            norm, _ = normalize_for_export(m)
-
-            def normalized_energy(a):
-                lin = sum(c * a[i] for i, c in norm.h.items())
-                quad = sum(c * a[i] * a[j] for (i, j), c in norm.J.items())
-                return lin + quad
-
-            states = [
-                {i: 2 * ((b >> i) & 1) - 1 for i in range(m.nvars)}
-                for b in range(1 << m.nvars)
-            ]
-            direct = [m.energy(s) for s in states]
-            normed = [normalized_energy(s) for s in states]
-            argmin_direct = {i for i, e in enumerate(direct) if e == min(direct)}
-            argmin_normed = {i for i, e in enumerate(normed) if e == min(normed)}
-            assert argmin_direct == argmin_normed
+        with pytest.raises(ValueError, match="cannot normalize an all-zero model"):
+            write_normalized(IsingModel(nvars=1, offset=3), io.StringIO())
 
 
 class TestTextFormat:
@@ -258,11 +237,7 @@ class TestTextFormat:
         assert m == IsingModel(nvars=2, h={1: 3}, J={(0, 1): 2})
 
     def test_normalized_export_is_decimal(self):
-        m = IsingModel(nvars=2, h={0: 5}, J={(0, 1): 10})
-        norm, _ = normalize_for_export(m)
-        buf = io.StringIO()
-        write_normalized(norm, buf)
-        text = buf.getvalue()
+        text = normalized_text(IsingModel(nvars=2, h={0: 5}, J={(0, 1): 10}))
         assert "h 0 0.5" in text
         assert "J 0 1 1.0" in text
         assert "c 0" in text
@@ -280,13 +255,16 @@ def reference_write_ising(model: IsingModel, fp) -> None:
         fp.write(f"J {i} {j} {model.J[(i, j)]}\n")
 
 
-def reference_write_normalized(norm, fp) -> None:
-    fp.write(f"# scale {norm.scale}\n")
+def reference_write_normalized(model: IsingModel, fp) -> None:
+    scale = max(map(abs, [*model.h.values(), *model.J.values()]))
+    h = {i: Fraction(c, scale) for i, c in model.h.items()}
+    J = {k: Fraction(c, scale) for k, c in model.J.items()}
+    fp.write(f"# scale {scale}\n")
     fp.write("c 0\n")
-    for i in sorted(norm.h):
-        fp.write(f"h {i} {reference_decimal(norm.h[i])}\n")
-    for (i, j) in sorted(norm.J):
-        fp.write(f"J {i} {j} {reference_decimal(norm.J[(i, j)])}\n")
+    for i in sorted(h):
+        fp.write(f"h {i} {reference_decimal(h[i])}\n")
+    for (i, j) in sorted(J):
+        fp.write(f"J {i} {j} {reference_decimal(J[(i, j)])}\n")
 
 
 # The writers before each section became one `%`: one f-string per line.
@@ -300,8 +278,9 @@ def per_line_write_ising(model: IsingModel, fp) -> None:
     fp.write("".join(lines))
 
 
-def per_line_write_normalized(norm, fp) -> None:
-    scale, h, J = norm.scale, norm.model.h, norm.model.J
+def per_line_write_normalized(model: IsingModel, fp) -> None:
+    h, J = model.h, model.J
+    scale = max(map(abs, [*h.values(), *J.values()]))
     text = {c: repr(c / scale) if c % scale else f"{c // scale}.0"
             for c in {*h.values(), *J.values()}}
     lines = [f"# scale {scale}\nc 0\n"]
@@ -372,14 +351,11 @@ class TestWritersMatchReference:
     @example(case=(IsingModel(nvars=2, h={0: -3, 1: 2}, offset=7), 3))
     def test_normalized_export(self, case):
         model, scale = case
-        norm, got_scale = normalize_for_export(model)
-        assert got_scale == norm.scale == scale
-        assert norm.nvars == model.nvars
-        assert norm.h == {i: Fraction(c, scale) for i, c in model.h.items()}
-        assert norm.J == {k: Fraction(c, scale) for k, c in model.J.items()}
-        text, calls = texts(write_normalized, norm)
-        assert text == texts(reference_write_normalized, norm)[0]
-        assert text == texts(per_line_write_normalized, norm)[0]
+        assert normalize_for_export(model) == scale
+        text, calls = texts(write_normalized, model)
+        assert text.startswith(f"# scale {scale}\nc 0\n")
+        assert text == texts(reference_write_normalized, model)[0]
+        assert text == texts(per_line_write_normalized, model)[0]
         assert calls == 1
 
     @pytest.mark.parametrize("scale", [1, 3, 2**53 + 1, 3 * 2**60, 2**80])
@@ -387,5 +363,4 @@ class TestWritersMatchReference:
         cs = {scale, -scale, scale // 2, scale // 3, 1, -1, scale - 1}
         h = {i: c for i, c in enumerate(sorted(c for c in cs if c))}
         model = IsingModel(nvars=len(h) + 1, h=h, J={(0, len(h)): -scale})
-        norm, _ = normalize_for_export(model)
-        assert texts(write_normalized, norm)[0] == texts(reference_write_normalized, norm)[0]
+        assert texts(write_normalized, model)[0] == texts(reference_write_normalized, model)[0]

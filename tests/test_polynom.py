@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadsearch import constructions as cons
+from hadsearch import polynom
 from hadsearch.polynom import (
     Domain,
     MultilinearPoly,
@@ -295,6 +296,30 @@ class TestTransformArithmetic:
         assert p.spin_to_boolean().terms == subset_oracle(p)
         assert p.spin_to_boolean().boolean_to_spin() == p
 
+    @pytest.mark.parametrize("top", [2**21 - 2, 2**21 - 1], ids=["int64-keys", "object-keys"])
+    def test_subset_key_dtype_line(self, top, monkeypatch):
+        # a degree-4 polynomial over top + 1 variables keys its 3-subsets
+        # as three base-(top + 1) digits: int64 while (top + 1)^3 < 2^63,
+        # that is top < 2^21 - 1, and Python ints from there on
+        kinds = []
+
+        def spy(keys, values):
+            kinds.append(keys.dtype)
+            return keyed_sums(keys, values)
+
+        keyed_sums = polynom._keyed_sums
+        monkeypatch.setattr(polynom, "_keyed_sums", spy)
+        p = spoly({(0, 5, top - 1, top): 3, (1, 5, top - 1, top): -2, (1, 5, top): 7,
+                   (5, top): -1, (top,): 4, (): -6})
+        image = p.spin_to_boolean()
+        back = image.boolean_to_spin()
+        # k = 1, 2, 3 one way, then the other
+        wide = np.dtype(np.int64 if top < 2**21 - 1 else object)
+        assert kinds == [np.dtype(np.int64), np.dtype(np.int64), wide] * 2
+        assert image.terms == subset_oracle(p)
+        assert back.terms == subset_oracle(image)
+        assert back == p
+
     @pytest.mark.parametrize("case", BOUNDARY.values(), ids=BOUNDARY.keys())
     def test_block_output_at_the_boundary(self, case):
         # the output is its blocks alone, int64 on one side of the bound and
@@ -334,9 +359,10 @@ class TestTransformArithmetic:
         assert all(type(c) is int for c in out.terms.values())
         # Beyond the 2^18 terms the result keeps, the reduction holds one
         # degree's arrays at a time: at k = 9 the (9, C(18, 9)) int64 index
-        # array is 3.5 MB, and the combinations, the gather, its
-        # concatenation and the sorted copy are at most four of that size;
-        # the term dict's last resize frees an old table of about 5 MB.
+        # array is 3.5 MB, the combinations and the decoded digits are each
+        # that size, and the keys, the keyed sum's sorted copy and each
+        # gathered row a ninth of it; the term dict's last resize frees an
+        # old table of about 5 MB.
         # Holding every degree's arrays at once would add 18.9 MB a copy.
         one_degree = math.comb(18, 9) * 9 * 8
         assert peak - kept < 4 * one_degree + (6 << 20)
@@ -709,6 +735,10 @@ class TestTextFormat:
         p, used = read_poly(io.StringIO(text)), spoly({(4,): 1})
         assert (p.nvars, used.nvars) == (10, 5) and poly_to_text(p) == text
         assert p == used and hash(p) == hash(used)
+        # both transforms keep it
+        image = p.spin_to_boolean()
+        assert poly_to_text(image) == "domain boolean\nnvars 10\n-1\n2 4\n"
+        assert poly_to_text(image.boolean_to_spin()) == text
 
     def test_unsorted_indices_read_sorted(self):
         p = read_poly(io.StringIO("domain boolean\nnvars 3\n5 2 0 1\n-4 1 0\n"))
